@@ -91,6 +91,8 @@ def _select(args, table):
 
 
 def cmd_verify(args, out=sys.stdout):
+    if args.maxdeg2 is not None and args.maxdeg2 < 0:
+        raise CliError("--maxdeg2 must be >= 0, got %d" % args.maxdeg2)
     table = _load_models(args.registry)
     keys = _select(args, table)
     reports = []

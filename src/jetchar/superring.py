@@ -19,6 +19,14 @@ is the empty dict.
 The derivation ``T`` acts on atoms by ``T(x[i]) = -(w/2 + i) * x[i+1]`` and
 extends to polynomials by the Leibniz rule.  ``T`` is even: it never
 introduces Koszul signs by itself (re-sorting may).
+
+This module is the exact, readable reference.  The slice builder in
+:mod:`jetchar.jetquot` does not multiply through it: it numbers the atoms
+in the canonical order above, so that a monomial is a sorted tuple of int
+ids and a product is a merge, and it converts each ``T^j`` of a generator,
+computed here with :meth:`RingSpec.derive`, into a primitive integer
+polynomial over those ids.  Everything public, here and there, still uses
+``(base, shift)`` atom tuples and ``Fraction`` coefficients.
 """
 
 from fractions import Fraction
@@ -211,21 +219,6 @@ class RingSpec:
                     out.pop(mono, None)
         return out
 
-    def mul_mono_poly(self, mono, p):
-        """Multiply a canonical monomial into a polynomial (left action)."""
-        out = {}
-        for m2, c2 in p.items():
-            norm = self.mul_mono(mono, m2)
-            if norm is None:
-                continue
-            sign, m = norm
-            c = out.get(m, Fraction(0)) + c2 * sign
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-        return out
-
     def derive(self, p):
         """Apply the even derivation T once (Leibniz over every atom slot)."""
         out = {}
@@ -282,8 +275,9 @@ class RingSpec:
 
         Terms are separated by top-level ``+``/``-``; factors by ``*``.  A
         factor is either a rational number or ``name(-subscript)`` with an
-        optional ``^exponent``.  The subscript must match the variable's
-        weight grid: ``subscript = weight2/2 + shift`` for integer shift >= 0.
+        optional ``^exponent`` of at least 1.  The subscript must match the
+        variable's weight grid: ``subscript = weight2/2 + shift`` for integer
+        shift >= 0.
         """
         terms = []
         for sign, chunk in _split_terms(text):
@@ -307,6 +301,8 @@ class RingSpec:
                 tail = tail.strip()
                 if tail.startswith("^"):
                     exp = int(tail[1:])
+                    if exp < 1:
+                        raise ValueError("exponent below 1 in factor %r" % factor)
                 elif tail:
                     raise ValueError("trailing junk in factor %r" % factor)
                 name = name.strip()

@@ -102,6 +102,14 @@ def test_verify_requires_a_selection():
     assert code == 2
 
 
+def test_verify_negative_maxdeg2_is_a_usage_error(capsys):
+    code, out = run_cli("verify", "--model", "lattice:2", "--maxdeg2", "-1")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--maxdeg2" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_resource_cap_gives_diagnostic_exit():
     code, _ = run_cli("verify", "--model", "n2_c1:bare",
                       "--maxdeg2", "10", "--limit", "5")

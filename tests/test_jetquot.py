@@ -5,11 +5,15 @@ dimensions come from product generating functions, the quadratic
 single-variable quotient from constrained-partition counting, and the
 two-supercurrent numbers from the registered model battery.
 """
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jetchar import (RingSpec, VariableSpec, ResourceLimitError,
                      enumerate_monomials, graded_dimension, hilbert_series,
                      contains, conjecture_check, models, qseries)
+from jetchar.jetquot import _Atoms, _TPowers, _int_row, _merge, ideal_rows
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -110,3 +114,64 @@ def test_resource_limit_raises():
     spec = models.get_model("lattice:3").ring()
     with pytest.raises(ResourceLimitError):
         hilbert_series(spec, 12, limit=5)
+
+
+# ------------------------------------------------- integer slice builder
+
+_ATOM_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ATOM_LISTS, _ATOM_LISTS)
+@example([(0, 0), (0, 1)], [(0, 0)])  # a shared odd atom: zero
+@example([(0, 1)], [(0, 0)])  # an odd atom moves past another: sign flip
+@example([(2, 1), (1, 0)], [(0, 0), (2, 0)])  # equal degrees, two bases
+def test_merge_product_matches_fraction_product(left, right):
+    """The id merge agrees with spec.mul, which sorts through normalize."""
+    spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
+                     VariableSpec("f", "odd", 1)))
+    canon = [spec.normalize(a) for a in (left, right)]
+    assume(None not in canon)
+    m1, m2 = (mono for _, mono in canon)
+    atoms = _Atoms(spec)
+    atoms.grow(7)  # the largest atom drawn is g at shift 2
+    e1, e2 = atoms.encode(m1), atoms.encode(m2)
+    got = _merge(e1, atoms.odd_ids(e1), e2, atoms.odd_ids(e2))
+    want = spec.mul({m1: Fraction(1)}, {m2: Fraction(1)})
+    if got is None:
+        assert want == {}
+    else:
+        sign, mono = got
+        assert want == {tuple(atoms.atom[a] for a in mono): sign}
+
+
+def _fraction_rows(spec, degree2):
+    """Slice rows the reference way: Fraction products, then _int_row."""
+    monos = enumerate_monomials(spec, degree2)
+    columns = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in list(spec.relations) + list(spec.extras):
+        d = spec.degree2(g)
+        while g and d <= degree2:
+            for m in enumerate_monomials(spec, degree2 - d):
+                prod = spec.mul({m: Fraction(1)}, g)
+                if prod:
+                    rows.append(_int_row(columns, prod))
+            g = spec.derive(g)
+            d += 2
+    rows.sort(key=lambda r: (len(r), min(r)))
+    return monos, rows
+
+
+@pytest.mark.parametrize("key, maxdeg2", [("n2_c1:abc", 16),
+                                          ("sln_principal:4", 12),
+                                          ("lattice:3", 12)])
+def test_ideal_rows_match_fraction_rows(key, maxdeg2):
+    spec = models.get_model(key).ring()
+    tpowers = _TPowers(spec)
+    for d in range(maxdeg2 + 1):
+        columns, rows = ideal_rows(spec, d, tpowers=tpowers)
+        monos, want = _fraction_rows(spec, d)
+        assert [tuple(tpowers.atoms.atom[a] for a in m) for m in columns] == monos
+        assert rows == want, f"{key} rows differ at degree2={d}"

@@ -173,6 +173,12 @@ def test_parse_poly_grid_validation():
         spec.parse_poly("")
 
 
+@pytest.mark.parametrize("text", ["h(-1)^0", "h(-1)^-1", "h(-1)^0 * h(-2)"])
+def test_parse_poly_rejects_exponents_below_one(text):
+    with pytest.raises(ValueError):
+        n2_spec().parse_poly(text)
+
+
 def test_poly_str_zero_and_constant():
     spec = n2_spec()
     assert spec.poly_str({}) == "0"
