@@ -1,12 +1,13 @@
 """Rank-one lattice presentations: dominance, equality, and a failure.
 
-The family ``lattice:p`` presents one even weight-1 generator h and,
-for p >= 2, two odd generators gp, gm of weight p/2, with relations
+The family ``lattice:p`` presents one even weight-1 generator z and two
+generators x, y of weight p/2, odd for odd p and even for even p, with
+relations
 
-    gp * gm = (normalised power of h),   gp^2 = 0,   gm^2 = 0
+    x^2 = 0,   y^2 = 0,   x * y = z^p,   x * z = 0,   y * z = 0
 
-(the odd squares are identically zero but are still listed: they are
-honest relations of the presentation).  The candidate character is
+(for odd p the squares are identically zero but are still listed: they
+are honest relations of the presentation).  The candidate character is
 theta_over_eta(p), a theta-function numerator over an eta-like
 denominator.  General principles give one-way dominance -- the jet
 quotient can only be too big, never too small -- and the interesting
@@ -15,10 +16,10 @@ question is whether equality holds.
     p = 2: equality through q^8 (as far as we compute here);
     p = 3: the quotient is strictly bigger starting at q^4.
 
-The positive halves ``positive_lattice:p`` (drop gm, keep a single odd
-generator) reproduce Rogers-Ramanujan-type products for p = 2 and
-deviate for p >= 3.  The Virasoro-type quotients C[x]/(x^k) land on the
-Andrews-Gordon sums.
+The positive halves ``positive_lattice:p`` (a single generator x of
+weight p/2, even for even p, with x^2 = 0) reproduce Rogers-Ramanujan-
+type products for p = 2 and deviate for p >= 3.  The Virasoro-type
+quotients C[x]/(x^k) land on the Andrews-Gordon sums.
 
 Run:  python3 demos/04_lattice_models.py
 """
@@ -62,7 +63,7 @@ for p in (2, 3):
     hs = hilbert_series(get_model("positive_lattice:%d" % p).ring(), 20)
     target = qseries.single_lattice_sum(p, 20)
     first = next((d for d in range(21) if hs[d] != target[d]), None)
-    tag = ("matches sum_n q^(n^2 (p-1) ... ) / (q)_n through q^10"
+    tag = ("matches sum_n q^(p n^2/2) / (q)_n through q^10"
            if first is None
            else "first deviates from the single-variable sum at doubled "
                 "degree %d" % first)

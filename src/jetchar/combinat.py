@@ -14,6 +14,14 @@ Two jobs live here:
   two-supercurrent model (GhRules), and the D_{k,1} conditions of the
   N=1 minimal models (Dk1Rules).
 
+Colored partitions are counted for every degree up to the truncation in
+one pass: each color's part lists are tabulated once, keeping only the
+features some boundary reads (the part count of a boundary's t, the
+smallest part of its s), and the colors are folded left to right over
+states (degree, features still needed), each boundary checked as soon
+as both of its colors are placed.  GhRules and Dk1Rules are counted one
+degree at a time.
+
 All degrees are doubled integers, matching the rest of the package.
 """
 
@@ -146,7 +154,7 @@ def count_at(rules, degree2):
     if degree2 < 0:
         return 0
     if isinstance(rules, ColoredRules):
-        return _count_colored(rules, degree2)
+        return count_constrained(rules, degree2)[degree2]
     if isinstance(rules, GhRules):
         return _count_gh(degree2)
     if isinstance(rules, Dk1Rules):
@@ -157,6 +165,8 @@ def count_at(rules, degree2):
 def count_constrained(rules, maxdeg2):
     """QSeries whose coefficient at each doubled degree 0..maxdeg2 is the
     number of admissible configurations of that degree."""
+    if isinstance(rules, ColoredRules):
+        return _count_colored(rules, maxdeg2)
     out = QSeries(maxdeg2)
     for d in range(maxdeg2 + 1):
         out.c[d] = count_at(rules, d)
@@ -169,17 +179,19 @@ def count_gh(degree2):
 
 # -- colored partitions -------------------------------------------------
 
-def _color_profiles(weight2, odd, diffs, maxdeg2):
+def _color_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
     """All part lists of one color up to maxdeg2, aggregated as a map
-    (deg2, n_parts, min_part2) -> count; min_part2 is None for the
-    empty list."""
+    (deg2, n_parts, min_part2) -> count.  n_parts is kept only when
+    keep_n (else 0) and min_part2 only when keep_min (else None);
+    min_part2 is None for the empty list."""
     diffs = tuple(diffs)
     if odd:
         diffs = diffs + ((1, 2),)
     profiles = {}
 
     def record(deg2, parts):
-        key = (deg2, len(parts), parts[-1] if parts else None)
+        key = (deg2, len(parts) if keep_n else 0,
+               parts[-1] if keep_min and parts else None)
         profiles[key] = profiles.get(key, 0) + 1
 
     def rec(parts, deg2):
@@ -201,36 +213,56 @@ def _color_profiles(weight2, odd, diffs, maxdeg2):
     return profiles
 
 
-def _count_colored(rules, degree2):
-    by_color = [
-        _color_profiles(w2, odd, rules.differences.get(name, ()), degree2)
-        for name, w2, odd in rules.colors
-    ]
-    weight2 = {name: w2 for name, w2, _ in rules.colors}
-    order = [c[0] for c in rules.colors]
-    idx = {name: i for i, name in enumerate(order)}
+def _count_colored(rules, maxdeg2):
+    """Fold the colors left to right, carrying states
+    (deg2, features still read by unchecked boundaries) -> count.
 
-    total = 0
-    # joint enumeration over per-color profiles
-    def rec(i, deg2, chosen, mult):
-        nonlocal total
-        if deg2 > degree2:
-            return
-        if i == len(by_color):
-            if deg2 != degree2:
-                return
-            for s, t in rules.boundaries:
-                min_s = chosen[idx[s]][2]
-                n_t = chosen[idx[t]][1]
-                if min_s is not None and min_s < weight2[s] + 2 * n_t:
-                    return
-            total += mult
-            return
-        for key, count in by_color[i].items():
-            rec(i + 1, deg2 + key[0], chosen + [key], mult * count)
+    A feature is ("n", i), the part count of color i, or ("min", i), its
+    smallest part (None when it has no parts).  A boundary (s, t) is
+    checked as soon as both of its colors are placed; afterwards a
+    feature no unchecked boundary reads is dropped, which merges states.
+    """
+    idx = {c[0]: i for i, c in enumerate(rules.colors)}
+    bounds = [(idx[s], idx[t], rules.colors[idx[s]][1])
+              for s, t in rules.boundaries]
 
-    rec(0, 0, [], 1)
-    return total
+    states = {(0, ()): 1}
+    live = []
+    for i, (name, w2, odd) in enumerate(rules.colors):
+        table = _color_profiles(
+            w2, odd, rules.differences.get(name, ()), maxdeg2,
+            any(t == i for _, t, _ in bounds),
+            any(s == i for s, _, _ in bounds))
+        # features of the new color sit after the carried ones
+        pos = {f: j for j, f in enumerate(live)}
+        pos[("n", i)] = len(live)
+        pos[("min", i)] = len(live) + 1
+        checks = [(pos[("min", s)], w, pos[("n", t)])
+                  for s, t, w in bounds if max(s, t) == i]
+        live = sorted({f for s, t, _ in bounds if max(s, t) > i
+                       for f in (("min", s), ("n", t)) if f[1] <= i})
+        keep = [pos[f] for f in live]
+
+        entries = sorted(table.items(), key=lambda kv: kv[0][0])
+        folded = {}
+        for (deg2, carried), mult in states.items():
+            room = maxdeg2 - deg2
+            for (d, n, m), count in entries:
+                if d > room:
+                    break
+                full = carried + (n, m)
+                for ms, w, nt in checks:
+                    if full[ms] is not None and full[ms] < w + 2 * full[nt]:
+                        break
+                else:
+                    key = (deg2 + d, tuple(full[j] for j in keep))
+                    folded[key] = folded.get(key, 0) + mult * count
+        states = folded
+
+    out = QSeries(maxdeg2)
+    for (deg2, _), count in states.items():
+        out.c[deg2] += count
+    return out
 
 
 # -- Gh monomials --------------------------------------------------------

@@ -225,18 +225,19 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
     Otherwise the (half-)coefficient matrix must be positive definite; an
     exact rational box bound ``n_i^2 <= maxdeg2 * (M^-1)_ii`` then confines
     the enumeration and each point is filtered exactly.
+
+    Each level of the search carries one series, ``1/prod_{j<=i} (q)_{n_j}``
+    for the current prefix; stepping ``n_i`` to ``n_i + 1`` divides it in
+    place by ``(1 - q^{n_i+1})``, and a leaf adds only the coefficients
+    that fit under ``maxdeg2`` once shifted by ``q^{E(n)/2}``.
     """
+    if nvars < 0:
+        raise ValueError("nvars must be >= 0")
     if nvars == 0:
         return QSeries.one(maxdeg2)
     quad2 = {(min(i, j), max(i, j)): v for (i, j), v in quad2.items() if v}
     lin2 = list(lin2)
     result = QSeries(maxdeg2)
-    inv_poch_cache = {}
-
-    def ipoch(n):
-        if n not in inv_poch_cache:
-            inv_poch_cache[n] = inv_pochhammer(n, maxdeg2)
-        return inv_poch_cache[n]
 
     monotone = all(v >= 0 for v in quad2.values()) and all(v >= 0 for v in lin2)
     if monotone:
@@ -259,10 +260,10 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
 
     def rec(i, exp2, acc):
         if i == nvars:
-            for d, v in enumerate(acc.c):
-                if v and 0 <= d + exp2 <= maxdeg2:
-                    result.c[d + exp2] += v
+            for d in range(max(0, -exp2), maxdeg2 - exp2 + 1):
+                result.c[d + exp2] += acc.c[d]
             return
+        acc = acc.copy()
         n = 0
         while True:
             if bounds is not None and n > bounds[i]:
@@ -271,10 +272,12 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
             e = exp2 + contribution(i, n)
             if monotone and e > maxdeg2:
                 break
+            if n:
+                acc.idiv_one_minus(2 * n)
             # partial exponents may overshoot and come back when cross
             # terms are negative, so only the monotone case prunes here
             if not monotone or e <= maxdeg2:
-                rec(i + 1, e, acc * ipoch(n) if n else acc)
+                rec(i + 1, e, acc)
             n += 1
         assignment[i] = 0
 
@@ -334,6 +337,8 @@ def theta_over_eta(p, maxdeg2):
     This is the character shape of a rank-one lattice model with norm p;
     the numerator's doubled exponents are p*n^2.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     num = QSeries(maxdeg2)
     num.c[0] = 1
     n = 1
@@ -393,6 +398,8 @@ def n1_character(p, pp, maxdeg2):
     prod (1+q^{i-1/2}) / prod (1-q^i) * sum_{j in Z}
     (q^{j(j p p' + p' - p)/2} - q^{(jp+1)(jp'+1)/2}).
     """
+    if p < 1 or pp < 1:
+        raise ValueError("p and p' must be >= 1")
     pref = QSeries.one(maxdeg2)
     d = 1
     while d <= maxdeg2:

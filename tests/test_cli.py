@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from jetchar.cli import main
 
 
@@ -165,6 +167,20 @@ def test_expand_csv():
 def test_expand_unknown_formula():
     code, _ = run_cli("expand", "zeta:9")
     assert code == 2
+
+
+@pytest.mark.parametrize("formula", ["theta:0", "n1char:0:0", "theta:-1",
+                                     "ml:sl0:rhs", "fs:-1"])
+def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
+    """These once looped forever (theta:0, n1char:0:0) or ended in an
+    IndexError traceback (the rest, the last two from a negative variable
+    count in fermionic_sum); a subprocess bounds a relapse."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "expand", formula],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and formula in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # --------------------------------------------------------------- list

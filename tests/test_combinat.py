@@ -8,10 +8,12 @@ enumerators written directly from the clause lists.
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jetchar import (RingSpec, VariableSpec, ColoredRules, GhRules, Dk1Rules,
                      compare, count_constrained, count_gh, dk1_conditions,
                      enumerate_monomials, get_model, leading_term, qseries)
+from jetchar import combinat, models
 from jetchar.combinat import count_at
 
 
@@ -227,8 +229,19 @@ def brute_colored(rules, degree2):
                  for name, w2, odd in rules.colors]
     w2_of = {name: w2 for name, w2, _ in rules.colors}
     names = [c[0] for c in rules.colors]
+
+    def combos(i, budget):
+        # every tuple of lists whose total stays within the budget
+        if i == len(per_color):
+            yield ()
+            return
+        for parts, total in per_color[i]:
+            if total <= budget:
+                for rest in combos(i + 1, budget - total):
+                    yield ((parts, total),) + rest
+
     count = 0
-    for combo in itertools.product(*per_color):
+    for combo in combos(0, degree2):
         if sum(t for _, t in combo) != degree2:
             continue
         chosen = dict(zip(names, [parts for parts, _ in combo]))
@@ -265,6 +278,61 @@ def test_colored_against_brute_force():
     for rules in cases:
         for d in range(15):
             assert count_at(rules, d) == brute_colored(rules, d), (rules, d)
+
+
+@st.composite
+def colored_rules(draw):
+    names = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    colors = [(name, draw(st.sampled_from([2, 3, 4])), draw(st.booleans()))
+              for name in names]
+    diffs = {name: tuple(draw(st.lists(
+                 st.tuples(st.integers(1, 2), st.integers(0, 6)), max_size=2)))
+             for name in names}
+    pairs = [(s, t) for s in names for t in names]
+    bounds = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    return ColoredRules(colors, diffs, bounds)
+
+
+CHAIN = ColoredRules([("x", 2, False), ("y", 3, True), ("z", 4, False)],
+                     {"x": ((1, 4),)}, (("x", "y"), ("y", "z")))
+MUTUAL = ColoredRules([("x", 2, False), ("y", 2, False), ("z", 3, True)],
+                      {"y": ((2, 4),)}, (("x", "y"), ("y", "x"), ("z", "z")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_rules(), st.integers(0, 12))
+@example(CHAIN, 12)
+@example(MUTUAL, 12)
+def test_one_pass_colored_count_matches_brute_force(rules, maxdeg2):
+    """The colour-by-colour fold gives every coefficient the clause-by-
+    clause enumerator gives, for chains, mutual pairs and self-bounds."""
+    got = count_constrained(rules, maxdeg2).c
+    assert got == [brute_colored(rules, d) for d in range(maxdeg2 + 1)]
+
+
+def test_registered_colored_rules_match_brute_force():
+    checked = 0
+    for key in models.model_keys():
+        rules = get_model(key).spanning
+        if isinstance(rules, ColoredRules):
+            want = [brute_colored(rules, d) for d in range(11)]
+            assert count_constrained(rules, 10).c == want, key
+            checked += 1
+    assert checked >= 18
+
+
+def test_colored_count_builds_each_color_table_once(monkeypatch):
+    """Guard against rebuilding the per-colour tables once per degree."""
+    calls = []
+    build = combinat._color_profiles
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(combinat, "_color_profiles", counting)
+    count_constrained(models._graph_rules("A4"), 20)
+    assert len(calls) == 4
 
 
 def test_odd_color_counts_distinct_parts():

@@ -4,6 +4,7 @@ Oracles are brute force on purpose: partition enumeration, direct
 convolution, and nested loops that do not share code with the series
 engine being tested.  All exponents are doubled integers.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,54 @@ def test_ml_identity_survives_indefinite_cross_terms():
 
 def test_ml_n2_reduces_to_rogers_ramanujan():
     assert qseries.ml_lhs(2, 30).c == qseries.rr_sum(30).c
+
+
+def direct_fermionic(nvars, quad2, lin2, maxdeg2):
+    """Sum q^{E(n)/2} * prod 1/(q)_{n_i} point by point with full series
+    products.  Every form passed here has E(n) >= max(n) on nonzero n,
+    so the box n_i <= maxdeg2 holds every point with E(n) <= maxdeg2."""
+    out = QSeries(maxdeg2)
+    for n in itertools.product(range(maxdeg2 + 1), repeat=nvars):
+        e = sum(lin2[i] * n[i] for i in range(nvars))
+        e += sum(v * n[i] * n[j] for (i, j), v in quad2.items())
+        if not 0 <= e <= maxdeg2:
+            continue
+        term = QSeries.monomial(e, maxdeg2)
+        for k in n:
+            term = term * qseries.inv_pochhammer(k, maxdeg2)
+        out = out + term
+    return out
+
+
+@st.composite
+def monotone_forms(draw):
+    nvars = draw(st.integers(1, 3))
+    quad2 = {(i, j): draw(st.integers(0, 3))
+             for i in range(nvars) for j in range(i, nvars)}
+    # a positive linear term keeps every variable growing
+    lin2 = [draw(st.integers(1, 3)) for _ in range(nvars)]
+    return nvars, quad2, lin2
+
+
+@settings(max_examples=30, deadline=None)
+@given(monotone_forms(), st.integers(0, 14))
+def test_fermionic_sum_matches_direct_products(form, maxdeg2):
+    nvars, quad2, lin2 = form
+    assert qseries.fermionic_sum(nvars, quad2, lin2, maxdeg2).c == \
+        direct_fermionic(nvars, quad2, lin2, maxdeg2).c
+
+
+def test_fermionic_sum_definite_forms_match_direct_products():
+    """ml_rhs(3) has negative cross terms (the A_3 Cartan matrix, least
+    eigenvalue 2 - sqrt 2) and ag_sum(3) couples its two variables."""
+    cartan = {(0, 0): 2, (1, 1): 2, (2, 2): 2, (0, 1): -2, (1, 2): -2}
+    assert qseries.ml_rhs(3, 30).c == direct_fermionic(3, cartan, [0, 0, 0], 30).c
+    ag = {(0, 0): 2, (1, 1): 4, (0, 1): 4}
+    assert qseries.ag_sum(3, 30).c == direct_fermionic(2, ag, [2, 4], 30).c
+
+
+def test_ml_sl4_identity_at_depth_forty():
+    assert qseries.ml_lhs(4, 40).c == qseries.ml_rhs(3, 40).c
 
 
 # ------------------------------------------------------ named characters
