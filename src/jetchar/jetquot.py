@@ -23,15 +23,20 @@ canonical monomial is a sorted tuple of ids.  The product of two monomials
 is the sorted concatenation of their tuples, its Koszul sign is the parity
 of the pairs of odd ids that the merge puts out of order, and a shared odd
 id makes it vanish.  Each ``T^j(g)`` is computed once per
-:func:`hilbert_series` or :func:`contains` call with the public
-:meth:`RingSpec.derive`, then stored over ids with its denominators cleared,
-as a primitive integer polynomial, so every row is written directly in
-integers.  The public functions still take and return ``(base, shift)``
-atom tuples and ``Fraction`` coefficients.
+:func:`hilbert_series` or :func:`contains` call and stored over ids as a
+primitive integer polynomial: ``T^0`` is the generator with its
+denominators cleared, and each higher power applies the scaled derivation
+``2T`` on ids (an atom id moves to the next shift with an integer factor),
+so :meth:`RingSpec.derive` and ``Fraction`` stay off the slice path.  Most
+relations are monomials, so a power with a single term is kept apart: its
+products are unit vectors, and their columns are *dead*, each one row
+``{c: 1}``; the remaining rows drop dead entries and repeats.  The public
+functions still take and return ``(base, shift)`` atom tuples and
+``Fraction`` coefficients.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
 
@@ -232,29 +237,63 @@ class _TPowers:
     ``get(i, j)`` is ``T^j`` of generator ``i`` as a list of terms
     ``(monomial ids, int coefficient, odd ids)``: the primitive integer
     polynomial that is a positive multiple of ``spec.derive`` applied ``j``
-    times.
+    times.  Only ``T^0`` is read from the ``Fraction`` generator; each
+    higher power is the scaled derivation ``2T`` of the one below, applied
+    on ids by :meth:`_derive`.
     """
 
     def __init__(self, spec):
-        self.spec = spec
-        self.atoms = _Atoms(spec)
+        self.atoms = atoms = _Atoms(spec)
         gens = list(spec.relations) + list(spec.extras)
-        self.gens = [g for g in gens if g]  # odd squares normalise to zero
-        self.base_degree2 = [spec.degree2(g) for g in self.gens]
-        self._last = list(self.gens)  # highest T-power so far, as Fractions
-        self._terms = [[] for _ in self.gens]
+        gens = [g for g in gens if g]  # odd squares normalise to zero
+        self.base_degree2 = [spec.degree2(g) for g in gens]
+        atoms.grow(max(self.base_degree2, default=0))
+        self._terms = []
+        for g in gens:
+            row = _int_row({m: atoms.encode(m) for m in g}, g)
+            self._terms.append(
+                [[(t, c, atoms.odd_ids(t)) for t, c in row.items()]])
 
     def get(self, i, j):
         powers = self._terms[i]
         while len(powers) <= j:
-            if powers:
-                self._last[i] = self.spec.derive(self._last[i])
-            poly = self._last[i]
-            atoms = self.atoms
-            atoms.grow(self.base_degree2[i] + 2 * len(powers))
-            row = _int_row({m: atoms.encode(m) for m in poly}, poly)
-            powers.append([(t, c, atoms.odd_ids(t)) for t, c in row.items()])
+            self.atoms.grow(self.base_degree2[i] + 2 * len(powers))
+            powers.append(self._derive(powers[-1]))
         return powers[j]
+
+    def _derive(self, terms):
+        """``2T`` of a list of terms, divided by its positive content.
+
+        ``2T`` moves one copy of atom ``a`` to the next shift ``b`` with
+        the integer factor ``-(degree2 of a)`` times the multiplicity of
+        ``a``.  An odd ``a`` takes the sign of the odd ids strictly between
+        ``a`` and ``b``, which it passes, and dies when ``b`` is present.
+        """
+        atoms = self.atoms
+        atom, ids, deg, odd = atoms.atom, atoms.ids, atoms.degree2, atoms.odd
+        out = {}
+        for t, c, t_odd in terms:
+            for k, a in enumerate(t):
+                if k and t[k - 1] == a:
+                    continue  # one term per distinct atom
+                base, shift = atom[a]
+                b = ids[(base, shift + 1)]
+                f = -deg[a] * t.count(a) * c
+                if odd[a]:
+                    hi = bisect_left(t_odd, b)
+                    if hi < len(t_odd) and t_odd[hi] == b:
+                        continue
+                    if (hi - bisect_right(t_odd, a)) & 1:
+                        f = -f
+                rest = t[:k] + t[k + 1:]
+                p = bisect_right(rest, b)
+                new = rest[:p] + (b,) + rest[p:]
+                out[new] = out.get(new, 0) + f
+        out = {t: c for t, c in out.items() if c}
+        if not out:
+            return []
+        g = math.gcd(*out.values())
+        return [(t, c // g, atoms.odd_ids(t)) for t, c in out.items()]
 
 
 def _product_row(columns, m, m_odd, terms):
@@ -281,14 +320,20 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
 
     Returns ``(columns, rows)`` where ``columns`` maps each id-encoded
     monomial of the degree to its index and ``rows`` is a list of sparse
-    integer rows for the products ``m * T^j(g)``.
+    integer rows whose span is that of the products ``m * T^j(g)``.
+
+    A power ``T^j(g)`` with a single term makes each of its products a unit
+    vector, so their columns are *dead*: each dead column is one row
+    ``{c: 1}``, the products of longer powers drop their dead entries, and
+    a row left empty, or equal to one already taken, is skipped.
     """
     if tpowers is None:
         tpowers = _TPowers(spec)
     atoms = tpowers.atoms
     columns = {m: i for i, m in enumerate(atoms.monomials(degree2, limit))}
     factors = {}  # sub-degree -> [(monomial, odd ids)], enumerated once
-    rows = []
+    dead = set()
+    live = []  # (terms, factors) of the powers with several terms
     for i, d0 in enumerate(tpowers.base_degree2):
         for j in range((degree2 - d0) // 2 + 1):
             terms = tpowers.get(i, j)
@@ -299,12 +344,26 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
             if monos is None:
                 monos = factors[sub] = [(m, atoms.odd_ids(m))
                                         for m in atoms.monomials(sub, limit)]
+            if len(terms) > 1:
+                live.append((terms, monos))
+                continue
+            (t, _, t_odd), = terms
             for m, m_odd in monos:
-                row = _product_row(columns, m, m_odd, terms)
-                if row:
-                    rows.append(row)
+                prod = _merge(m, m_odd, t, t_odd)
+                if prod is not None:
+                    dead.add(columns[prod[1]])
+    rows = [{c: 1} for c in dead]
+    seen = {frozenset()}  # an empty row counts as taken
+    for terms, monos in live:
+        for m, m_odd in monos:
+            row = _product_row(columns, m, m_odd, terms)
+            row = {k: v for k, v in row.items() if k not in dead}
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
     # Short structured rows first: they pin pivots cheaply and keep fill low.
-    rows.sort(key=lambda r: (len(r), min(r) if r else -1))
+    rows.sort(key=lambda r: (len(r), min(r)))
     return columns, rows
 
 

@@ -638,7 +638,9 @@ def load_registry_file(path):
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
-    Returns a dict key -> Model.
+    Returns a dict key -> Model.  Every ring is built while the file
+    loads, so a relation that does not parse, divides by zero or is not
+    homogeneous raises ValueError naming the file and the model.
     """
     records = []
     current = None
@@ -688,25 +690,25 @@ def load_registry_file(path):
                                  % (path, lineno, field))
     out = {}
     for rec in records:
-        out[rec["key"]] = _record_to_model(rec)
+        out[rec["key"]] = _record_to_model(path, rec)
     return out
 
 
-def _record_to_model(rec):
+def _record_to_model(path, rec):
+    """A Model whose ring is built and validated now, not at first use."""
     variables = tuple(rec["variables"])
     if not variables:
         raise ValueError("model %s has no variables" % rec["key"])
-    rel_src = list(rec["relations"])
-    extra_src = list(rec["extras"])
-
-    def build():
+    try:
         base = RingSpec(variables)
-        rels = tuple(base.parse_poly(s) for s in rel_src)
-        extras = tuple(base.parse_poly(s) for s in extra_src)
-        return RingSpec(variables, rels, extras, name=rec["key"])
-
+        rels = tuple(base.parse_poly(s) for s in rec["relations"])
+        extras = tuple(base.parse_poly(s) for s in rec["extras"])
+        spec = RingSpec(variables, rels, extras, name=rec["key"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("%s: model %s: %s: %s"
+                         % (path, rec["key"], type(exc).__name__, exc))
     if rec["character"] is not None:
         qseries_formula(rec["character"], 0)  # validate the key early
-    return Model(rec["key"], rec["description"] or "user model", build,
+    return Model(rec["key"], rec["description"] or "user model", lambda: spec,
                  rec["character"], None, rec["expect"], rec["mismatch"],
                  rec["maxdeg2"])

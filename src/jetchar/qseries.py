@@ -178,7 +178,9 @@ def _half_str(deg2):
 # ---------------------------------------------------------------------
 
 def pochhammer(n, maxdeg2):
-    """(q)_n = prod_{i=1..n} (1 - q^i); n may be the string "inf"."""
+    """(q)_n = prod_{i=1..n} (1 - q^i); n >= 0 or the string "inf"."""
+    if n != "inf" and n < 0:
+        raise ValueError("n must be >= 0")
     s = QSeries.one(maxdeg2)
     if n == "inf":
         i = 1
@@ -195,7 +197,9 @@ def pochhammer(n, maxdeg2):
 
 def inv_pochhammer(n, maxdeg2):
     """1/(q)_n as a truncated series (generating function of partitions
-    into parts <= n, all parts when n is "inf")."""
+    into parts <= n, all parts when n is "inf"); n >= 0."""
+    if n != "inf" and n < 0:
+        raise ValueError("n must be >= 0")
     s = QSeries.one(maxdeg2)
     if n == "inf":
         i = 1
@@ -530,8 +534,10 @@ def ml_lhs(n, maxdeg2):
 
     Variables are indexed by pairs (i, j) with 1 <= i < j <= n; the doubled
     exponent is 2*B(n) where B collects n_{i1,j1} n_{i2,j2} over all pairs
-    with i1 <= i2 < j1 <= j2 (diagonal pairs give squares).
+    with i1 <= i2 < j1 <= j2 (diagonal pairs give squares); n >= 2.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     roots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {r: k for k, r in enumerate(roots)}
     quad2 = {}
@@ -546,7 +552,9 @@ def ml_lhs(n, maxdeg2):
 
 def ml_rhs(rank, maxdeg2):
     """sum_k q^{k A k^T / 2} / prod (q)_{k_i} for the Cartan matrix A of
-    type A_rank; the doubled exponent is exactly k A k^T."""
+    type A_rank, rank >= 1; the doubled exponent is exactly k A k^T."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     quad2 = {}
     for i in range(rank):
         quad2[(i, i)] = 2

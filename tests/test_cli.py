@@ -170,11 +170,14 @@ def test_expand_unknown_formula():
 
 
 @pytest.mark.parametrize("formula", ["theta:0", "n1char:0:0", "theta:-1",
-                                     "ml:sl0:rhs", "fs:-1"])
+                                     "ml:sl0:rhs", "fs:-1", "poch:-1",
+                                     "invpoch:-2", "ml:sl0:lhs", "ml:sl1:rhs"])
 def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
-    """These once looped forever (theta:0, n1char:0:0) or ended in an
-    IndexError traceback (the rest, the last two from a negative variable
-    count in fermionic_sum); a subprocess bounds a relapse."""
+    """These once looped forever (theta:0, n1char:0:0), ended in an
+    IndexError traceback (theta:-1, ml:sl0:rhs, fs:-1, the last two from a
+    negative variable count in fermionic_sum), or printed the series 1 (the
+    rest: an empty product or an empty set of roots); a subprocess bounds a
+    relapse."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "expand", formula],
         capture_output=True, text=True, timeout=60)
@@ -251,6 +254,21 @@ def test_registry_file_parse_failure(tmp_path):
     code, _ = run_cli("verify", "--registry", str(path), "--all",
                       "--maxdeg2", "4")
     assert code == 2
+
+
+def test_registry_file_bad_relation_is_a_usage_error(tmp_path):
+    """The ring is built when the file loads, so a zero denominator is a
+    one-line error naming the file and the model, not a traceback."""
+    path = tmp_path / "zero.txt"
+    path.write_text("[model bad]\nvariable x even 2\nrelation 1/0*x(-1)\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "verify", "--registry",
+         str(path), "--model", "bad"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert str(path) in proc.stderr and "model bad" in proc.stderr
 
 
 def test_registry_file_cannot_shadow_builtin(tmp_path):

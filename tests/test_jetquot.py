@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (RingSpec, VariableSpec, ResourceLimitError,
                      enumerate_monomials, graded_dimension, hilbert_series,
                      contains, conjecture_check, models, qseries)
-from jetchar.jetquot import _Atoms, _TPowers, _int_row, _merge, ideal_rows
+from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row, _merge,
+                             _product_row, ideal_rows)
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -146,32 +147,94 @@ def test_merge_product_matches_fraction_product(left, right):
         assert want == {tuple(atoms.atom[a] for a in mono): sign}
 
 
-def _fraction_rows(spec, degree2):
-    """Slice rows the reference way: Fraction products, then _int_row."""
-    monos = enumerate_monomials(spec, degree2)
-    columns = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in list(spec.relations) + list(spec.extras):
-        d = spec.degree2(g)
-        while g and d <= degree2:
+def _fraction_products(spec, degree2):
+    """Every product ``m * T^j(g)`` of the slice, the reference way.
+
+    Yields ``(i, j, m, nterms, row)``: generator ``i`` (zero generators
+    dropped, as in ``_TPowers``), its T-power ``j`` with ``nterms`` terms,
+    the atom-tuple factor ``m``, and ``_int_row`` of the ``Fraction``
+    product.
+    """
+    columns = {m: i for i, m in enumerate(enumerate_monomials(spec, degree2))}
+    gens = [g for g in list(spec.relations) + list(spec.extras) if g]
+    for i, g in enumerate(gens):
+        d, j = spec.degree2(g), 0
+        while d <= degree2:
             for m in enumerate_monomials(spec, degree2 - d):
                 prod = spec.mul({m: Fraction(1)}, g)
-                if prod:
-                    rows.append(_int_row(columns, prod))
+                yield i, j, m, len(g), _int_row(columns, prod)
             g = spec.derive(g)
-            d += 2
-    rows.sort(key=lambda r: (len(r), min(r)))
-    return monos, rows
+            d, j = d + 2, j + 1
+
+
+def _echelon(columns, rows):
+    ech = Echelon(columns)
+    for row in rows:
+        ech.insert(row)
+    return ech
 
 
 @pytest.mark.parametrize("key, maxdeg2", [("n2_c1:abc", 16),
                                           ("sln_principal:4", 12),
                                           ("lattice:3", 12)])
 def test_ideal_rows_match_fraction_rows(key, maxdeg2):
+    """Each product row equals the Fraction reference entry for entry, and
+    the deduplicated slice spans exactly the rows of all products."""
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec)
+    atoms = tpowers.atoms
     for d in range(maxdeg2 + 1):
         columns, rows = ideal_rows(spec, d, tpowers=tpowers)
-        monos, want = _fraction_rows(spec, d)
-        assert [tuple(tpowers.atoms.atom[a] for a in m) for m in columns] == monos
-        assert rows == want, f"{key} rows differ at degree2={d}"
+        assert [tuple(atoms.atom[a] for a in m) for m in columns] == \
+            enumerate_monomials(spec, d)
+        want, dead = [], set()
+        for i, j, m, nterms, ref in _fraction_products(spec, d):
+            e = atoms.encode(m)
+            got = _product_row(columns, e, atoms.odd_ids(e), tpowers.get(i, j))
+            assert got == ref, f"{key} product row differs at degree2={d}"
+            if ref:
+                want.append(ref)
+            if nterms == 1:
+                dead.update(ref)
+        ech, ref_ech = _echelon(columns, rows), _echelon(columns, want)
+        assert ech.rank == ref_ech.rank, f"{key} rank differs at degree2={d}"
+        assert not any(ref_ech.reduce(r) for r in rows)
+        assert not any(ech.reduce(r) for r in want)
+        assert len({frozenset(r.items()) for r in rows}) == len(rows)
+        for row in rows:
+            assert row.keys().isdisjoint(dead) or \
+                (len(row) == 1 and row[min(row)] == 1)
+        assert {min(r) for r in rows if len(r) == 1 and min(r) in dead} == dead
+
+
+_ATOM_TERMS = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       min_size=1, max_size=4)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ATOM_TERMS)
+@example([(1, [(2, 0), (0, 0)])])  # f[0] -> f[1] passes g[0]: sign flip
+@example([(1, [(2, 0), (2, 1)])])  # f[0] -> f[1] meets f[1]: the term dies
+@example([(2, [(1, 0), (1, 0), (1, 0)]),  # h[0]^3: multiplicity 3
+          (-3, [(1, 1), (2, 0), (2, 0)])])  # f[0]^2 = 0
+@example([(1, [(2, 0), (1, 0), (0, 1)]), (1, [(2, 1), (1, 0), (0, 0)])])
+def test_integer_t_matches_fraction_derive(terms):
+    """_TPowers.get(0, j) is _int_row of spec.derive applied j times."""
+    variables = (VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
+                 VariableSpec("f", "odd", 1))
+    spec = RingSpec(variables)
+    target = spec.mono_degree2(terms[0][1])
+    poly = spec.poly([t for t in terms if spec.mono_degree2(t[1]) == target])
+    assume(poly)
+    spec = RingSpec(variables, extras=(poly,))
+    tpowers = _TPowers(spec)
+    for j in range(7):
+        got = tpowers.get(0, j)
+        encode = tpowers.atoms.encode
+        want = _int_row({m: encode(m) for m in poly}, poly)
+        assert {t: c for t, c, _ in got} == want
+        assert all(t_odd == tpowers.atoms.odd_ids(t) for t, _, t_odd in got)
+        poly = spec.derive(poly)

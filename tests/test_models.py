@@ -303,12 +303,15 @@ def test_load_registry_file_errors(tmp_path, text, fragment):
 
 
 def test_load_registry_file_bad_polynomial(tmp_path):
+    """Rings are built when the file loads: a bad relation is rejected
+    there, with the file and the model named, before any computation."""
     path = tmp_path / "models.txt"
-    path.write_text("""
-[model a]
-variable x even 2
-relation y(-1)^2
-""")
-    m = load_registry_file(str(path))["a"]
-    with pytest.raises(ValueError):
-        m.ring()  # unknown variable surfaces when the ring is built
+    for relation, fragment in [("y(-1)^2", "unknown variable"),
+                               ("1/0*x(-1)", "ZeroDivisionError"),
+                               ("x(-1) + x(-1)^2", "not homogeneous")]:
+        path.write_text("[model a]\nvariable x even 2\nrelation %s\n"
+                        % relation)
+        with pytest.raises(ValueError) as err:
+            load_registry_file(str(path))
+        assert fragment in str(err.value)
+        assert str(path) in str(err.value) and "model a" in str(err.value)
