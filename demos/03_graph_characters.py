@@ -16,7 +16,7 @@ partition statistics.  This demo checks all of that numerically.
 
 Run:  python3 demos/03_graph_characters.py
 """
-from jetchar import get_model, hilbert_series, qseries
+from jetchar import get_model, hilbert_series, qseries, qseries_formula
 
 MAX2 = 30
 
@@ -25,13 +25,13 @@ MAX2 = 30
 # ----------------------------------------------------------------------
 print("path graphs A_k: nested sum vs closed form, coefficients of q^0..q^8")
 for k in range(2, 7):
-    s = qseries.path_graph_sum(k, MAX2)
+    s = qseries_formula("graphsum:A%d" % k, MAX2)
     closed = qseries.jm_closed("A%d" % k, MAX2)
     assert s.c == closed.c, "A%d mismatch at %d" % (k, s.first_difference(closed))
     print("    A%d: %s" % (k, s.c[0:18:2]))
 print("odd cycles C_k:")
 for k in (3, 5):
-    s = qseries.cycle_graph_sum(k, MAX2)
+    s = qseries_formula("graphsum:C%d" % k, MAX2)
     closed = qseries.jm2_closed("C%d" % k, MAX2)
     assert s.c == closed.c, "C%d mismatch at %d" % (k, s.first_difference(closed))
     print("    C%d: %s" % (k, s.c[0:18:2]))
@@ -42,7 +42,7 @@ print()
 # ----------------------------------------------------------------------
 for k in (2, 3, 4):
     hs = hilbert_series(get_model("graph:A%d" % k).ring(), 20)
-    assert hs == qseries.path_graph_sum(k, 20).c
+    assert hs == qseries_formula("graphsum:A%d" % k, 20).c
 print("jet Hilbert series of graph:A2, graph:A3, graph:A4 match the sums")
 print("through q^10")
 print()
@@ -52,8 +52,8 @@ print()
 # ----------------------------------------------------------------------
 pinf = qseries.pochhammer("inf", MAX2)
 stats = qseries.partition_stats
-A = {k: qseries.path_graph_sum(k, MAX2) for k in range(2, 7)}
-C = {k: qseries.cycle_graph_sum(k, MAX2) for k in (3, 5)}
+A = {k: qseries_formula("graphsum:A%d" % k, MAX2) for k in range(2, 7)}
+C = {k: qseries_formula("graphsum:C%d" % k, MAX2) for k in (3, 5)}
 
 table = [
     ("A2[n]            = even-or-one partitions of n",

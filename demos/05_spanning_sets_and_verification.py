@@ -19,7 +19,7 @@ counts, and the structured verification reports the registry produces.
 
 Run:  python3 demos/05_spanning_sets_and_verification.py
 """
-from jetchar import (count_constrained, dk1_conditions, get_model,
+from jetchar import (Dk1Rules, count_constrained, get_model,
                      hilbert_series, qseries, verify)
 
 # ----------------------------------------------------------------------
@@ -52,7 +52,7 @@ print()
 # ----------------------------------------------------------------------
 for k in (2, 3):
     prod = qseries.n1_product(k, 24)
-    count = count_constrained(dk1_conditions(k), 24)
+    count = count_constrained(Dk1Rules(k), 24)
     hs = hilbert_series(get_model("n1_minimal:%d" % k).ring(), 24)
     assert prod.c == count.c == hs
     print("n1_minimal:%d: product == constrained count == jet HS, "

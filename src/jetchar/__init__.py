@@ -9,10 +9,10 @@ combinatorial spanning-set counts.
 from .superring import VariableSpec, RingSpec
 from .jetquot import (DEFAULT_MONOMIAL_LIMIT, ResourceLimitError,
                       enumerate_monomials, ideal_basis, graded_dimension,
-                      hilbert_series, contains, conjecture_check)
+                      hilbert_series, contains)
 from .qseries import QSeries
 from .combinat import (compare, leading_term, ColoredRules, GhRules,
-                       Dk1Rules, dk1_conditions, count_constrained, count_gh)
+                       Dk1Rules, count_constrained)
 from .models import (Model, VerificationReport, REGISTRY, get_model,
                      model_keys, verify, matches_expectation,
                      adjoint_generators_sl2, qseries_formula, FORMULA_KEYS,
@@ -25,10 +25,9 @@ __all__ = [
     "VariableSpec", "RingSpec",
     "DEFAULT_MONOMIAL_LIMIT", "ResourceLimitError", "enumerate_monomials",
     "ideal_basis", "graded_dimension", "hilbert_series", "contains",
-    "conjecture_check",
     "QSeries", "qseries",
     "compare", "leading_term", "ColoredRules", "GhRules", "Dk1Rules",
-    "dk1_conditions", "count_constrained", "count_gh",
+    "count_constrained",
     "Model", "VerificationReport", "REGISTRY", "get_model", "model_keys",
     "verify", "matches_expectation", "adjoint_generators_sl2",
     "qseries_formula", "FORMULA_KEYS", "load_registry_file",

@@ -7,16 +7,11 @@ keys, registry parse failures, or resource-cap overruns.
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 from . import models, jetquot
-from .qseries import QSeries
-
-
-def _halves(deg2):
-    return str(deg2 // 2) if deg2 % 2 == 0 else "%d/2" % deg2
+from .superring import _halves
 
 
 def _qlabel(deg2):
@@ -93,6 +88,8 @@ def _select(args, table):
 def cmd_verify(args, out=sys.stdout):
     if args.maxdeg2 is not None and args.maxdeg2 < 0:
         raise CliError("--maxdeg2 must be >= 0, got %d" % args.maxdeg2)
+    if args.limit is not None and args.limit < 1:
+        raise CliError("--limit must be >= 1, got %d" % args.limit)
     table = _load_models(args.registry)
     keys = _select(args, table)
     reports = []

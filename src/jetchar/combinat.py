@@ -140,11 +140,6 @@ class Dk1Rules:
         self.k = k
 
 
-def dk1_conditions(k):
-    """The D_{k,1} constraint set (k >= 2)."""
-    return Dk1Rules(k)
-
-
 # ---------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------
@@ -171,10 +166,6 @@ def count_constrained(rules, maxdeg2):
     for d in range(maxdeg2 + 1):
         out.c[d] = count_at(rules, d)
     return out
-
-
-def count_gh(degree2):
-    return count_at(GhRules(), degree2)
 
 
 # -- colored partitions -------------------------------------------------

@@ -403,21 +403,3 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     return not ech.reduce(
         _int_row({m: ech.columns[encode(m)] for m in poly}, poly))
 
-
-def conjecture_check(spec, character, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Compare jet graded dimensions against a character coefficient list.
-
-    ``character`` is a list of ints indexed by doubled degree (at least
-    ``maxdeg2 + 1`` entries).  Returns a list of per-degree dicts and the
-    first doubled degree where the two sides differ (or None).
-    """
-    dims = hilbert_series(spec, maxdeg2, limit=limit)
-    rows = []
-    first_mismatch = None
-    for d in range(maxdeg2 + 1):
-        ok = dims[d] == character[d]
-        if not ok and first_mismatch is None:
-            first_mismatch = d
-        rows.append({"degree2": d, "jet_dim": dims[d],
-                     "character": character[d], "equal": ok})
-    return rows, first_mismatch

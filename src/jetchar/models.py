@@ -23,8 +23,7 @@ from .superring import RingSpec, VariableSpec
 class Model:
     def __init__(self, key, description, ring_factory, character_key=None,
                  spanning=None, expected="ISO_CONSISTENT",
-                 expected_mismatch_degree2=None, default_maxdeg2=16,
-                 notes=""):
+                 expected_mismatch_degree2=None, default_maxdeg2=16):
         self.key = key
         self.description = description
         self._ring_factory = ring_factory
@@ -33,7 +32,6 @@ class Model:
         self.expected = expected
         self.expected_mismatch_degree2 = expected_mismatch_degree2
         self.default_maxdeg2 = default_maxdeg2
-        self.notes = notes
         self._ring = None
 
     def ring(self):
@@ -54,13 +52,12 @@ class Model:
 
 class VerificationReport:
     def __init__(self, model_key, maxdeg2, rows, verdict,
-                 mismatch_degree2=None, notes=""):
+                 mismatch_degree2=None):
         self.model = model_key
         self.maxdeg2 = maxdeg2
         self.rows = rows
         self.verdict = verdict
         self.mismatch_degree2 = mismatch_degree2
-        self.notes = notes
 
     def to_dict(self):
         out = {
@@ -98,8 +95,7 @@ def verify(model, maxdeg2=None, limit=None):
         if char is not None and mismatch is None and dims[d] != char[d]:
             mismatch = d
     verdict = "ISO_CONSISTENT" if mismatch is None else "MISMATCH"
-    return VerificationReport(model.key, maxdeg2, rows, verdict, mismatch,
-                              notes=model.notes)
+    return VerificationReport(model.key, maxdeg2, rows, verdict, mismatch)
 
 
 def matches_expectation(model, report):
@@ -297,23 +293,9 @@ def adjoint_generators_sl2(k):
         spec.atom("h"): spec.poly([(2, (spec.atom("f"),))]),
         spec.atom("f"): {},
     }
-
-    def ad_f(poly):
-        out = {}
-        for mono, coeff in poly.items():
-            for pos in range(len(mono)):
-                rest = mono[:pos] + mono[pos + 1:]
-                for imono, icoeff in image[mono[pos]].items():
-                    res = spec.normalize(rest + imono)
-                    if res is None:
-                        continue
-                    sign, new = res
-                    out[new] = out.get(new, 0) + coeff * icoeff * sign
-        return {m: c for m, c in out.items() if c}
-
     gens = [spec.poly([(1, (spec.atom("e"),) * (k + 1))])]
     for _ in range(2 * k + 2):
-        gens.append(ad_f(gens[-1]))
+        gens.append(spec.derivation(gens[-1], image.__getitem__))
     return gens
 
 
@@ -512,32 +494,34 @@ def model_keys():
 
 
 def _build_registry():
+    # Matches the level-1 affine sl2 picture.
     _register(Model(
         "lattice:2",
         "rank-one even lattice, norm 2: x,y,z even; jets match theta:2",
-        _lattice_ring(2), "theta:2", None, "ISO_CONSISTENT", None, 16,
-        notes="matches the level-1 affine sl2 picture"))
+        _lattice_ring(2), "theta:2", None, "ISO_CONSISTENT", None, 16))
+    # Jet dimensions exceed the lattice character from degree2=8.
     _register(Model(
         "lattice:3",
         "rank-one odd lattice, norm 3: x,y odd squares vanish identically",
-        _lattice_ring(3), "theta:3", None, "MISMATCH", 8, 14,
-        notes="jet dimensions exceed the lattice character from degree2=8"))
+        _lattice_ring(3), "theta:3", None, "MISMATCH", 8, 14))
     _register(Model(
         "positive_lattice:2",
         "single norm-2 generator, <x^2>: Rogers-Ramanujan jets",
         _positive_lattice_ring(2), "singlelattice:2",
         _single_color_rules(2, False, [(1, 4)]), "ISO_CONSISTENT", None, 40))
+    # Difference-3 counts are not reachable by a quadratic relation.
     _register(Model(
         "positive_lattice:3",
         "single norm-3 generator: odd square vanishes, sum needs gap 3",
         _positive_lattice_ring(3), "singlelattice:3", None,
-        "MISMATCH", 8, 40,
-        notes="difference-3 counts are not reachable by a quadratic relation"))
+        "MISMATCH", 8, 40))
     _register(Model(
         "positive_lattice:4",
         "single norm-4 generator with a quadratic relation only",
         _positive_lattice_ring(4), "singlelattice:4", None,
         "MISMATCH", 12, 40))
+    # n2_c1:abc is Hilbert series only: the theta:3 character exceeds its
+    # jet dimensions at degree2=9, so no character is registered.
     for variant, extras_desc in (("bare", "no extra generators"),
                                  ("ab", "extras a, b"),
                                  ("abc", "extras a, b, c")):
@@ -549,23 +533,20 @@ def _build_registry():
             combinat.GhRules() if variant in ("ab", "abc") else None,
             "MISMATCH" if variant == "bare" else "ISO_CONSISTENT",
             8 if variant == "bare" else None,
-            12,
-            notes=("Hilbert series only; the theta:3 character exceeds these "
-                   "jet dimensions at degree2=9, so no character is registered"
-                   if variant == "abc" else "")))
+            12))
     _register(Model(
         "n1_minimal:2", "one even and one odd generator, <l^2, l g>",
-        _n1_ring(2), "n1product:2", combinat.dk1_conditions(2),
+        _n1_ring(2), "n1product:2", combinat.Dk1Rules(2),
         "ISO_CONSISTENT", None, 24))
     _register(Model(
         "n1_minimal:3", "one even and one odd generator, <l^3, l^2 g>",
-        _n1_ring(3), "n1product:3", combinat.dk1_conditions(3),
+        _n1_ring(3), "n1product:3", combinat.Dk1Rules(3),
         "ISO_CONSISTENT", None, 24))
+    # The (3,5) character is not presented by <l^2>.
     _register(Model(
         "n1_odd_odd:3:5",
         "both-odd minimal pair (3,5): quadratic relation only",
-        _n1_odd_odd_ring(), "n1char:3:5", None, "MISMATCH", 9, 16,
-        notes="the (3,5) character is not presented by <l^2>"))
+        _n1_odd_odd_ring(), "n1char:3:5", None, "MISMATCH", 9, 16))
     _register(Model(
         "virasoro_2_2k1:2", "single even weight-4 generator, <x^2>",
         _virasoro_ring(2), "ag:2", _single_color_rules(4, False, [(1, 4)]),
@@ -605,10 +586,10 @@ def _build_registry():
     _register(Model(
         "sl2_affine:1", "adjoint-orbit generators of e^2 in C[e,f,h]",
         _sl2_affine_ring(1), "theta:2", None, "ISO_CONSISTENT", None, 14))
+    # Hilbert series only.
     _register(Model(
         "sl2_affine:2", "adjoint-orbit generators of e^3 in C[e,f,h]",
-        _sl2_affine_ring(2), None, None, "ISO_CONSISTENT", None, 12,
-        notes="Hilbert series only"))
+        _sl2_affine_ring(2), None, None, "ISO_CONSISTENT", None, 12))
     for which in ("xy", "uv_sum", "uv_mixed"):
         _register(Model(
             "ext_vir:%s" % which,

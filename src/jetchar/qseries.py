@@ -16,6 +16,8 @@ partition statistics used as oracles in tests.
 import math
 from fractions import Fraction
 
+from .superring import _halves
+
 
 class QSeries:
     __slots__ = ("maxdeg2", "c")
@@ -57,9 +59,6 @@ class QSeries:
             return NotImplemented
         n = min(self.maxdeg2, other.maxdeg2)
         return self.c[:n + 1] == other.c[:n + 1]
-
-    def __hash__(self):
-        return hash((self.maxdeg2, tuple(self.c)))
 
     def first_difference(self, other):
         """Smallest doubled degree where the two series differ, or None."""
@@ -124,7 +123,7 @@ class QSeries:
     def shift_down(self, deg2):
         """Divide by q^(deg2/2); the low coefficients must vanish."""
         if any(self.c[:deg2]):
-            raise ValueError("series is not divisible by q^%s" % _half_str(deg2))
+            raise ValueError("series is not divisible by q^%s" % _halves(deg2))
         return QSeries(self.maxdeg2 - deg2, self.c[deg2:])
 
     # in-place multipliers for product building ------------------------
@@ -154,7 +153,7 @@ class QSeries:
             if d == 0:
                 terms.append(str(v))
                 continue
-            q = "q" if d == 2 else "q^{%s}" % _half_str(d)
+            q = "q" if d == 2 else "q^{%s}" % _halves(d)
             if v == 1:
                 terms.append(q)
             elif v == -1:
@@ -166,11 +165,7 @@ class QSeries:
         out = terms[0]
         for t in terms[1:]:
             out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out + " + O(q^{%s})" % _half_str(self.maxdeg2 + 1)
-
-
-def _half_str(deg2):
-    return str(deg2 // 2) if deg2 % 2 == 0 else "%d/2" % deg2
+        return out + " + O(q^{%s})" % _halves(self.maxdeg2 + 1)
 
 
 # ---------------------------------------------------------------------
@@ -444,15 +439,6 @@ def graph_sum(adjacency, loops, maxdeg2):
     for (i, j) in adjacency:
         quad2[(min(i, j), max(i, j))] = 2
     return fermionic_sum(k, quad2, [2] * k, maxdeg2)
-
-
-def path_graph_sum(k, maxdeg2):
-    return graph_sum([(i, i + 1) for i in range(k - 1)], [False] * k, maxdeg2)
-
-
-def cycle_graph_sum(k, maxdeg2):
-    edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
-    return graph_sum(edges, [False] * k, maxdeg2)
 
 
 def jm_closed(key, maxdeg2):

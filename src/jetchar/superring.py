@@ -220,24 +220,33 @@ class RingSpec:
                     out.pop(mono, None)
         return out
 
-    def derive(self, p):
-        """Apply the even derivation T once (Leibniz over every atom slot)."""
+    def derivation(self, p, image):
+        """Apply the even derivation sending each atom ``a`` to ``image(a)``.
+
+        ``image(a)`` is a polynomial of the same parity as ``a``.  By the
+        Leibniz rule every atom slot of a monomial is replaced in turn by
+        its image, inserted at that slot, and the product is normalized,
+        which supplies the Koszul signs.
+        """
         out = {}
         for mono, coeff in p.items():
-            for pos, (base, shift) in enumerate(mono):
-                w = self.variables[base].weight2
-                factor = coeff * Fraction(-(w + 2 * shift), 2)
-                bumped = mono[:pos] + ((base, shift + 1),) + mono[pos + 1:]
-                norm = self.normalize(bumped)
-                if norm is None:
-                    continue
-                sign, m = norm
-                c = out.get(m, Fraction(0)) + factor * sign
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
+            for pos, a in enumerate(mono):
+                for imono, icoeff in image(a).items():
+                    norm = self.normalize(mono[:pos] + imono + mono[pos + 1:])
+                    if norm is None:
+                        continue
+                    sign, m = norm
+                    c = out.get(m, Fraction(0)) + coeff * icoeff * sign
+                    if c:
+                        out[m] = c
+                    else:
+                        out.pop(m, None)
         return out
+
+    def derive(self, p):
+        """Apply the even derivation T once: ``x[i] -> -(w/2 + i) x[i+1]``."""
+        return self.derivation(p, lambda a: {
+            ((a[0], a[1] + 1),): Fraction(-self.atom_degree2(a), 2)})
 
     def degree2(self, p):
         """Doubled degree of a homogeneous polynomial (0 for the zero poly)."""

@@ -21,9 +21,9 @@ import random
 import time
 from fractions import Fraction
 
-from jetchar import (ColoredRules, contains, count_constrained,
-                     dk1_conditions, get_model, hilbert_series, model_keys,
-                     qseries, qseries_formula)
+from jetchar import (ColoredRules, Dk1Rules, contains, count_constrained,
+                     get_model, hilbert_series, model_keys, qseries,
+                     qseries_formula)
 from jetchar.superring import RingSpec
 
 
@@ -170,20 +170,20 @@ def test_criterion_05_graph_identities():
     start = time.perf_counter()
     problems = []
     for k in range(2, 7):
-        got = qseries.path_graph_sum(k, 30)
+        got = qseries_formula("graphsum:A%d" % k, 30)
         want = qseries.jm_closed("A%d" % k, 30)
         if got.c != want.c:
             problems.append("A%d sum != closed form at %d"
                             % (k, got.first_difference(want)))
     for k in (3, 5):
-        got = qseries.cycle_graph_sum(k, 30)
+        got = qseries_formula("graphsum:C%d" % k, 30)
         want = qseries.jm2_closed("C%d" % k, 30)
         if got.c != want.c:
             problems.append("C%d sum != closed form at %d"
                             % (k, got.first_difference(want)))
     for k in (2, 3, 4):
         hs = hilbert_series(get_model("graph:A%d" % k).ring(), 20)
-        want = qseries.path_graph_sum(k, 20).c
+        want = qseries_formula("graphsum:A%d" % k, 20).c
         if hs != want:
             problems.append("A%d jet HS != sum through 20" % k)
     _finish(5, start, 60, problems,
@@ -197,8 +197,8 @@ def test_criterion_06_combinatorial_interpretations():
     M = 34
     pinf = qseries.pochhammer("inf", M)
     stats = qseries.partition_stats
-    A = {k: qseries.path_graph_sum(k, M) for k in range(2, 7)}
-    C = {k: qseries.cycle_graph_sum(k, M) for k in (3, 5)}
+    A = {k: qseries_formula("graphsum:A%d" % k, M) for k in range(2, 7)}
+    C = {k: qseries_formula("graphsum:C%d" % k, M) for k in (3, 5)}
 
     def check(name, series, expected, lo=0):
         for n in range(lo, 16):
@@ -263,7 +263,7 @@ def test_criterion_08_n1_minimal_models():
     problems = []
     for k in (2, 3):
         prod = qseries.n1_product(k, 24).c
-        count = count_constrained(dk1_conditions(k), 24).c
+        count = count_constrained(Dk1Rules(k), 24).c
         hs = hilbert_series(get_model("n1_minimal:%d" % k).ring(), 24)
         if prod != count:
             problems.append("k=%d: product != constrained count" % k)

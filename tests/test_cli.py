@@ -112,6 +112,18 @@ def test_verify_negative_maxdeg2_is_a_usage_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_verify_limit_below_one_is_a_usage_error(limit):
+    """A cap below one monomial is rejected before any slice is built,
+    not reported as a resource overrun at degree2=0."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "verify", "--model",
+         "lattice:2", "--limit", limit],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --limit must be >= 1, got %s\n" % limit
+
+
 def test_verify_resource_cap_gives_diagnostic_exit():
     code, _ = run_cli("verify", "--model", "n2_c1:bare",
                       "--maxdeg2", "10", "--limit", "5")

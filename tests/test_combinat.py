@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jetchar import (RingSpec, VariableSpec, ColoredRules, GhRules, Dk1Rules,
-                     compare, count_constrained, count_gh, dk1_conditions,
-                     enumerate_monomials, get_model, leading_term, qseries)
+                     compare, count_constrained, enumerate_monomials,
+                     get_model, leading_term, qseries)
 from jetchar import combinat, models
 from jetchar.combinat import count_at
 
@@ -380,7 +380,7 @@ def test_graph_path_rules_match_two_variable_sum():
     rules = ColoredRules([("x", 2, False), ("y", 2, False)],
                          boundaries=(("x", "y"),))
     got = count_constrained(rules, 20)
-    want = qseries.path_graph_sum(2, 20)
+    want = models.qseries_formula("graphsum:A2", 20)
     assert got.c == want.c
 
 
@@ -437,27 +437,28 @@ def brute_gh(degree2):
 
 def test_gh_counts_match_brute_force():
     for d in range(15):
-        assert count_gh(d) == brute_gh(d), f"Gh count at degree2={d}"
+        assert count_at(GhRules(), d) == brute_gh(d), f"Gh count at degree2={d}"
 
 
 def test_gh_row_through_ten():
-    assert [count_gh(d) for d in range(11)] == [1, 0, 1, 2, 2, 2, 3, 4, 6, 7, 7]
+    assert [count_at(GhRules(), d) for d in range(11)] == [
+        1, 0, 1, 2, 2, 2, 3, 4, 6, 7, 7]
 
 
 def test_gh_count_at_degree_nine():
-    assert count_gh(9) == 7
+    assert count_at(GhRules(), 9) == 7
 
 
 # ---------------------------------------------------------- Dk1 counting
 
 def test_dk1_requires_k_at_least_two():
     with pytest.raises(ValueError):
-        dk1_conditions(1)
+        Dk1Rules(1)
 
 
 def test_dk1_matches_product_characters():
     for k in (2, 3):
-        got = count_constrained(dk1_conditions(k), 24)
+        got = count_constrained(Dk1Rules(k), 24)
         want = qseries.n1_product(k, 24)
         assert got.c == want.c, f"D_{{{k},1}} vs product"
 

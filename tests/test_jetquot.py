@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jetchar import (RingSpec, VariableSpec, ResourceLimitError,
                      enumerate_monomials, graded_dimension, hilbert_series,
-                     contains, conjecture_check, models, qseries)
+                     contains, models, qseries)
 from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row, _merge,
                              _product_row, ideal_rows)
 
@@ -101,14 +101,6 @@ def test_contains_rejects_inhomogeneous():
     bad = spec.add(spec.var("x"), spec.var("x", 1))
     with pytest.raises(ValueError):
         contains(spec, bad)
-
-
-def test_conjecture_check_reports_first_mismatch():
-    spec = models.get_model("n2_c1:bare").ring()
-    char = [qseries.theta_over_eta(3, 10)[d] for d in range(11)]
-    rows, first = conjecture_check(spec, char, 10)
-    assert first == 8, f"first jet/character deviation should be 8, got {first}"
-    assert rows[7]["equal"] and not rows[8]["equal"]
 
 
 def test_resource_limit_raises():

@@ -109,6 +109,57 @@ def test_leibniz_randomized(seed):
     assert lhs == rhs, f"Leibniz failed for seed {seed}"
 
 
+def test_derivation_with_t_image_is_derive():
+    """The T image reproduces derive, frozen on a case where T moves an odd
+    atom past another (sign flip) and onto an existing one (vanishes)."""
+    spec = n2_spec()
+    a = spec.atom
+    p = spec.poly([(1, (a("gp"), a("gm"), a("h"))), (2, (a("gp"), a("gp", 1)))])
+    frozen = {
+        (a("gp"), a("gm"), a("h", 1)): Fraction(-1),
+        (a("h"), a("gm"), a("gp", 1)): Fraction(3, 2),
+        (a("h"), a("gp"), a("gm", 1)): Fraction(-3, 2),
+        (a("gp"), a("gp", 2)): Fraction(-5),
+    }
+    t_image = lambda atom: {((atom[0], atom[1] + 1),):
+                            Fraction(-spec.atom_degree2(atom), 2)}
+    assert spec.derivation(p, t_image) == frozen
+    assert spec.derive(p) == frozen
+
+
+def _random_image(spec, rng, odd, max_shift=2):
+    """A polynomial of two or three terms, each of parity ``odd``."""
+    nvars = len(spec.variables)
+    want = rng.randint(2, 3)
+    image = {}
+    while len(image) < want:
+        atoms = tuple((rng.randrange(nvars), rng.randrange(max_shift + 1))
+                      for _ in range(rng.randint(1, 3)))
+        if spec.mono_parity(atoms) == odd:
+            coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4))
+            image = spec.add(image, spec.poly([(coeff, atoms)]))
+    return image
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_derivation_leibniz_with_multi_term_images(seed):
+    """D(pq) == D(p) q + p D(q) for a random even derivation D whose atom
+    images have several terms with odd atoms, so an image inserted
+    mid-monomial must be re-sorted past odd atoms on both sides."""
+    import random
+    rng = random.Random(seed)
+    spec = n2_spec()
+    images = {(base, shift): _random_image(spec, rng, int(v.odd))
+              for base, v in enumerate(spec.variables) for shift in range(3)}
+    p = _random_poly(spec, rng)
+    q = _random_poly(spec, rng)
+    d = lambda r: spec.derivation(r, images.__getitem__)
+    lhs = d(spec.mul(p, q))
+    rhs = spec.add(spec.mul(d(p), q), spec.mul(p, d(q)))
+    assert lhs == rhs, f"Leibniz failed for seed {seed}"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_supercommutativity_randomized(seed):
