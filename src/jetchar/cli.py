@@ -151,6 +151,8 @@ def _human_report(model, rep, out):
 
 
 def cmd_expand(args, out=sys.stdout):
+    if args.maxdeg2 < 0:
+        raise CliError("--maxdeg2 must be >= 0, got %d" % args.maxdeg2)
     try:
         series = models.qseries_formula(args.formula, args.maxdeg2)
     except KeyError as exc:

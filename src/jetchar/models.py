@@ -14,19 +14,26 @@ jet Hilbert series provably deviates from the claimed character, with
 the first deviating doubled degree frozen in the registry.
 """
 
-from fractions import Fraction
-
 from . import combinat, jetquot, qseries
-from .superring import RingSpec, VariableSpec
+from .superring import RingSpec, VariableSpec, _halves
 
 
 class Model:
-    def __init__(self, key, description, ring_factory, character_key=None,
-                 spanning=None, expected="ISO_CONSISTENT",
+    """A registered presentation and what ``verify`` compares it with.
+
+    ``variables`` are ``(name, parity, weight2)`` triples; ``relations``
+    and ``extras`` are polynomial texts in the grammar of
+    :meth:`RingSpec.parse_poly`, the one that registry files use.
+    """
+
+    def __init__(self, key, description, variables, relations=(), extras=(),
+                 character_key=None, spanning=None, expected="ISO_CONSISTENT",
                  expected_mismatch_degree2=None, default_maxdeg2=16):
         self.key = key
         self.description = description
-        self._ring_factory = ring_factory
+        self.variables = tuple(variables)
+        self.relations = tuple(relations)
+        self.extras = tuple(extras)
         self.character_key = character_key
         self.spanning = spanning
         self.expected = expected
@@ -35,8 +42,14 @@ class Model:
         self._ring = None
 
     def ring(self):
+        """The RingSpec named ``key``, parsed at first use and then cached."""
         if self._ring is None:
-            self._ring = self._ring_factory()
+            base = RingSpec(VariableSpec(*v) for v in self.variables)
+            self._ring = RingSpec(
+                base.variables,
+                tuple(base.parse_poly(s) for s in self.relations),
+                tuple(base.parse_poly(s) for s in self.extras),
+                name=self.key)
         return self._ring
 
     def character(self, maxdeg2):
@@ -111,138 +124,36 @@ def matches_expectation(model, report):
 
 
 # ---------------------------------------------------------------------
-# Presentations
+# Presentations, as texts in the grammar of RingSpec.parse_poly
 # ---------------------------------------------------------------------
 
-def _v(name, parity, weight2):
-    return VariableSpec(name, parity, weight2)
-
-
-def _lattice_ring(p):
+def _lattice(p):
+    """x, y of doubled weight p (odd for odd p), z even of weight 1:
+    x^2, y^2, xy - z^p, xz, yz."""
     par = "odd" if p % 2 else "even"
-    variables = (_v("x", par, p), _v("y", par, p), _v("z", "even", 2))
-
-    def build():
-        spec = RingSpec(variables, name="lattice:%d" % p)
-        x, y, z = (spec.var(n) for n in "xyz")
-        relations = (
-            spec.mul(x, x),
-            spec.mul(y, y),
-            spec.sub(spec.mul(x, y), _power(spec, z, p)),
-            spec.mul(x, z),
-            spec.mul(y, z),
-        )
-        return RingSpec(variables, relations, name="lattice:%d" % p)
-
-    return build
+    x, y = "x(-%s)" % _halves(p), "y(-%s)" % _halves(p)
+    return ((("x", par, p), ("y", par, p), ("z", "even", 2)),
+            (x + "^2", y + "^2", "%s*%s - z(-1)^%d" % (x, y, p),
+             x + "*z(-1)", y + "*z(-1)"))
 
 
-def _positive_lattice_ring(p):
-    par = "odd" if p % 2 else "even"
-    variables = (_v("x", par, p),)
-
-    def build():
-        spec = RingSpec(variables)
-        x = spec.var("x")
-        return RingSpec(variables, (spec.mul(x, x),),
-                        name="positive_lattice:%d" % p)
-
-    return build
-
-
-def _n2_ring(variant):
-    variables = (_v("gp", "odd", 3), _v("h", "even", 2), _v("gm", "odd", 3))
-
-    def build():
-        spec = RingSpec(variables)
-        gp, h, gm = spec.var("gp"), spec.var("h"), spec.var("gm")
-        relations = (
-            spec.mul(gp, gp),
-            spec.mul(gm, gm),
-            spec.sub(spec.mul(gp, gm), _power(spec, h, 3)),
-            spec.mul(gp, h),
-            spec.mul(gm, h),
-        )
-        a = spec.atom
-        extras = []
-        if variant in ("ab", "abc"):
-            extras.append(spec.poly([(1, (a("gp", 1), a("gp", 0)))]))
-            extras.append(spec.poly([(1, (a("gm", 1), a("gm", 0)))]))
-        if variant == "abc":
-            extras.append(spec.poly([
-                (1, (a("gm", 3),)),
-                (Fraction(-1, 3), (a("h", 2), a("gm", 0))),
-                (-1, (a("gm", 2), a("h", 0))),
-                (Fraction(1, 3), (a("gm", 1), a("h", 0), a("h", 0))),
-            ]))
-        return RingSpec(variables, relations, tuple(extras),
-                        name="n2_c1:%s" % variant)
-
-    return build
-
-
-def _n1_ring(k):
-    variables = (_v("l", "even", 4), _v("g", "odd", 3))
-
-    def build():
-        spec = RingSpec(variables)
-        l, g = spec.var("l"), spec.var("g")
-        relations = (_power(spec, l, k), spec.mul(_power(spec, l, k - 1), g))
-        return RingSpec(variables, relations, name="n1_minimal:%d" % k)
-
-    return build
-
-
-def _n1_odd_odd_ring():
-    variables = (_v("l", "even", 4), _v("g", "odd", 3))
-
-    def build():
-        spec = RingSpec(variables)
-        l = spec.var("l")
-        return RingSpec(variables, (spec.mul(l, l),), name="n1_odd_odd:3:5")
-
-    return build
-
-
-def _virasoro_ring(k):
-    variables = (_v("x", "even", 4),)
-
-    def build():
-        spec = RingSpec(variables)
-        return RingSpec(variables, (_power(spec, spec.var("x"), k),),
-                        name="virasoro_2_2k1:%d" % k)
-
-    return build
-
-
-def _graph_ring(key, nvert, edges):
-    """edges: iterable of (i, j) with 1-based i <= j; (i, i) is a loop."""
+def _graph(shape):
+    """One generator per vertex, odd of weight 3/2 on a loop and even of
+    weight 1 otherwise; one relation x_i x_j per edge (i, j)."""
+    nvert, edges = _GRAPH_SHAPES[shape]
     loops = {i for i, j in edges if i == j}
-    variables = tuple(
-        _v("x%d" % i, "odd" if i in loops else "even", 3 if i in loops else 2)
-        for i in range(1, nvert + 1))
-
-    def build():
-        spec = RingSpec(variables)
-        rels = tuple(
-            spec.mul(spec.var("x%d" % i), spec.var("x%d" % j))
-            for i, j in edges)
-        return RingSpec(variables, rels, name=key)
-
-    return build
+    atom = {i: "x%d(-%s)" % (i, "3/2" if i in loops else "1")
+            for i in range(1, nvert + 1)}
+    return (tuple(("x%d" % i, "odd" if i in loops else "even",
+                   3 if i in loops else 2) for i in range(1, nvert + 1)),
+            tuple("%s*%s" % (atom[i], atom[j]) for i, j in edges))
 
 
-def _fs_ring(n):
-    variables = tuple(_v("x%d" % i, "even", 2) for i in range(1, n + 1))
-
-    def build():
-        spec = RingSpec(variables)
-        rels = tuple(
-            spec.mul(spec.var("x%d" % i), spec.var("x%d" % j))
-            for i in range(1, n + 1) for j in range(i, n + 1))
-        return RingSpec(variables, rels, name="fs_type:%d" % n)
-
-    return build
+def _fs(n):
+    """n even generators of weight 1 and every quadratic monomial."""
+    return (tuple(("x%d" % i, "even", 2) for i in range(1, n + 1)),
+            tuple("x%d(-1)*x%d(-1)" % (i, j)
+                  for i in range(1, n + 1) for j in range(i, n + 1)))
 
 
 def sln_root_pairs(n):
@@ -258,25 +169,24 @@ def sln_root_pairs(n):
     return out
 
 
-def _sln_ring(n):
-    roots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    variables = tuple(_v("E%d%d" % r, "even", 2) for r in roots)
-
-    def build():
-        spec = RingSpec(variables)
-        rels = []
-        for (i1, j1), (i2, j2) in sln_root_pairs(n):
-            a = spec.mul(spec.var("E%d%d" % (i1, j1)),
-                         spec.var("E%d%d" % (i2, j2)))
-            b = spec.mul(spec.var("E%d%d" % (i1, j2)),
-                         spec.var("E%d%d" % (i2, j1)))
-            rels.append(spec.add(a, b))
-        return RingSpec(variables, tuple(rels), name="sln_principal:%d" % n)
-
-    return build
+def _sln(n):
+    """E_ij (i < j) even of weight 1; E_{i1 j1} E_{i2 j2} + E_{i1 j2} E_{i2 j1}
+    for every root pair."""
+    return (tuple(("E%d%d" % (i, j), "even", 2)
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+            tuple("E%d%d(-1)*E%d%d(-1) + E%d%d(-1)*E%d%d(-1)"
+                  % (i1, j1, i2, j2, i1, j2, i2, j1)
+                  for (i1, j1), (i2, j2) in sln_root_pairs(n)))
 
 
-_SL2_VARS = (_v("e", "even", 2), _v("f", "even", 2), _v("h", "even", 2))
+_N2_VARS = (("gp", "odd", 3), ("h", "even", 2), ("gm", "odd", 3))
+_N2_RELS = ("gp(-3/2)^2", "gm(-3/2)^2", "gp(-3/2)*gm(-3/2) - h(-1)^3",
+            "gp(-3/2)*h(-1)", "gm(-3/2)*h(-1)")
+_N2_AB = ("gp(-5/2)*gp(-3/2)", "gm(-5/2)*gm(-3/2)")
+_N2_C = ("gm(-9/2) - 1/3*h(-3)*gm(-3/2) - gm(-7/2)*h(-1)"
+         " + 1/3*gm(-5/2)*h(-1)^2")
+_N1_VARS = (("l", "even", 4), ("g", "odd", 3))
+_SL2_VARS = (("e", "even", 2), ("f", "even", 2), ("h", "even", 2))
 
 
 def adjoint_generators_sl2(k):
@@ -284,10 +194,12 @@ def adjoint_generators_sl2(k):
 
     ad_f acts as the derivation determined by the brackets
     [h,e] = 2e, [h,f] = -2f, [e,f] = h, i.e. e -> -h, h -> 2f, f -> 0.
+    The relation texts of ``sl2_affine:1`` and ``sl2_affine:2`` are these
+    polynomials written out.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = RingSpec(_SL2_VARS)
+    spec = RingSpec(VariableSpec(*v) for v in _SL2_VARS)
     image = {
         spec.atom("e"): spec.poly([(-1, (spec.atom("h"),))]),
         spec.atom("h"): spec.poly([(2, (spec.atom("f"),))]),
@@ -297,47 +209,6 @@ def adjoint_generators_sl2(k):
     for _ in range(2 * k + 2):
         gens.append(spec.derivation(gens[-1], image.__getitem__))
     return gens
-
-
-def _sl2_affine_ring(k):
-    def build():
-        rels = tuple(dict(g) for g in adjoint_generators_sl2(k))
-        return RingSpec(_SL2_VARS, rels, name="sl2_affine:%d" % k)
-
-    return build
-
-
-def _ext_vir_ring(which):
-    if which == "xy":
-        variables = (_v("x", "even", 4), _v("y", "even", 4))
-    else:
-        variables = (_v("u", "even", 4), _v("v", "even", 4))
-
-    def build():
-        spec = RingSpec(variables)
-        if which == "xy":
-            x, y = spec.var("x"), spec.var("y")
-            rels = (spec.mul(x, x), spec.mul(y, y))
-        elif which == "uv_sum":
-            u, v = spec.var("u"), spec.var("v")
-            rels = (spec.mul(u, v),
-                    spec.add(spec.mul(u, u), spec.mul(v, v)),
-                    _power(spec, u, 3), _power(spec, v, 3))
-        elif which == "uv_mixed":
-            u, v = spec.var("u"), spec.var("v")
-            rels = (spec.mul(u, u), _power(spec, v, 3), spec.mul(u, v))
-        else:
-            raise ValueError("unknown ext_vir flavor %r" % (which,))
-        return RingSpec(variables, rels, name="ext_vir:%s" % which)
-
-    return build
-
-
-def _power(spec, poly, n):
-    out = spec.poly([(1, ())])
-    for _ in range(n):
-        out = spec.mul(out, poly)
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -373,6 +244,9 @@ def qseries_formula(key, maxdeg2):
         if head == "jm2" and len(args) == 1:
             return qseries.jm2_closed(args[0], maxdeg2)
         if head == "graphsum" and len(args) == 1:
+            if args[0] not in _GRAPH_SHAPES:
+                raise KeyError("unknown graph shape %r (known: %s)"
+                               % (args[0], ", ".join(sorted(_GRAPH_SHAPES))))
             nvert, edges = _GRAPH_SHAPES[args[0]]
             loops = [False] * nvert
             simple = []
@@ -407,7 +281,7 @@ def qseries_formula(key, maxdeg2):
         if head == "fermion" and not args:
             return qseries.fermion_product(maxdeg2)
     except (KeyError, ValueError) as exc:
-        raise KeyError("bad formula key %r: %s" % (key, exc))
+        raise KeyError("bad formula key %r: %s" % (key, exc.args[0]))
     raise KeyError("unknown formula key %r" % (key,))
 
 
@@ -498,37 +372,39 @@ def _build_registry():
     _register(Model(
         "lattice:2",
         "rank-one even lattice, norm 2: x,y,z even; jets match theta:2",
-        _lattice_ring(2), "theta:2", None, "ISO_CONSISTENT", None, 16))
+        *_lattice(2), character_key="theta:2"))
     # Jet dimensions exceed the lattice character from degree2=8.
     _register(Model(
         "lattice:3",
         "rank-one odd lattice, norm 3: x,y odd squares vanish identically",
-        _lattice_ring(3), "theta:3", None, "MISMATCH", 8, 14))
+        *_lattice(3), character_key="theta:3", expected="MISMATCH",
+        expected_mismatch_degree2=8, default_maxdeg2=14))
     _register(Model(
         "positive_lattice:2",
         "single norm-2 generator, <x^2>: Rogers-Ramanujan jets",
-        _positive_lattice_ring(2), "singlelattice:2",
-        _single_color_rules(2, False, [(1, 4)]), "ISO_CONSISTENT", None, 40))
+        [("x", "even", 2)], ["x(-1)^2"], character_key="singlelattice:2",
+        spanning=_single_color_rules(2, False, [(1, 4)]), default_maxdeg2=40))
     # Difference-3 counts are not reachable by a quadratic relation.
     _register(Model(
         "positive_lattice:3",
         "single norm-3 generator: odd square vanishes, sum needs gap 3",
-        _positive_lattice_ring(3), "singlelattice:3", None,
-        "MISMATCH", 8, 40))
+        [("x", "odd", 3)], ["x(-3/2)^2"], character_key="singlelattice:3",
+        expected="MISMATCH", expected_mismatch_degree2=8, default_maxdeg2=40))
     _register(Model(
         "positive_lattice:4",
         "single norm-4 generator with a quadratic relation only",
-        _positive_lattice_ring(4), "singlelattice:4", None,
-        "MISMATCH", 12, 40))
+        [("x", "even", 4)], ["x(-2)^2"], character_key="singlelattice:4",
+        expected="MISMATCH", expected_mismatch_degree2=12, default_maxdeg2=40))
     # n2_c1:abc is Hilbert series only: the theta:3 character exceeds its
     # jet dimensions at degree2=9, so no character is registered.
-    for variant, extras_desc in (("bare", "no extra generators"),
-                                 ("ab", "extras a, b"),
-                                 ("abc", "extras a, b, c")):
+    for variant, extras_desc, extras in (
+            ("bare", "no extra generators", ()),
+            ("ab", "extras a, b", _N2_AB),
+            ("abc", "extras a, b, c", _N2_AB + (_N2_C,))):
         _register(Model(
             "n2_c1:%s" % variant,
             "two supercurrents and a current, c=1 presentation, " + extras_desc,
-            _n2_ring(variant),
+            _N2_VARS, _N2_RELS, extras,
             None if variant == "abc" else "theta:3",
             combinat.GhRules() if variant in ("ab", "abc") else None,
             "MISMATCH" if variant == "bare" else "ISO_CONSISTENT",
@@ -536,25 +412,26 @@ def _build_registry():
             12))
     _register(Model(
         "n1_minimal:2", "one even and one odd generator, <l^2, l g>",
-        _n1_ring(2), "n1product:2", combinat.Dk1Rules(2),
-        "ISO_CONSISTENT", None, 24))
+        _N1_VARS, ["l(-2)^2", "l(-2)*g(-3/2)"], character_key="n1product:2",
+        spanning=combinat.Dk1Rules(2), default_maxdeg2=24))
     _register(Model(
         "n1_minimal:3", "one even and one odd generator, <l^3, l^2 g>",
-        _n1_ring(3), "n1product:3", combinat.Dk1Rules(3),
-        "ISO_CONSISTENT", None, 24))
+        _N1_VARS, ["l(-2)^3", "l(-2)^2*g(-3/2)"], character_key="n1product:3",
+        spanning=combinat.Dk1Rules(3), default_maxdeg2=24))
     # The (3,5) character is not presented by <l^2>.
     _register(Model(
         "n1_odd_odd:3:5",
         "both-odd minimal pair (3,5): quadratic relation only",
-        _n1_odd_odd_ring(), "n1char:3:5", None, "MISMATCH", 9, 16))
+        _N1_VARS, ["l(-2)^2"], character_key="n1char:3:5",
+        expected="MISMATCH", expected_mismatch_degree2=9))
     _register(Model(
         "virasoro_2_2k1:2", "single even weight-4 generator, <x^2>",
-        _virasoro_ring(2), "ag:2", _single_color_rules(4, False, [(1, 4)]),
-        "ISO_CONSISTENT", None, 40))
+        [("x", "even", 4)], ["x(-2)^2"], character_key="ag:2",
+        spanning=_single_color_rules(4, False, [(1, 4)]), default_maxdeg2=40))
     _register(Model(
         "virasoro_2_2k1:3", "single even weight-4 generator, <x^3>",
-        _virasoro_ring(3), "ag:3", _single_color_rules(4, False, [(2, 4)]),
-        "ISO_CONSISTENT", None, 40))
+        [("x", "even", 4)], ["x(-2)^3"], character_key="ag:3",
+        spanning=_single_color_rules(4, False, [(2, 4)]), default_maxdeg2=40))
     for gkey, desc, dflt in (
             ("A1", "single vertex, no relation", 40),
             ("A2", "path on 2 vertices", 20),
@@ -565,37 +442,53 @@ def _build_registry():
             ("C3", "cycle on 3 vertices", 16),
             ("C5", "cycle on 5 vertices", 12),
             ("L1", "single vertex with a loop (odd generator)", 40)):
-        nvert, edges = _GRAPH_SHAPES[gkey]
         _register(Model(
-            "graph:%s" % gkey, "graph model: " + desc,
-            _graph_ring("graph:%s" % gkey, nvert, edges),
-            "graphsum:%s" % gkey, _graph_rules(gkey),
-            "ISO_CONSISTENT", None, dflt))
+            "graph:%s" % gkey, "graph model: " + desc, *_graph(gkey),
+            character_key="graphsum:%s" % gkey, spanning=_graph_rules(gkey),
+            default_maxdeg2=dflt))
     _register(Model(
         "fs_type:2", "all quadratic monomials in 2 even generators",
-        _fs_ring(2), "fs:2", _fs_rules(2), "ISO_CONSISTENT", None, 20))
+        *_fs(2), character_key="fs:2", spanning=_fs_rules(2),
+        default_maxdeg2=20))
     _register(Model(
         "fs_type:3", "all quadratic monomials in 3 even generators",
-        _fs_ring(3), "fs:3", _fs_rules(3), "ISO_CONSISTENT", None, 14))
+        *_fs(3), character_key="fs:3", spanning=_fs_rules(3),
+        default_maxdeg2=14))
     _register(Model(
         "sln_principal:3", "upper-triangular coordinates, symmetrized products",
-        _sln_ring(3), "ml:sl3:rhs", _sln_rules(3), "ISO_CONSISTENT", None, 16))
+        *_sln(3), character_key="ml:sl3:rhs", spanning=_sln_rules(3)))
     _register(Model(
         "sln_principal:4", "upper-triangular coordinates, symmetrized products",
-        _sln_ring(4), "ml:sl4:rhs", _sln_rules(4), "ISO_CONSISTENT", None, 14))
+        *_sln(4), character_key="ml:sl4:rhs", spanning=_sln_rules(4),
+        default_maxdeg2=14))
+    # Relations: adjoint_generators_sl2(1), ad_f^i(e^2) for i = 0..4.
     _register(Model(
         "sl2_affine:1", "adjoint-orbit generators of e^2 in C[e,f,h]",
-        _sl2_affine_ring(1), "theta:2", None, "ISO_CONSISTENT", None, 14))
-    # Hilbert series only.
+        _SL2_VARS,
+        ["e(-1)^2", "-2*e(-1)*h(-1)", "2*h(-1)^2 - 4*e(-1)*f(-1)",
+         "12*f(-1)*h(-1)", "24*f(-1)^2"],
+        character_key="theta:2", default_maxdeg2=14))
+    # Hilbert series only.  Relations: adjoint_generators_sl2(2).
     _register(Model(
         "sl2_affine:2", "adjoint-orbit generators of e^3 in C[e,f,h]",
-        _sl2_affine_ring(2), None, None, "ISO_CONSISTENT", None, 12))
-    for which in ("xy", "uv_sum", "uv_mixed"):
+        _SL2_VARS,
+        ["e(-1)^3", "-3*e(-1)^2*h(-1)",
+         "6*e(-1)*h(-1)^2 - 6*e(-1)^2*f(-1)",
+         "-6*h(-1)^3 + 36*e(-1)*f(-1)*h(-1)",
+         "-72*f(-1)*h(-1)^2 + 72*e(-1)*f(-1)^2",
+         "-360*f(-1)^2*h(-1)", "-720*f(-1)^3"],
+        default_maxdeg2=12))
+    for which, names, relations in (
+            ("xy", "xy", ["x(-2)^2", "y(-2)^2"]),
+            ("uv_sum", "uv", ["u(-2)*v(-2)", "u(-2)^2 + v(-2)^2", "u(-2)^3",
+                              "v(-2)^3"]),
+            ("uv_mixed", "uv", ["u(-2)^2", "v(-2)^3", "u(-2)*v(-2)"])):
         _register(Model(
             "ext_vir:%s" % which,
             "two even weight-4 generators, flavor " + which,
-            _ext_vir_ring(which), "extvir:pair", _ext_vir_rules(which),
-            "ISO_CONSISTENT", None, 20))
+            [(v, "even", 4) for v in names], relations,
+            character_key="extvir:pair", spanning=_ext_vir_rules(which),
+            default_maxdeg2=20))
 
 
 _build_registry()
@@ -652,7 +545,7 @@ def load_registry_file(path):
                 if len(bits) != 3 or bits[1] not in ("even", "odd"):
                     raise ValueError("%s:%d: bad variable line" % (path, lineno))
                 current["variables"].append(
-                    VariableSpec(bits[0], bits[1], int(bits[2])))
+                    (bits[0], bits[1], int(bits[2])))
             elif field in ("relation", "extra"):
                 current[field + "s"].append(rest)
             elif field == "character":
@@ -677,19 +570,17 @@ def load_registry_file(path):
 
 def _record_to_model(path, rec):
     """A Model whose ring is built and validated now, not at first use."""
-    variables = tuple(rec["variables"])
-    if not variables:
+    if not rec["variables"]:
         raise ValueError("model %s has no variables" % rec["key"])
+    model = Model(rec["key"], rec["description"] or "user model",
+                  rec["variables"], rec["relations"], rec["extras"],
+                  rec["character"], None, rec["expect"], rec["mismatch"],
+                  rec["maxdeg2"])
     try:
-        base = RingSpec(variables)
-        rels = tuple(base.parse_poly(s) for s in rec["relations"])
-        extras = tuple(base.parse_poly(s) for s in rec["extras"])
-        spec = RingSpec(variables, rels, extras, name=rec["key"])
+        model.ring()
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("%s: model %s: %s: %s"
                          % (path, rec["key"], type(exc).__name__, exc))
     if rec["character"] is not None:
         qseries_formula(rec["character"], 0)  # validate the key early
-    return Model(rec["key"], rec["description"] or "user model", lambda: spec,
-                 rec["character"], None, rec["expect"], rec["mismatch"],
-                 rec["maxdeg2"])
+    return model

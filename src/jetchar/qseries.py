@@ -178,11 +178,7 @@ def pochhammer(n, maxdeg2):
         raise ValueError("n must be >= 0")
     s = QSeries.one(maxdeg2)
     if n == "inf":
-        i = 1
-        while 2 * i <= maxdeg2:
-            s.imul_one_minus(2 * i)
-            i += 1
-        return s
+        n = maxdeg2 // 2
     for i in range(1, n + 1):
         if 2 * i > maxdeg2:
             break  # higher factors are 1 modulo the truncation
@@ -197,11 +193,7 @@ def inv_pochhammer(n, maxdeg2):
         raise ValueError("n must be >= 0")
     s = QSeries.one(maxdeg2)
     if n == "inf":
-        i = 1
-        while 2 * i <= maxdeg2:
-            s.idiv_one_minus(2 * i)
-            i += 1
-        return s
+        n = maxdeg2 // 2
     for i in range(1, n + 1):
         if 2 * i > maxdeg2:
             break

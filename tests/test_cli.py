@@ -198,6 +198,22 @@ def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["theta:2", "--maxdeg2", "-1"], "--maxdeg2 must be >= 0, got -1"),
+    (["graphsum:A9"], "bad formula key 'graphsum:A9': unknown graph shape "
+     "'A9' (known: A1, A2, A3, A4, A5, A6, C3, C5, L1)"),
+    (["jm:A9"], "bad formula key 'jm:A9': unknown path-graph key 'A9'"),
+])
+def test_expand_usage_errors_name_the_fault(argv, message):
+    """A bad option is not blamed on a valid key, and an unknown shape is
+    named once, without a KeyError repr around it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "expand"] + argv,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message
+
+
 # --------------------------------------------------------------- list
 
 def test_list_is_deterministic_and_sorted():

@@ -145,6 +145,12 @@ def test_adjoint_generators_endpoints():
         adjoint_generators_sl2(0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_sl2_affine_relation_texts_are_the_ad_orbit(k):
+    assert (get_model("sl2_affine:%d" % k).ring().relations
+            == tuple(adjoint_generators_sl2(k)))
+
+
 def test_sl2_affine_level1_matches_rank_one_lattice():
     a = hilbert_series(get_model("sl2_affine:1").ring(), 12)
     b = hilbert_series(get_model("lattice:2").ring(), 12)
@@ -315,3 +321,38 @@ def test_load_registry_file_bad_polynomial(tmp_path):
             load_registry_file(str(path))
         assert fragment in str(err.value)
         assert str(path) in str(err.value) and "model a" in str(err.value)
+
+
+def _as_record(m):
+    """A built-in model written as a registry-file record."""
+    expect = m.expected
+    if m.expected_mismatch_degree2 is not None:
+        expect += "@%d" % m.expected_mismatch_degree2
+    return "\n".join(
+        ["[model %s]" % m.key, "description " + m.description]
+        + ["variable %s %s %d" % v for v in m.variables]
+        + ["relation " + r for r in m.relations]
+        + ["extra " + e for e in m.extras]
+        + ["character %s" % (m.character_key or "none"),
+           "expect " + expect, "maxdeg2 %d" % m.default_maxdeg2]) + "\n"
+
+
+def test_builtin_models_are_registry_records(tmp_path):
+    """Every built-in presentation, written in the registry-file grammar,
+    loads to the same ring and the same expectations."""
+    path = tmp_path / "builtin.txt"
+    path.write_text("\n".join(_as_record(get_model(k)) for k in model_keys()))
+    loaded = load_registry_file(str(path))
+    assert sorted(loaded) == model_keys()
+    for key, m in loaded.items():
+        builtin = get_model(key)
+        want, got = builtin.ring(), m.ring()
+        assert got.name == want.name == key
+        assert ([(v.name, v.parity, v.weight2) for v in got.variables]
+                == [(v.name, v.parity, v.weight2) for v in want.variables])
+        assert got.relations == want.relations, key
+        assert got.extras == want.extras, key
+        assert (m.description, m.character_key, m.expected,
+                m.expected_mismatch_degree2, m.default_maxdeg2) == (
+            builtin.description, builtin.character_key, builtin.expected,
+            builtin.expected_mismatch_degree2, builtin.default_maxdeg2)

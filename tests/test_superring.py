@@ -212,6 +212,26 @@ def test_parse_poly_roundtrip():
     assert spec.parse_poly(spec.poly_str(p)) == p
 
 
+_ROUNDTRIP_SPEC = RingSpec((VariableSpec("gp", "odd", 3),
+                            VariableSpec("h", "even", 2),
+                            VariableSpec("f", "odd", 1),
+                            VariableSpec("w", "even", 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=4)),
+    max_size=5))
+def test_parse_poly_inverts_poly_str(terms):
+    """parse_poly(poly_str(p)) == p on an odd/even ring with half-integer
+    weights, rational coefficients, constants and shifted atoms; every
+    shipped presentation is built by parse_poly."""
+    spec = _ROUNDTRIP_SPEC
+    p = spec.poly(terms)
+    assert spec.parse_poly(spec.poly_str(p)) == p
+
+
 def test_parse_poly_grid_validation():
     spec = n2_spec()
     with pytest.raises(ValueError):
