@@ -27,16 +27,23 @@ id makes it vanish.  Each ``T^j(g)`` is computed once per
 primitive integer polynomial: ``T^0`` is the generator with its
 denominators cleared, and each higher power applies the scaled derivation
 ``2T`` on ids (an atom id moves to the next shift with an integer factor),
-so :meth:`RingSpec.derive` and ``Fraction`` stay off the slice path.  Most
-relations are monomials, so a power with a single term is kept apart: its
-products are unit vectors, and their columns are *dead*, each one row
-``{c: 1}``; the remaining rows drop dead entries and repeats.  The public
-functions still take and return ``(base, shift)`` atom tuples and
-``Fraction`` coefficients.
+so :meth:`RingSpec.derive` and ``Fraction`` stay off the slice path.
+
+Most relations are monomials, so many powers have a single term, and every
+monomial that such a power divides lies in the ideal.  The columns of a
+slice are therefore only the *standard* monomials, those that no
+single-term power divides: the enumerator cuts every other one, the rows
+are the products of the powers with several terms by standard factors,
+restricted to the standard columns, and the rank is smaller by exactly
+the number of monomials left out, so ``#columns - rank`` is unchanged.
+The public functions still take and return ``(base, shift)`` atom tuples
+and ``Fraction`` coefficients.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+
+from .qseries import free_product
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
 
@@ -83,35 +90,49 @@ class _Atoms:
         """The odd ids of an id-encoded monomial, ascending."""
         return tuple(a for a in mono if self.odd[a])
 
-    def monomials(self, degree2, limit):
-        """All id-encoded monomials of the doubled degree, in a fixed order.
+    def monomials(self, degree2, limit, cuts=()):
+        """The id-encoded monomials of the doubled degree, in a fixed order.
 
         The order is ascending in the exponent vector over atom ids (a
         monomial without an atom comes before those with it).  Odd atoms
-        appear at most once.
+        appear at most once.  A monomial that one of the id-encoded
+        monomials ``cuts`` divides as a multiset is left out, with its
+        whole subtree.  ``limit`` caps the count of all monomials of the
+        degree, cut or not, read off the free jet character before anything
+        is enumerated.
         """
         if degree2 < 0:
             return []
         self.grow(degree2)
+        weights = [(v.weight2, v.parity) for v in self.spec.variables]
+        if free_product(weights, degree2)[degree2] > limit:
+            raise ResourceLimitError(
+                "more than %d monomials at degree2=%d" % (limit, degree2))
         deg, odd = self.degree2, self.odd
         fits = [bisect_right(deg, r) for r in range(degree2 + 1)]
+        by_top = [[] for _ in range(fits[degree2])]  # cuts by largest id
+        for t in cuts:
+            if sum(deg[a] for a in t) <= degree2:
+                by_top[t[-1]].append(t)
         out = []
 
         def rec(first, remaining, prefix):
             if remaining == 0:
                 out.append(prefix)
-                if len(out) > limit:
-                    raise ResourceLimitError(
-                        "more than %d monomials at degree2=%d" % (limit, degree2))
                 return
             # extend prefix by atoms >= first that fit; each atom's exclusion
             # comes before its inclusion, hence the descending loop
             for i in range(fits[remaining] - 1, first - 1, -1):
                 d = deg[i]
+                cut = by_top[i]
                 mono, left = prefix, remaining
                 while True:
                     mono += (i,)
                     left -= d
+                    # every atom below i is placed, so a cut ending in i
+                    # divides mono now or no extension of it by atoms above i
+                    if cut and any(_divides(t, mono) for t in cut):
+                        break
                     rec(i + 1, left, mono)
                     if odd[i] or left < d:
                         break
@@ -120,13 +141,25 @@ class _Atoms:
         return out
 
 
+def _divides(t, m):
+    """Is the sorted id tuple ``t`` a sub-multiset of the sorted ``m``?"""
+    k = 0
+    for a in t:
+        k = bisect_left(m, a, k)
+        if k == len(m) or m[k] != a:
+            return False
+        k += 1
+    return True
+
+
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
     """All jet monomials of the given doubled degree, in a fixed order.
 
     Atoms are taken ascending in the canonical atom order ``(degree2, base,
     shift)``; odd atoms appear at most once.  The result is deterministic and
-    each monomial tuple is already canonical.  Column ``i`` of a slice built
-    by :func:`ideal_rows` is the ``i``-th monomial of this list.
+    each monomial tuple is already canonical.  The columns of a slice built
+    by :func:`ideal_rows` are the standard monomials of this list, in its
+    order.
     """
     atoms = _Atoms(spec)
     return [tuple(atoms.atom[a] for a in m)
@@ -153,10 +186,10 @@ class Echelon:
     """Sparse integer row echelon with deterministic pivoting.
 
     Rows are dicts ``{column: int}``; ``columns`` maps each id-encoded
-    monomial of the slice to its column.  ``insert`` reduces a row against
-    the current pivots (always eliminating the smallest column first) and,
-    if a nonzero remainder survives, installs it as a new pivot after
-    dividing by its content.  ``reduce`` performs the same elimination
+    standard monomial of the slice to its column.  ``insert`` reduces a row
+    against the current pivots (always eliminating the smallest column
+    first) and, if a nonzero remainder survives, installs it as a new pivot
+    after dividing by its content.  ``reduce`` performs the same elimination
     without installing, so membership tests do not grow the basis.
     """
 
@@ -232,14 +265,15 @@ def _int_row(columns, poly):
 
 
 class _TPowers:
-    """The atom table and T^j(generator), shared across degrees.
+    """The atom table, T^j(generator) and standard monomials of one call.
 
     ``get(i, j)`` is ``T^j`` of generator ``i`` as a list of terms
     ``(monomial ids, int coefficient, odd ids)``: the primitive integer
     polynomial that is a positive multiple of ``spec.derive`` applied ``j``
     times.  Only ``T^0`` is read from the ``Fraction`` generator; each
     higher power is the scaled derivation ``2T`` of the one below, applied
-    on ids by :meth:`_derive`.
+    on ids by :meth:`_derive`.  ``standard(d, limit)`` lists the
+    monomials of degree ``d`` that no power with a single term divides.
     """
 
     def __init__(self, spec):
@@ -248,6 +282,7 @@ class _TPowers:
         gens = [g for g in gens if g]  # odd squares normalise to zero
         self.base_degree2 = [spec.degree2(g) for g in gens]
         atoms.grow(max(self.base_degree2, default=0))
+        self._tables = {}
         self._terms = []
         for g in gens:
             row = _int_row({m: atoms.encode(m) for m in g}, g)
@@ -260,6 +295,25 @@ class _TPowers:
             self.atoms.grow(self.base_degree2[i] + 2 * len(powers))
             powers.append(self._derive(powers[-1]))
         return powers[j]
+
+    def standard(self, degree2, limit):
+        """The standard monomials of the degree as ``[(ids, odd ids)]``.
+
+        Built once: every power of degree at most ``degree2`` is made
+        first, so no cut that could divide one of them comes later.
+        """
+        table = self._tables.get(degree2)
+        if table is None:
+            for i, d0 in enumerate(self.base_degree2):
+                if d0 <= degree2:
+                    self.get(i, (degree2 - d0) // 2)
+            cuts = [terms[0][0] for powers in self._terms
+                    for terms in powers if len(terms) == 1]
+            atoms = self.atoms
+            table = self._tables[degree2] = [
+                (m, atoms.odd_ids(m))
+                for m in atoms.monomials(degree2, limit, cuts)]
+        return table
 
     def _derive(self, terms):
         """``2T`` of a list of terms, divided by its positive content.
@@ -297,18 +351,23 @@ class _TPowers:
 
 
 def _product_row(columns, m, m_odd, terms):
-    """The row of ``m * T^j(g)``, equal to ``_int_row`` of the product."""
+    """The row of ``m * T^j(g)`` on the standard ``columns``.
+
+    It is ``_int_row`` of the product with the entries off the columns
+    dropped, divided by its content.
+    """
     row = {}
-    vanished = False
+    partial = False
     for t, c, t_odd in terms:
         prod = _merge(m, m_odd, t, t_odd)
-        if prod is None:
-            vanished = True
+        k = None if prod is None else columns.get(prod[1])
+        if k is None:
+            partial = True
         else:
-            row[columns[prod[1]]] = c if prod[0] > 0 else -c
-    # distinct terms give distinct products, so only a vanished term can
-    # leave a common factor behind
-    if vanished and row:
+            row[k] = c if prod[0] > 0 else -c
+    # distinct terms give distinct products, so only a vanished or dropped
+    # term can leave a common factor behind
+    if partial and row:
         g = math.gcd(*row.values())
         if g > 1:
             row = {k: v // g for k, v in row.items()}
@@ -318,50 +377,34 @@ def _product_row(columns, m, m_odd, terms):
 def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
-    Returns ``(columns, rows)`` where ``columns`` maps each id-encoded
-    monomial of the degree to its index and ``rows`` is a list of sparse
-    integer rows whose span is that of the products ``m * T^j(g)``.
+    Returns ``(columns, rows)`` where ``columns`` maps each standard
+    monomial of the degree (id-encoded, see :class:`_TPowers`) to its
+    index and ``rows`` is a list of sparse integer rows over them.  Every
+    monomial off the columns is in the ideal, and the rows span the
+    products ``m * T^j(g)`` modulo those monomials.
 
-    A power ``T^j(g)`` with a single term makes each of its products a unit
-    vector, so their columns are *dead*: each dead column is one row
-    ``{c: 1}``, the products of longer powers drop their dead entries, and
-    a row left empty, or equal to one already taken, is skipped.
+    Only the powers with several terms give rows, and only with standard
+    factors ``m``: the other products lie in the span of the left-out
+    monomials.  A row left empty, or equal to one already taken, is
+    skipped.
     """
     if tpowers is None:
         tpowers = _TPowers(spec)
-    atoms = tpowers.atoms
-    columns = {m: i for i, m in enumerate(atoms.monomials(degree2, limit))}
-    factors = {}  # sub-degree -> [(monomial, odd ids)], enumerated once
-    dead = set()
-    live = []  # (terms, factors) of the powers with several terms
+    table = tpowers.standard(degree2, limit)
+    columns = {m: k for k, (m, _) in enumerate(table)}
+    rows = []
+    seen = {frozenset()}  # an empty row counts as taken
     for i, d0 in enumerate(tpowers.base_degree2):
         for j in range((degree2 - d0) // 2 + 1):
             terms = tpowers.get(i, j)
-            if not terms:
+            if len(terms) < 2:
                 continue
-            sub = degree2 - d0 - 2 * j
-            monos = factors.get(sub)
-            if monos is None:
-                monos = factors[sub] = [(m, atoms.odd_ids(m))
-                                        for m in atoms.monomials(sub, limit)]
-            if len(terms) > 1:
-                live.append((terms, monos))
-                continue
-            (t, _, t_odd), = terms
-            for m, m_odd in monos:
-                prod = _merge(m, m_odd, t, t_odd)
-                if prod is not None:
-                    dead.add(columns[prod[1]])
-    rows = [{c: 1} for c in dead]
-    seen = {frozenset()}  # an empty row counts as taken
-    for terms, monos in live:
-        for m, m_odd in monos:
-            row = _product_row(columns, m, m_odd, terms)
-            row = {k: v for k, v in row.items() if k not in dead}
-            key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+            for m, m_odd in tpowers.standard(degree2 - d0 - 2 * j, limit):
+                row = _product_row(columns, m, m_odd, terms)
+                key = frozenset(row.items())
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(row)
     # Short structured rows first: they pin pivots cheaply and keep fill low.
     rows.sort(key=lambda r: (len(r), min(r)))
     return columns, rows
@@ -400,6 +443,8 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     tpowers = _TPowers(spec)
     ech, _ = ideal_basis(spec, degree2, tpowers=tpowers, limit=limit)
     encode = tpowers.atoms.encode
-    return not ech.reduce(
-        _int_row({m: ech.columns[encode(m)] for m in poly}, poly))
+    index = {m: ech.columns.get(encode(m)) for m in poly}
+    # a monomial off the columns is in the ideal already
+    live = {m: c for m, c in poly.items() if index[m] is not None}
+    return not ech.reduce(_int_row(index, live))
 

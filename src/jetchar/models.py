@@ -544,8 +544,8 @@ def load_registry_file(path):
                 bits = rest.split()
                 if len(bits) != 3 or bits[1] not in ("even", "odd"):
                     raise ValueError("%s:%d: bad variable line" % (path, lineno))
-                current["variables"].append(
-                    (bits[0], bits[1], int(bits[2])))
+                current["variables"].append((bits[0], bits[1], _int_field(
+                    path, lineno, "variable weight2", bits[2])))
             elif field in ("relation", "extra"):
                 current[field + "s"].append(rest)
             elif field == "character":
@@ -556,9 +556,14 @@ def load_registry_file(path):
                     raise ValueError("%s:%d: bad verdict %r"
                                      % (path, lineno, verdict))
                 current["expect"] = verdict
-                current["mismatch"] = int(deg) if deg else None
+                current["mismatch"] = _int_field(
+                    path, lineno, "expect degree2", deg) if deg else None
             elif field == "maxdeg2":
-                current["maxdeg2"] = int(rest)
+                maxdeg2 = _int_field(path, lineno, "maxdeg2", rest)
+                if maxdeg2 < 0:
+                    raise ValueError("%s:%d: maxdeg2 must be >= 0, got %d"
+                                     % (path, lineno, maxdeg2))
+                current["maxdeg2"] = maxdeg2
             else:
                 raise ValueError("%s:%d: unknown field %r"
                                  % (path, lineno, field))
@@ -566,6 +571,14 @@ def load_registry_file(path):
     for rec in records:
         out[rec["key"]] = _record_to_model(path, rec)
     return out
+
+
+def _int_field(path, lineno, field, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s:%d: %s must be an integer, got %r"
+                         % (path, lineno, field, text)) from None
 
 
 def _record_to_model(path, rec):

@@ -299,6 +299,42 @@ def test_registry_file_bad_relation_is_a_usage_error(tmp_path):
     assert str(path) in proc.stderr and "model bad" in proc.stderr
 
 
+def _verify_registry(path):
+    return subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "verify", "--registry",
+         str(path), "--model", "a"],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_registry_file_negative_maxdeg2_is_a_usage_error(tmp_path):
+    """A negative truncation in a file is refused like ``--maxdeg2 -1``,
+    not verified to an empty table."""
+    path = tmp_path / "negative.txt"
+    path.write_text("[model a]\nvariable x even 2\nmaxdeg2 -5\n")
+    proc = _verify_registry(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: registry error: %s:3: maxdeg2 must be "
+                           ">= 0, got -5\n" % path)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("variable x even two\n", 2,
+     "variable weight2 must be an integer, got 'two'"),
+    ("variable x even 2\nexpect MISMATCH@x\n", 3,
+     "expect degree2 must be an integer, got 'x'"),
+    ("variable x even 2\nmaxdeg2 ten\n", 3,
+     "maxdeg2 must be an integer, got 'ten'"),
+])
+def test_registry_file_bad_integer_names_line_and_field(tmp_path, text,
+                                                        lineno, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("[model a]\n" + text)
+    proc = _verify_registry(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: registry error: %s:%d: %s\n" % (
+        path, lineno, message)
+
+
 def test_registry_file_cannot_shadow_builtin(tmp_path):
     path = tmp_path / "shadow.txt"
     path.write_text("[model lattice:2]\nvariable x even 2\n")

@@ -5,6 +5,8 @@ dimensions come from product generating functions, the quadratic
 single-variable quotient from constrained-partition counting, and the
 two-supercurrent numbers from the registered model battery.
 """
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,21 @@ def test_contains_detects_ideal_membership():
     assert contains(spec, {})  # zero polynomial is always inside
 
 
+def test_contains_drops_dead_monomials():
+    """On lattice:2, x(-1)*z(-1) is a relation, so its multiples are dead
+    columns: adding one changes no answer, and one alone is a member."""
+    spec = models.get_model("lattice:2").ring()
+    member = spec.derive(spec.parse_poly("x(-1)*y(-1) - z(-1)^2"))
+    dead = spec.parse_poly("3/2*x(-1)*z(-1)^2 - y(-1)*x(-1)*z(-1)")
+    outside = spec.parse_poly("z(-2)*z(-1)")
+    assert contains(spec, member)
+    assert contains(spec, spec.add(member, dead))
+    assert contains(spec, dead)
+    assert contains(spec, spec.parse_poly("x(-1)*y(-1)*z(-1)"))
+    assert not contains(spec, outside)
+    assert not contains(spec, spec.add(outside, dead))
+
+
 def test_contains_rejects_inhomogeneous():
     spec = xring(relation_power=2)
     bad = spec.add(spec.var("x"), spec.var("x", 1))
@@ -107,6 +124,19 @@ def test_resource_limit_raises():
     spec = models.get_model("lattice:3").ring()
     with pytest.raises(ResourceLimitError):
         hilbert_series(spec, 12, limit=5)
+
+
+def test_limit_counts_every_monomial_of_the_degree():
+    """The cap counts all monomials of a degree, not only the standard
+    columns: lattice:2 has 51 monomials at degree2=8 and 108 at 10, of
+    which 43 are standard."""
+    spec = models.get_model("lattice:2").ring()
+    assert [len(enumerate_monomials(spec, d)) for d in (8, 10)] == [51, 108]
+    assert len(ideal_rows(spec, 10)[0]) == 43
+    assert len(hilbert_series(spec, 8, limit=51)) == 9
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 51 monomials at degree2=10$"):
+        hilbert_series(spec, 12, limit=51)
 
 
 # ------------------------------------------------- integer slice builder
@@ -170,33 +200,75 @@ def _echelon(columns, rows):
                                           ("sln_principal:4", 12),
                                           ("lattice:3", 12)])
 def test_ideal_rows_match_fraction_rows(key, maxdeg2):
-    """Each product row equals the Fraction reference entry for entry, and
-    the deduplicated slice spans exactly the rows of all products."""
+    """The columns are the monomials that no single-term product covers,
+    each product row is the Fraction reference restricted to them, and the
+    slice spans the reference slice modulo the dead columns."""
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec)
     atoms = tpowers.atoms
     for d in range(maxdeg2 + 1):
         columns, rows = ideal_rows(spec, d, tpowers=tpowers)
-        assert [tuple(atoms.atom[a] for a in m) for m in columns] == \
-            enumerate_monomials(spec, d)
-        want, dead = [], set()
-        for i, j, m, nterms, ref in _fraction_products(spec, d):
-            e = atoms.encode(m)
-            got = _product_row(columns, e, atoms.odd_ids(e), tpowers.get(i, j))
-            assert got == ref, f"{key} product row differs at degree2={d}"
-            if ref:
-                want.append(ref)
+        full = enumerate_monomials(spec, d)
+        products = list(_fraction_products(spec, d))
+        dead = set()
+        for _, _, _, nterms, ref in products:
             if nterms == 1:
                 dead.update(ref)
-        ech, ref_ech = _echelon(columns, rows), _echelon(columns, want)
-        assert ech.rank == ref_ech.rank, f"{key} rank differs at degree2={d}"
-        assert not any(ref_ech.reduce(r) for r in rows)
-        assert not any(ech.reduce(r) for r in want)
+        live = [k for k in range(len(full)) if k not in dead]
+        assert [tuple(atoms.atom[a] for a in m) for m in columns] == \
+            [full[k] for k in live]
+        new_of = {k: n for n, k in enumerate(live)}  # full column -> column
+        want = []
+        for i, j, m, _, ref in products:
+            e = atoms.encode(m)
+            got = _product_row(columns, e, atoms.odd_ids(e), tpowers.get(i, j))
+            restricted = {new_of[k]: v for k, v in ref.items() if k in new_of}
+            g = math.gcd(*restricted.values())
+            assert got == {k: v // g for k, v in restricted.items()}, \
+                f"{key} product row differs at degree2={d}"
+            if ref:
+                want.append(ref)
+        ech = _echelon(columns, rows)
+        ref_ech = _echelon({m: k for k, m in enumerate(full)}, want)
+        assert len(dead) + ech.rank == ref_ech.rank, \
+            f"{key} rank differs at degree2={d}"
+        assert not any(ech.reduce({new_of[k]: v for k, v in r.items()
+                                   if k in new_of}) for r in want)
+        assert not any(ref_ech.reduce({live[k]: v for k, v in r.items()})
+                       for r in rows)
         assert len({frozenset(r.items()) for r in rows}) == len(rows)
-        for row in rows:
-            assert row.keys().isdisjoint(dead) or \
-                (len(row) == 1 and row[min(row)] == 1)
-        assert {min(r) for r in rows if len(r) == 1 and min(r) in dead} == dead
+
+
+def _multiset_divides(t, m):
+    return not Counter(t) - Counter(m)
+
+
+_CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          min_size=1, max_size=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CUTS)
+@example([[(1, 0), (1, 0)]])  # h[0]^2: a repeated even atom
+@example([[(1, 1), (1, 0), (1, 0)], [(1, 0), (1, 0), (1, 0)]])
+@example([[(0, 0), (2, 1)], [(2, 0)]])  # odd atoms, alone and in a pair
+def test_pruned_monomials_are_the_undivided_ones(cuts):
+    """Cutting subtrees keeps, in order, exactly the monomials that no cut
+    divides as a multiset."""
+    spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
+                     VariableSpec("f", "odd", 1)))
+    atoms = _Atoms(spec)
+    atoms.grow(7)  # the largest atom drawn is g at shift 2
+    encoded = []
+    for cut in cuts:
+        canon = spec.normalize(cut)
+        if canon is not None:  # an odd atom twice is no monomial
+            encoded.append(atoms.encode(canon[1]))
+    for d in range(16):
+        full = atoms.monomials(d, 10**6)
+        assert atoms.monomials(d, 10**6, encoded) == [
+            m for m in full
+            if not any(_multiset_divides(t, m) for t in encoded)]
 
 
 _ATOM_TERMS = st.lists(
