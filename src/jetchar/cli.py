@@ -73,6 +73,8 @@ def _load_models(registry_path):
 
 
 def _select(args, table):
+    if args.all and args.model:
+        raise CliError("pass --model KEY or --all, not both")
     if args.all:
         keys = sorted(table)
     else:

@@ -18,16 +18,26 @@ ordering, generator order, or scalar rescalings of the generators.
 
 Slices are built on integers only.  The jet atoms ``(base, shift)`` are
 numbered in the canonical atom order ``(degree2, base, shift)``; the table
-grows a whole degree at a time, so an id never changes once given, and a
-canonical monomial is a sorted tuple of ids.  The product of two monomials
-is the sorted concatenation of their tuples, its Koszul sign is the parity
-of the pairs of odd ids that the merge puts out of order, and a shared odd
-id makes it vanish.  Each ``T^j(g)`` is computed once per
-:func:`hilbert_series` or :func:`contains` call and stored over ids as a
-primitive integer polynomial: ``T^0`` is the generator with its
-denominators cleared, and each higher power applies the scaled derivation
-``2T`` on ids (an atom id moves to the next shift with an integer factor),
-so :meth:`RingSpec.derive` and ``Fraction`` stay off the slice path.
+grows a whole degree at a time, so an id never changes once given.  A
+monomial with multiplicity ``k_a`` of atom ``a`` is the *packed* integer
+``sum(k_a << (w * a))`` (packed exponent vectors: Monagan and Pearce, CASC
+2007).  A :func:`hilbert_series` or :func:`contains` call packs degrees up
+to ``top`` (its ``maxdeg2`` or query degree, and the generators' degrees)
+with ``w = top.bit_length() + 1``.  Every atom has doubled degree at least
+1, so no digit of a monomial or product of degree at most ``top`` exceeds
+``top``: bit ``w - 1`` of every digit is a free guard bit, digits never
+carry, and a degree above ``top`` is refused.  So a product is the sum of
+the packed forms (a shared odd atom gives a digit 2, which no column has,
+so that product falls off the columns), its Koszul sign is one masked bit
+count (:meth:`_Atoms.flips`), and ``t`` divides ``m`` exactly when
+``((m | guard) - t) & guard == guard``.  Only ``w`` depends on ``top``:
+the table still grows lazily, and each degree's monomial budget is checked
+before it is enumerated.  Each ``T^j(g)`` is computed once per call and
+stored packed as a primitive integer polynomial: ``T^0`` is the generator
+with its denominators cleared, and each higher power applies the scaled
+derivation ``2T`` on the packed form (one digit moves to the next shift
+with an integer factor), so :meth:`RingSpec.derive` and ``Fraction`` stay
+off the slice path.
 
 Most relations are monomials, so many powers have a single term, and every
 monomial that such a power divides lies in the ideal.  The columns of a
@@ -41,7 +51,7 @@ and ``Fraction`` coefficients.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .qseries import free_product
 
@@ -56,13 +66,17 @@ class _Atoms:
     """The jet atoms of a ring, numbered in canonical atom order.
 
     ``atom[i]`` is the ``(base, shift)`` atom with id ``i``, ``degree2[i]``
-    its doubled degree and ``odd[i]`` its parity; ``ids`` maps an atom to
-    its id.  The table holds every atom of doubled degree at most ``top``.
+    its doubled degree, ``odd[i]`` its parity and ``unit[i]`` its packed
+    form ``1 << (width * i)``; ``ids`` maps an atom to its id, and
+    ``odd_bits`` is the sum of the odd units.  The table holds every atom
+    of doubled degree at most ``grown``, and grows up to ``top``.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, top):
         self.spec = spec
-        self.top = -1
+        self.top = top
+        self.width = top.bit_length() + 1
+        self.grown = -1
         self.grow(0)
 
     def grow(self, degree2):
@@ -71,8 +85,11 @@ class _Atoms:
         The order is degree-first, so the atoms already numbered keep their
         ids: they are a prefix of the new table.
         """
-        if degree2 <= self.top:
+        if degree2 <= self.grown:
             return
+        if degree2 > self.top:
+            raise ValueError("degree2=%d is above the packed top %d"
+                             % (degree2, self.top))
         spec = self.spec
         atoms = [(base, shift) for base, v in enumerate(spec.variables)
                  for shift in range((degree2 - v.weight2) // 2 + 1)]
@@ -80,26 +97,46 @@ class _Atoms:
         self.ids = {a: i for i, a in enumerate(self.atom)}
         self.degree2 = [spec.atom_degree2(a) for a in self.atom]
         self.odd = [spec.atom_odd(a) for a in self.atom]
-        self.top = degree2
+        self.unit = [1 << (self.width * i) for i in range(len(self.atom))]
+        self.odd_bits = sum(u for u, o in zip(self.unit, self.odd) if o)
+        self.grown = degree2
 
     def encode(self, mono):
-        """The id tuple of a canonical atom-tuple monomial in the table."""
-        return tuple(self.ids[a] for a in mono)
+        """The packed form of a canonical atom-tuple monomial in the table."""
+        return sum(self.unit[self.ids[a]] for a in mono)
 
-    def odd_ids(self, mono):
-        """The odd ids of an id-encoded monomial, ascending."""
-        return tuple(a for a in mono if self.odd[a])
+    def digits(self, p):
+        """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
+        w, a = self.width, 0
+        mask = (1 << w) - 1
+        while p:
+            if p & mask:
+                yield a, p & mask
+            p, a = p >> w, a + 1
+
+    def decode(self, p):
+        """The canonical atom-tuple monomial of a packed one."""
+        return tuple(self.atom[a] for a, k in self.digits(p) for _ in range(k))
+
+    def flips(self, p):
+        """The XOR of ``-1 << (width * b + 1)`` over the odd atoms ``b`` of
+        ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has the parity of
+        the odd atoms ``a > b`` of ``m`` that ``b`` moves past in ``m * p``.
+        """
+        out = 0
+        for b, _ in self.digits(p & self.odd_bits):
+            out ^= -1 << (self.width * b + 1)
+        return out
 
     def monomials(self, degree2, limit, cuts=()):
-        """The id-encoded monomials of the doubled degree, in a fixed order.
+        """The packed monomials of the doubled degree, in a fixed order.
 
         The order is ascending in the exponent vector over atom ids (a
         monomial without an atom comes before those with it).  Odd atoms
-        appear at most once.  A monomial that one of the id-encoded
-        monomials ``cuts`` divides as a multiset is left out, with its
-        whole subtree.  ``limit`` caps the count of all monomials of the
-        degree, cut or not, read off the free jet character before anything
-        is enumerated.
+        appear at most once.  A monomial that one of the packed monomials
+        ``cuts`` divides is left out, with its whole subtree.  ``limit``
+        caps the count of all monomials of the degree, cut or not, read off
+        the free jet character before anything is enumerated.
         """
         if degree2 < 0:
             return []
@@ -108,12 +145,13 @@ class _Atoms:
         if free_product(weights, degree2)[degree2] > limit:
             raise ResourceLimitError(
                 "more than %d monomials at degree2=%d" % (limit, degree2))
-        deg, odd = self.degree2, self.odd
+        deg, odd, unit, w = self.degree2, self.odd, self.unit, self.width
         fits = [bisect_right(deg, r) for r in range(degree2 + 1)]
+        guard = sum(unit[:fits[degree2]]) << (w - 1)  # atoms that fit
         by_top = [[] for _ in range(fits[degree2])]  # cuts by largest id
         for t in cuts:
-            if sum(deg[a] for a in t) <= degree2:
-                by_top[t[-1]].append(t)
+            if sum(deg[a] * k for a, k in self.digits(t)) <= degree2:
+                by_top[(t.bit_length() - 1) // w].append(t)
         out = []
 
         def rec(first, remaining, prefix):
@@ -123,33 +161,23 @@ class _Atoms:
             # extend prefix by atoms >= first that fit; each atom's exclusion
             # comes before its inclusion, hence the descending loop
             for i in range(fits[remaining] - 1, first - 1, -1):
-                d = deg[i]
-                cut = by_top[i]
+                d, u, cut = deg[i], unit[i], by_top[i]
                 mono, left = prefix, remaining
                 while True:
-                    mono += (i,)
+                    mono += u
                     left -= d
                     # every atom below i is placed, so a cut ending in i
                     # divides mono now or no extension of it by atoms above i
-                    if cut and any(_divides(t, mono) for t in cut):
-                        break
+                    if cut:
+                        g = mono | guard
+                        if any((g - t) & guard == guard for t in cut):
+                            break
                     rec(i + 1, left, mono)
                     if odd[i] or left < d:
                         break
 
-        rec(0, degree2, ())
+        rec(0, degree2, 0)
         return out
-
-
-def _divides(t, m):
-    """Is the sorted id tuple ``t`` a sub-multiset of the sorted ``m``?"""
-    k = 0
-    for a in t:
-        k = bisect_left(m, a, k)
-        if k == len(m) or m[k] != a:
-            return False
-        k += 1
-    return True
 
 
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -161,31 +189,14 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
     by :func:`ideal_rows` are the standard monomials of this list, in its
     order.
     """
-    atoms = _Atoms(spec)
-    return [tuple(atoms.atom[a] for a in m)
-            for m in atoms.monomials(degree2, limit)]
-
-
-def _merge(m, m_odd, t, t_odd):
-    """Product ``m * t`` of canonical id-encoded monomials.
-
-    ``m_odd`` and ``t_odd`` are their odd ids.  Returns ``(sign, monomial)``,
-    or None when an odd id is shared.  The sign counts the odd ids of ``m``
-    that ``t``'s odd ids must move past.
-    """
-    flips = 0
-    for b in t_odd:
-        k = bisect_right(m_odd, b)
-        if k and m_odd[k - 1] == b:
-            return None
-        flips += len(m_odd) - k
-    return -1 if flips & 1 else 1, tuple(sorted(m + t))
+    atoms = _Atoms(spec, max(degree2, 0))
+    return [atoms.decode(m) for m in atoms.monomials(degree2, limit)]
 
 
 class Echelon:
     """Sparse integer row echelon with deterministic pivoting.
 
-    Rows are dicts ``{column: int}``; ``columns`` maps each id-encoded
+    Rows are dicts ``{column: int}``; ``columns`` maps each packed
     standard monomial of the slice to its column.  ``insert`` reduces a row
     against the current pivots (always eliminating the smallest column
     first) and, if a nonzero remainder survives, installs it as a new pivot
@@ -267,27 +278,27 @@ def _int_row(columns, poly):
 class _TPowers:
     """The atom table, T^j(generator) and standard monomials of one call.
 
-    ``get(i, j)`` is ``T^j`` of generator ``i`` as a list of terms
-    ``(monomial ids, int coefficient, odd ids)``: the primitive integer
-    polynomial that is a positive multiple of ``spec.derive`` applied ``j``
-    times.  Only ``T^0`` is read from the ``Fraction`` generator; each
-    higher power is the scaled derivation ``2T`` of the one below, applied
-    on ids by :meth:`_derive`.  ``standard(d, limit)`` lists the
-    monomials of degree ``d`` that no power with a single term divides.
+    It packs degrees up to ``top`` and the generators' own.  ``get(i, j)``
+    is ``T^j`` of generator ``i`` as terms ``(monomial, int, flips)``: the
+    primitive integer polynomial that is a positive multiple of
+    ``spec.derive`` applied ``j`` times.  Only ``T^0`` is read from the
+    ``Fraction`` generator; each higher power is ``2T`` of the one below
+    (:meth:`_derive`).  ``standard(d, limit)`` lists the monomials of
+    degree ``d`` that no power with a single term divides.
     """
 
-    def __init__(self, spec):
-        self.atoms = atoms = _Atoms(spec)
+    def __init__(self, spec, top):
         gens = list(spec.relations) + list(spec.extras)
         gens = [g for g in gens if g]  # odd squares normalise to zero
         self.base_degree2 = [spec.degree2(g) for g in gens]
+        self.atoms = atoms = _Atoms(spec, max([top, 0] + self.base_degree2))
         atoms.grow(max(self.base_degree2, default=0))
         self._tables = {}
         self._terms = []
         for g in gens:
             row = _int_row({m: atoms.encode(m) for m in g}, g)
             self._terms.append(
-                [[(t, c, atoms.odd_ids(t)) for t, c in row.items()]])
+                [[(t, c, atoms.flips(t)) for t, c in row.items()]])
 
     def get(self, i, j):
         powers = self._terms[i]
@@ -297,7 +308,7 @@ class _TPowers:
         return powers[j]
 
     def standard(self, degree2, limit):
-        """The standard monomials of the degree as ``[(ids, odd ids)]``.
+        """The packed standard monomials of the degree, in enumeration order.
 
         Built once: every power of degree at most ``degree2`` is made
         first, so no cut that could divide one of them comes later.
@@ -309,10 +320,8 @@ class _TPowers:
                     self.get(i, (degree2 - d0) // 2)
             cuts = [terms[0][0] for powers in self._terms
                     for terms in powers if len(terms) == 1]
-            atoms = self.atoms
-            table = self._tables[degree2] = [
-                (m, atoms.odd_ids(m))
-                for m in atoms.monomials(degree2, limit, cuts)]
+            table = self._tables[degree2] = self.atoms.monomials(
+                degree2, limit, cuts)
         return table
 
     def _derive(self, terms):
@@ -320,51 +329,48 @@ class _TPowers:
 
         ``2T`` moves one copy of atom ``a`` to the next shift ``b`` with
         the integer factor ``-(degree2 of a)`` times the multiplicity of
-        ``a``.  An odd ``a`` takes the sign of the odd ids strictly between
-        ``a`` and ``b``, which it passes, and dies when ``b`` is present.
+        ``a``.  An odd ``a`` takes the sign of the odd atoms strictly
+        between ``a`` and ``b``, which it passes, and dies when ``b`` is
+        present.
         """
         atoms = self.atoms
-        atom, ids, deg, odd = atoms.atom, atoms.ids, atoms.degree2, atoms.odd
+        ids, deg, unit = atoms.ids, atoms.degree2, atoms.unit
         out = {}
-        for t, c, t_odd in terms:
-            for k, a in enumerate(t):
-                if k and t[k - 1] == a:
-                    continue  # one term per distinct atom
-                base, shift = atom[a]
+        for t, c, _ in terms:
+            t_odd = t & atoms.odd_bits
+            for a, k in atoms.digits(t):
+                base, shift = atoms.atom[a]
                 b = ids[(base, shift + 1)]
-                f = -deg[a] * t.count(a) * c
-                if odd[a]:
-                    hi = bisect_left(t_odd, b)
-                    if hi < len(t_odd) and t_odd[hi] == b:
+                f = -deg[a] * k * c
+                if atoms.odd[a]:
+                    if t & unit[b]:
                         continue
-                    if (hi - bisect_right(t_odd, a)) & 1:
+                    # the bits strictly between digit a and digit b
+                    if (t_odd & (unit[b] - (unit[a] << 1))).bit_count() & 1:
                         f = -f
-                rest = t[:k] + t[k + 1:]
-                p = bisect_right(rest, b)
-                new = rest[:p] + (b,) + rest[p:]
+                new = t - unit[a] + unit[b]
                 out[new] = out.get(new, 0) + f
         out = {t: c for t, c in out.items() if c}
         if not out:
             return []
         g = math.gcd(*out.values())
-        return [(t, c // g, atoms.odd_ids(t)) for t, c in out.items()]
+        return [(t, c // g, atoms.flips(t)) for t, c in out.items()]
 
 
 def _product_row(columns, m, m_odd, terms):
-    """The row of ``m * T^j(g)`` on the standard ``columns``.
-
-    It is ``_int_row`` of the product with the entries off the columns
-    dropped, divided by its content.
+    """The row of ``m * T^j(g)`` on the standard ``columns``, where
+    ``m_odd`` is ``m & odd_bits``: ``_int_row`` of the product with the
+    entries off the columns (a shared odd atom among them) dropped, divided
+    by its content.
     """
     row = {}
     partial = False
-    for t, c, t_odd in terms:
-        prod = _merge(m, m_odd, t, t_odd)
-        k = None if prod is None else columns.get(prod[1])
+    for t, c, flip in terms:
+        k = columns.get(m + t)
         if k is None:
             partial = True
         else:
-            row[k] = c if prod[0] > 0 else -c
+            row[k] = -c if (m_odd & flip).bit_count() & 1 else c
     # distinct terms give distinct products, so only a vanished or dropped
     # term can leave a common factor behind
     if partial and row:
@@ -378,10 +384,10 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
-    monomial of the degree (id-encoded, see :class:`_TPowers`) to its
-    index and ``rows`` is a list of sparse integer rows over them.  Every
-    monomial off the columns is in the ideal, and the rows span the
-    products ``m * T^j(g)`` modulo those monomials.
+    monomial of the degree (packed, see :class:`_Atoms`) to its index and
+    ``rows`` is a list of sparse integer rows over them.  Every monomial
+    off the columns is in the ideal, and the rows span the products
+    ``m * T^j(g)`` modulo those monomials.
 
     Only the powers with several terms give rows, and only with standard
     factors ``m``: the other products lie in the span of the left-out
@@ -389,9 +395,10 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
     skipped.
     """
     if tpowers is None:
-        tpowers = _TPowers(spec)
+        tpowers = _TPowers(spec, degree2)
     table = tpowers.standard(degree2, limit)
-    columns = {m: k for k, (m, _) in enumerate(table)}
+    odd_bits = tpowers.atoms.odd_bits
+    columns = {m: k for k, m in enumerate(table)}
     rows = []
     seen = {frozenset()}  # an empty row counts as taken
     for i, d0 in enumerate(tpowers.base_degree2):
@@ -399,8 +406,8 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
             terms = tpowers.get(i, j)
             if len(terms) < 2:
                 continue
-            for m, m_odd in tpowers.standard(degree2 - d0 - 2 * j, limit):
-                row = _product_row(columns, m, m_odd, terms)
+            for m in tpowers.standard(degree2 - d0 - 2 * j, limit):
+                row = _product_row(columns, m, m & odd_bits, terms)
                 key = frozenset(row.items())
                 if key not in seen:
                     seen.add(key)
@@ -430,7 +437,7 @@ def graded_dimension(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
 
 def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2."""
-    tpowers = _TPowers(spec)
+    tpowers = _TPowers(spec, maxdeg2)
     return [graded_dimension(spec, d, tpowers=tpowers, limit=limit)
             for d in range(maxdeg2 + 1)]
 
@@ -440,7 +447,7 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     if not poly:
         return True
     degree2 = spec.degree2(poly)
-    tpowers = _TPowers(spec)
+    tpowers = _TPowers(spec, degree2)
     ech, _ = ideal_basis(spec, degree2, tpowers=tpowers, limit=limit)
     encode = tpowers.atoms.encode
     index = {m: ech.columns.get(encode(m)) for m in poly}

@@ -512,9 +512,10 @@ def load_registry_file(path):
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
-    Returns a dict key -> Model.  Every ring is built while the file
-    loads, so a relation that does not parse, divides by zero or is not
-    homogeneous raises ValueError naming the file and the model.
+    Returns a dict key -> Model; a key given twice is an error.  Every
+    ring is built while the file loads, so a relation that does not parse,
+    divides by zero or is not homogeneous raises ValueError naming the
+    file and the model.
     """
     records = []
     current = None
@@ -527,6 +528,9 @@ def load_registry_file(path):
                 key = line[len("[model"):-1].strip()
                 if not key:
                     raise ValueError("%s:%d: missing model key" % (path, lineno))
+                if any(rec["key"] == key for rec in records):
+                    raise ValueError("%s:%d: duplicate model key %r"
+                                     % (path, lineno, key))
                 current = {"key": key, "variables": [], "relations": [],
                            "extras": [], "description": "", "character": None,
                            "expect": "ISO_CONSISTENT", "mismatch": None,

@@ -104,6 +104,14 @@ def test_verify_requires_a_selection():
     assert code == 2
 
 
+def test_verify_all_with_model_is_a_usage_error(capsys):
+    """Both together are refused, so a mistyped key cannot pass unread."""
+    code, out = run_cli("verify", "--all", "--model", "nope")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: pass --model KEY or --all, not both\n")
+
+
 def test_verify_negative_maxdeg2_is_a_usage_error(capsys):
     code, out = run_cli("verify", "--model", "lattice:2", "--maxdeg2", "-1")
     assert code == 2 and out == ""
@@ -122,6 +130,18 @@ def test_verify_limit_below_one_is_a_usage_error(limit):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: --limit must be >= 1, got %s\n" % limit
+
+
+def test_verify_huge_maxdeg2_stops_at_the_first_capped_slice():
+    """Only the digit width depends on the truncation: the atom table grows
+    one degree at a time, so the cap stops the run at degree2=10."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "verify", "--model",
+         "lattice:2", "--maxdeg2", "10000000", "--limit", "100"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: resource cap exceeded for lattice:2: "
+                           "more than 100 monomials at degree2=10\n")
 
 
 def test_verify_resource_cap_gives_diagnostic_exit():
@@ -340,6 +360,18 @@ def test_registry_file_cannot_shadow_builtin(tmp_path):
     path.write_text("[model lattice:2]\nvariable x even 2\n")
     code, _ = run_cli("list", "--registry", str(path))
     assert code == 2
+
+
+def test_registry_file_duplicate_key_is_a_usage_error(tmp_path):
+    """A second record with the same key is refused, not silently
+    replacing the first."""
+    path = tmp_path / "twice.txt"
+    path.write_text("[model a]\nvariable x even 2\n\n"
+                    "[model a]\nvariable y even 4\n")
+    proc = _verify_registry(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: registry error: %s:4: duplicate model "
+                           "key 'a'\n" % path)
 
 
 def test_registry_file_missing(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (RingSpec, VariableSpec, ResourceLimitError,
                      enumerate_monomials, graded_dimension, hilbert_series,
                      contains, models, qseries)
-from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row, _merge,
+from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row,
                              _product_row, ideal_rows)
 
 
@@ -151,22 +151,26 @@ _ATOM_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @example([(0, 1)], [(0, 0)])  # an odd atom moves past another: sign flip
 @example([(2, 1), (1, 0)], [(0, 0), (2, 0)])  # equal degrees, two bases
 def test_merge_product_matches_fraction_product(left, right):
-    """The id merge agrees with spec.mul, which sorts through normalize."""
+    """The packed product agrees with spec.mul, which sorts through
+    normalize: the sum of the packed forms is the product, a digit 2 on an
+    odd atom marks a product that vanishes, and the sign mask gives the
+    Koszul sign."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
     canon = [spec.normalize(a) for a in (left, right)]
     assume(None not in canon)
     m1, m2 = (mono for _, mono in canon)
-    atoms = _Atoms(spec)
+    top = spec.mono_degree2(m1) + spec.mono_degree2(m2)
+    atoms = _Atoms(spec, max(top, 7))
     atoms.grow(7)  # the largest atom drawn is g at shift 2
-    e1, e2 = atoms.encode(m1), atoms.encode(m2)
-    got = _merge(e1, atoms.odd_ids(e1), e2, atoms.odd_ids(e2))
+    p1, p2 = atoms.encode(m1), atoms.encode(m2)
+    prod = p1 + p2
     want = spec.mul({m1: Fraction(1)}, {m2: Fraction(1)})
-    if got is None:
+    if any(k > 1 for a, k in atoms.digits(prod) if atoms.odd[a]):
         assert want == {}
     else:
-        sign, mono = got
-        assert want == {tuple(atoms.atom[a] for a in mono): sign}
+        flips = (p1 & atoms.odd_bits & atoms.flips(p2)).bit_count()
+        assert want == {atoms.decode(prod): -1 if flips & 1 else 1}
 
 
 def _fraction_products(spec, degree2):
@@ -204,7 +208,7 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
     each product row is the Fraction reference restricted to them, and the
     slice spans the reference slice modulo the dead columns."""
     spec = models.get_model(key).ring()
-    tpowers = _TPowers(spec)
+    tpowers = _TPowers(spec, maxdeg2)
     atoms = tpowers.atoms
     for d in range(maxdeg2 + 1):
         columns, rows = ideal_rows(spec, d, tpowers=tpowers)
@@ -215,13 +219,13 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
             if nterms == 1:
                 dead.update(ref)
         live = [k for k in range(len(full)) if k not in dead]
-        assert [tuple(atoms.atom[a] for a in m) for m in columns] == \
-            [full[k] for k in live]
+        assert [atoms.decode(m) for m in columns] == [full[k] for k in live]
         new_of = {k: n for n, k in enumerate(live)}  # full column -> column
         want = []
         for i, j, m, _, ref in products:
             e = atoms.encode(m)
-            got = _product_row(columns, e, atoms.odd_ids(e), tpowers.get(i, j))
+            got = _product_row(columns, e, e & atoms.odd_bits,
+                               tpowers.get(i, j))
             restricted = {new_of[k]: v for k, v in ref.items() if k in new_of}
             g = math.gcd(*restricted.values())
             assert got == {k: v // g for k, v in restricted.items()}, \
@@ -257,18 +261,16 @@ def test_pruned_monomials_are_the_undivided_ones(cuts):
     divides as a multiset."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
-    atoms = _Atoms(spec)
+    atoms = _Atoms(spec, 15)
     atoms.grow(7)  # the largest atom drawn is g at shift 2
-    encoded = []
-    for cut in cuts:
-        canon = spec.normalize(cut)
-        if canon is not None:  # an odd atom twice is no monomial
-            encoded.append(atoms.encode(canon[1]))
+    canons = [spec.normalize(cut) for cut in cuts]
+    canons = [c[1] for c in canons if c is not None]  # no odd atom twice
+    encoded = [atoms.encode(c) for c in canons]
     for d in range(16):
         full = atoms.monomials(d, 10**6)
         assert atoms.monomials(d, 10**6, encoded) == [
             m for m in full
-            if not any(_multiset_divides(t, m) for t in encoded)]
+            if not any(_multiset_divides(t, atoms.decode(m)) for t in canons)]
 
 
 _ATOM_TERMS = st.lists(
@@ -294,11 +296,48 @@ def test_integer_t_matches_fraction_derive(terms):
     poly = spec.poly([t for t in terms if spec.mono_degree2(t[1]) == target])
     assume(poly)
     spec = RingSpec(variables, extras=(poly,))
-    tpowers = _TPowers(spec)
+    tpowers = _TPowers(spec, target + 12)
+    atoms = tpowers.atoms
     for j in range(7):
         got = tpowers.get(0, j)
-        encode = tpowers.atoms.encode
-        want = _int_row({m: encode(m) for m in poly}, poly)
-        assert {t: c for t, c, _ in got} == want
-        assert all(t_odd == tpowers.atoms.odd_ids(t) for t, _, t_odd in got)
+        want = _int_row({m: m for m in poly}, poly)
+        assert {atoms.decode(t): c for t, c, _ in got} == want
+        assert all(flip == atoms.flips(t) for t, _, flip in got)
         poly = spec.derive(poly)
+
+
+# --------------------------------------------- width of the packed digits
+
+@pytest.mark.parametrize("top", [15, 16, 31, 32])
+@pytest.mark.parametrize("power", ["two", "top"])
+def test_packed_digits_reach_the_top_degree(top, power):
+    """x of weight2 1 makes x(-1/2)^top a monomial whose digit is top, the
+    largest value a digit of width top.bit_length() + 1 must hold below
+    its guard bit; with the relation x(-1/2)^top that digit is a cut.  The
+    slices and membership agree with the Fraction reference there, and a
+    degree above top is refused, not carried into the next digit."""
+    k = top if power == "top" else 2
+    spec = xring(weight2=1, relation_power=k)
+    dims = hilbert_series(spec, top)
+    for d in range(top + 1):
+        full = enumerate_monomials(spec, d)
+        ref = _echelon({m: i for i, m in enumerate(full)},
+                       [r for *_, r in _fraction_products(spec, d) if r])
+        assert dims[d] == len(full) - ref.rank, f"degree2={d}"
+    columns = {m: i for i, m in enumerate(full)}
+    every = spec.poly([(1, m) for m in full])
+    queries = [spec.parse_poly("x(-1/2)^%d" % top),
+               spec.parse_poly("x(-1/2)^%d*x(-3/2)" % (top - 3)), every]
+    if k == 2:
+        member = spec.mul(spec.parse_poly("x(-1/2)^%d" % (top - 4)),
+                          spec.derive(spec.relations[0]))
+        queries += [member, spec.add(member, every)]
+    want = [not ref.reduce(_int_row(columns, q)) for q in queries]
+    assert True in want and False in want
+    assert [contains(spec, q) for q in queries] == want
+    tpowers = _TPowers(spec, top)
+    ideal_rows(spec, top, tpowers=tpowers)
+    with pytest.raises(ValueError, match="above the packed top"):
+        tpowers.standard(top + 1, 10**6)
+    with pytest.raises(ValueError, match="above the packed top"):
+        tpowers.get(0, (top - k) // 2 + 1)
