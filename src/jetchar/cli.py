@@ -40,7 +40,8 @@ def _build_parser():
                    default="human")
     v.add_argument("--registry", metavar="FILE",
                    help="text file of additional models")
-    v.add_argument("--limit", type=int, default=None,
+    v.add_argument("--limit", type=int,
+                   default=jetquot.DEFAULT_MONOMIAL_LIMIT,
                    help="resource cap: monomials per degree slice")
 
     e = sub.add_parser("expand", help="expand a formula key to coefficients")
@@ -90,7 +91,7 @@ def _select(args, table):
 def cmd_verify(args, out=sys.stdout):
     if args.maxdeg2 is not None and args.maxdeg2 < 0:
         raise CliError("--maxdeg2 must be >= 0, got %d" % args.maxdeg2)
-    if args.limit is not None and args.limit < 1:
+    if args.limit < 1:
         raise CliError("--limit must be >= 1, got %d" % args.limit)
     table = _load_models(args.registry)
     keys = _select(args, table)

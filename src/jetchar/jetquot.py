@@ -145,6 +145,8 @@ class _Atoms:
         if free_product(weights, degree2)[degree2] > limit:
             raise ResourceLimitError(
                 "more than %d monomials at degree2=%d" % (limit, degree2))
+        if 0 in cuts:  # a constant generates the unit ideal
+            return []
         deg, odd, unit, w = self.degree2, self.odd, self.unit, self.width
         fits = [bisect_right(deg, r) for r in range(degree2 + 1)]
         guard = sum(unit[:fits[degree2]]) << (w - 1)  # atoms that fit

@@ -14,7 +14,10 @@ jet Hilbert series provably deviates from the claimed character, with
 the first deviating doubled degree frozen in the registry.
 """
 
+from itertools import combinations_with_replacement
+
 from . import combinat, jetquot, qseries
+from .qseries import sln_root_pairs
 from .superring import RingSpec, VariableSpec, _halves
 
 
@@ -84,15 +87,13 @@ class VerificationReport:
         return out
 
 
-def verify(model, maxdeg2=None, limit=None):
+def verify(model, maxdeg2=None, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
     """Compare spanning count / jet dimension / character degree by degree."""
     if isinstance(model, str):
         model = get_model(model)
     if maxdeg2 is None:
         maxdeg2 = model.default_maxdeg2
-    spec = model.ring()
-    kwargs = {} if limit is None else {"limit": limit}
-    dims = jetquot.hilbert_series(spec, maxdeg2, **kwargs)
+    dims = jetquot.hilbert_series(model.ring(), maxdeg2, limit)
     char = model.character(maxdeg2)
     span = model.spanning_series(maxdeg2)
     rows = []
@@ -138,45 +139,54 @@ def _lattice(p):
 
 
 def _graph(shape):
-    """One generator per vertex, odd of weight 3/2 on a loop and even of
-    weight 1 otherwise; one relation x_i x_j per edge (i, j)."""
+    """One generator per vertex (see :func:`_graph_vertices`); one relation
+    x_i x_j per edge (i, j)."""
+    variables, edges = _graph_vertices(shape)
+    atom = ["%s(-%s)" % (name, _halves(w2)) for name, _, w2 in variables]
+    return (variables,
+            tuple("%s*%s" % (atom[i - 1], atom[j - 1]) for i, j in edges))
+
+
+def _graph_vertices(shape):
+    """The vertex variables x1..xn of a graph shape and its edges (i, j):
+    a loop vertex is odd of weight 3/2, any other vertex even of weight 1."""
+    if shape not in _GRAPH_SHAPES:
+        raise KeyError("unknown graph shape %r (known: %s)"
+                       % (shape, ", ".join(sorted(_GRAPH_SHAPES))))
     nvert, edges = _GRAPH_SHAPES[shape]
     loops = {i for i, j in edges if i == j}
-    atom = {i: "x%d(-%s)" % (i, "3/2" if i in loops else "1")
-            for i in range(1, nvert + 1)}
-    return (tuple(("x%d" % i, "odd" if i in loops else "even",
-                   3 if i in loops else 2) for i in range(1, nvert + 1)),
-            tuple("%s*%s" % (atom[i], atom[j]) for i, j in edges))
+    return (tuple(("x%d" % i,) + (("odd", 3) if i in loops else ("even", 2))
+                  for i in range(1, nvert + 1)), edges)
+
+
+def _quadratic(names, pairs, relations):
+    """Model fields for even weight-1 generators ``names`` with one
+    quadratic relation per pair of names: the spanning rule has difference
+    2 within each colour and a boundary for each pair of distinct colours."""
+    return {"variables": [(x, "even", 2) for x in names],
+            "relations": relations,
+            "spanning": combinat.ColoredRules(
+                [(x, 2, False) for x in names],
+                dict.fromkeys(names, ((1, 4),)),
+                [(a, b) for a, b in pairs if a != b])}
 
 
 def _fs(n):
     """n even generators of weight 1 and every quadratic monomial."""
-    return (tuple(("x%d" % i, "even", 2) for i in range(1, n + 1)),
-            tuple("x%d(-1)*x%d(-1)" % (i, j)
-                  for i in range(1, n + 1) for j in range(i, n + 1)))
-
-
-def sln_root_pairs(n):
-    """Ordered pairs of positive roots ((i1,j1),(i2,j2)), i1<=i2<j1<=j2,
-    including the diagonal; exactly the index set of the quadratic
-    relations (and of the cross terms of the B form)."""
-    roots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    out = []
-    for r in roots:
-        for s in roots:
-            if r <= s and r[0] <= s[0] < r[1] <= s[1]:
-                out.append((r, s))
-    return out
+    names = ["x%d" % i for i in range(1, n + 1)]
+    pairs = list(combinations_with_replacement(names, 2))
+    return _quadratic(names, pairs, ["%s(-1)*%s(-1)" % p for p in pairs])
 
 
 def _sln(n):
     """E_ij (i < j) even of weight 1; E_{i1 j1} E_{i2 j2} + E_{i1 j2} E_{i2 j1}
     for every root pair."""
-    return (tuple(("E%d%d" % (i, j), "even", 2)
-                  for i in range(1, n + 1) for j in range(i + 1, n + 1)),
-            tuple("E%d%d(-1)*E%d%d(-1) + E%d%d(-1)*E%d%d(-1)"
-                  % (i1, j1, i2, j2, i1, j2, i2, j1)
-                  for (i1, j1), (i2, j2) in sln_root_pairs(n)))
+    pairs = sln_root_pairs(n)
+    return _quadratic(
+        ["E%d%d" % r for r, s in pairs if r == s],
+        [("E%d%d" % r, "E%d%d" % s) for r, s in pairs],
+        ["E%d%d(-1)*E%d%d(-1) + E%d%d(-1)*E%d%d(-1)"
+         % (i1, j1, i2, j2, i1, j2, i2, j1) for (i1, j1), (i2, j2) in pairs])
 
 
 _N2_VARS = (("gp", "odd", 3), ("h", "even", 2), ("gm", "odd", 3))
@@ -244,19 +254,11 @@ def qseries_formula(key, maxdeg2):
         if head == "jm2" and len(args) == 1:
             return qseries.jm2_closed(args[0], maxdeg2)
         if head == "graphsum" and len(args) == 1:
-            if args[0] not in _GRAPH_SHAPES:
-                raise KeyError("unknown graph shape %r (known: %s)"
-                               % (args[0], ", ".join(sorted(_GRAPH_SHAPES))))
-            nvert, edges = _GRAPH_SHAPES[args[0]]
-            loops = [False] * nvert
-            simple = []
-            for i, j in edges:
-                if i == j:
-                    loops[i - 1] = True
-                else:
-                    simple.append((i - 1, j - 1))
-            return qseries.graph_sum(simple, loops, maxdeg2)
-        if head == "ml" and len(args) == 2:
+            variables, edges = _graph_vertices(args[0])
+            return qseries.graph_sum(
+                [(i - 1, j - 1) for i, j in edges if i != j],
+                [parity == "odd" for _, parity, _ in variables], maxdeg2)
+        if head == "ml" and len(args) == 2 and args[0].startswith("sl"):
             n = int(args[0][2:])  # "sl3" -> 3
             if args[1] == "lhs":
                 return qseries.ml_lhs(n, maxdeg2)
@@ -279,7 +281,7 @@ def qseries_formula(key, maxdeg2):
         if head == "extvir" and args == ["triple"]:
             return qseries.ext_vir_triple_sum(maxdeg2)
         if head == "fermion" and not args:
-            return qseries.fermion_product(maxdeg2)
+            return qseries.free_product([(1, "odd")], maxdeg2)
     except (KeyError, ValueError) as exc:
         raise KeyError("bad formula key %r: %s" % (key, exc.args[0]))
     raise KeyError("unknown formula key %r" % (key,))
@@ -306,29 +308,11 @@ def _single_color_rules(weight2, odd, diffs):
 
 
 def _graph_rules(key):
-    nvert, edges = _GRAPH_SHAPES[key]
-    loops = {i for i, j in edges if i == j}
-    colors = [("x%d" % i, 3 if i in loops else 2, i in loops)
-              for i in range(1, nvert + 1)]
-    bounds = [("x%d" % i, "x%d" % j) for i, j in edges if i != j]
-    return combinat.ColoredRules(colors, {}, bounds)
-
-
-def _fs_rules(n):
-    colors = [("x%d" % i, 2, False) for i in range(1, n + 1)]
-    diffs = {name: ((1, 4),) for name, _, _ in colors}
-    bounds = [("x%d" % i, "x%d" % j)
-              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return combinat.ColoredRules(colors, diffs, bounds)
-
-
-def _sln_rules(n):
-    colors = [("E%d%d" % (i, j), 2, False)
-              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    diffs = {name: ((1, 4),) for name, _, _ in colors}
-    bounds = [("E%d%d" % r, "E%d%d" % s)
-              for r, s in sln_root_pairs(n) if r != s]
-    return combinat.ColoredRules(colors, diffs, bounds)
+    variables, edges = _graph_vertices(key)
+    names = [name for name, _, _ in variables]
+    return combinat.ColoredRules(
+        [(name, w2, parity == "odd") for name, parity, w2 in variables], {},
+        [(names[i - 1], names[j - 1]) for i, j in edges if i != j])
 
 
 def _ext_vir_rules(which):
@@ -448,19 +432,16 @@ def _build_registry():
             default_maxdeg2=dflt))
     _register(Model(
         "fs_type:2", "all quadratic monomials in 2 even generators",
-        *_fs(2), character_key="fs:2", spanning=_fs_rules(2),
-        default_maxdeg2=20))
+        character_key="fs:2", default_maxdeg2=20, **_fs(2)))
     _register(Model(
         "fs_type:3", "all quadratic monomials in 3 even generators",
-        *_fs(3), character_key="fs:3", spanning=_fs_rules(3),
-        default_maxdeg2=14))
+        character_key="fs:3", default_maxdeg2=14, **_fs(3)))
     _register(Model(
         "sln_principal:3", "upper-triangular coordinates, symmetrized products",
-        *_sln(3), character_key="ml:sl3:rhs", spanning=_sln_rules(3)))
+        character_key="ml:sl3:rhs", **_sln(3)))
     _register(Model(
         "sln_principal:4", "upper-triangular coordinates, symmetrized products",
-        *_sln(4), character_key="ml:sl4:rhs", spanning=_sln_rules(4),
-        default_maxdeg2=14))
+        character_key="ml:sl4:rhs", default_maxdeg2=14, **_sln(4)))
     # Relations: adjoint_generators_sl2(1), ad_f^i(e^2) for i = 0..4.
     _register(Model(
         "sl2_affine:1", "adjoint-orbit generators of e^2 in C[e,f,h]",
@@ -512,10 +493,11 @@ def load_registry_file(path):
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
-    Returns a dict key -> Model; a key given twice is an error.  Every
-    ring is built while the file loads, so a relation that does not parse,
-    divides by zero or is not homogeneous raises ValueError naming the
-    file and the model.
+    A field the record leaves out takes the default of :class:`Model`; the
+    description defaults to "user model".  Returns a dict key -> Model; a
+    key given twice is an error.  Every ring is built while the file loads,
+    so a relation that does not parse, divides by zero or is not
+    homogeneous raises ValueError naming the file and the model.
     """
     records = []
     current = None
@@ -532,9 +514,7 @@ def load_registry_file(path):
                     raise ValueError("%s:%d: duplicate model key %r"
                                      % (path, lineno, key))
                 current = {"key": key, "variables": [], "relations": [],
-                           "extras": [], "description": "", "character": None,
-                           "expect": "ISO_CONSISTENT", "mismatch": None,
-                           "maxdeg2": 16}
+                           "extras": []}
                 records.append(current)
                 continue
             if current is None:
@@ -553,21 +533,21 @@ def load_registry_file(path):
             elif field in ("relation", "extra"):
                 current[field + "s"].append(rest)
             elif field == "character":
-                current["character"] = None if rest == "none" else rest
+                current["character_key"] = None if rest == "none" else rest
             elif field == "expect":
                 verdict, _, deg = rest.partition("@")
                 if verdict not in ("ISO_CONSISTENT", "MISMATCH"):
                     raise ValueError("%s:%d: bad verdict %r"
                                      % (path, lineno, verdict))
-                current["expect"] = verdict
-                current["mismatch"] = _int_field(
+                current["expected"] = verdict
+                current["expected_mismatch_degree2"] = _int_field(
                     path, lineno, "expect degree2", deg) if deg else None
             elif field == "maxdeg2":
                 maxdeg2 = _int_field(path, lineno, "maxdeg2", rest)
                 if maxdeg2 < 0:
                     raise ValueError("%s:%d: maxdeg2 must be >= 0, got %d"
                                      % (path, lineno, maxdeg2))
-                current["maxdeg2"] = maxdeg2
+                current["default_maxdeg2"] = maxdeg2
             else:
                 raise ValueError("%s:%d: unknown field %r"
                                  % (path, lineno, field))
@@ -589,15 +569,13 @@ def _record_to_model(path, rec):
     """A Model whose ring is built and validated now, not at first use."""
     if not rec["variables"]:
         raise ValueError("model %s has no variables" % rec["key"])
-    model = Model(rec["key"], rec["description"] or "user model",
-                  rec["variables"], rec["relations"], rec["extras"],
-                  rec["character"], None, rec["expect"], rec["mismatch"],
-                  rec["maxdeg2"])
+    rec["description"] = rec.get("description") or "user model"
+    model = Model(**rec)
     try:
         model.ring()
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("%s: model %s: %s: %s"
                          % (path, rec["key"], type(exc).__name__, exc))
-    if rec["character"] is not None:
-        qseries_formula(rec["character"], 0)  # validate the key early
+    if model.character_key is not None:
+        qseries_formula(model.character_key, 0)  # validate the key early
     return model

@@ -174,30 +174,25 @@ class QSeries:
 
 def pochhammer(n, maxdeg2):
     """(q)_n = prod_{i=1..n} (1 - q^i); n >= 0 or the string "inf"."""
-    if n != "inf" and n < 0:
-        raise ValueError("n must be >= 0")
-    s = QSeries.one(maxdeg2)
-    if n == "inf":
-        n = maxdeg2 // 2
-    for i in range(1, n + 1):
-        if 2 * i > maxdeg2:
-            break  # higher factors are 1 modulo the truncation
-        s.imul_one_minus(2 * i)
-    return s
+    return _pochhammer(n, maxdeg2, QSeries.imul_one_minus)
 
 
 def inv_pochhammer(n, maxdeg2):
     """1/(q)_n as a truncated series (generating function of partitions
     into parts <= n, all parts when n is "inf"); n >= 0."""
+    return _pochhammer(n, maxdeg2, QSeries.idiv_one_minus)
+
+
+def _pochhammer(n, maxdeg2, step):
+    """Apply ``step`` with each factor 1 - q^i, i = 1..n; "inf" and any
+    larger n stop at i = maxdeg2 // 2, since higher factors are 1 modulo
+    the truncation."""
     if n != "inf" and n < 0:
         raise ValueError("n must be >= 0")
     s = QSeries.one(maxdeg2)
-    if n == "inf":
-        n = maxdeg2 // 2
-    for i in range(1, n + 1):
-        if 2 * i > maxdeg2:
-            break
-        s.idiv_one_minus(2 * i)
+    top = maxdeg2 // 2 if n == "inf" else min(n, maxdeg2 // 2)
+    for i in range(1, top + 1):
+        step(s, 2 * i)
     return s
 
 
@@ -391,12 +386,7 @@ def n1_character(p, pp, maxdeg2):
     """
     if p < 1 or pp < 1:
         raise ValueError("p and p' must be >= 1")
-    pref = QSeries.one(maxdeg2)
-    d = 1
-    while d <= maxdeg2:
-        pref.imul_one_plus(d)  # (1 + q^{d/2}), d odd
-        d += 2
-    pref = pref * inv_pochhammer("inf", maxdeg2)
+    pref = free_product([(1, "odd"), (2, "even")], maxdeg2)
     num = QSeries(maxdeg2)
     j = 0
     while True:
@@ -507,24 +497,28 @@ def jm2_closed(key, maxdeg2):
 
 # -- nilpotent-cone / principal subspace series -------------------------
 
+def sln_root_pairs(n):
+    """Ordered pairs of positive roots ((i1,j1),(i2,j2)), i1<=i2<j1<=j2,
+    including the diagonal; exactly the index set of the quadratic
+    relations of ``sln_principal:n`` and of the cross terms of ``ml_lhs``."""
+    roots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [(r, s) for r in roots for s in roots
+            if r[0] <= s[0] < r[1] <= s[1]]
+
+
 def ml_lhs(n, maxdeg2):
     """Nested sum over exponent tuples of the upper-triangular positions.
 
     Variables are indexed by pairs (i, j) with 1 <= i < j <= n; the doubled
-    exponent is 2*B(n) where B collects n_{i1,j1} n_{i2,j2} over all pairs
-    with i1 <= i2 < j1 <= j2 (diagonal pairs give squares); n >= 2.
+    exponent is 2*B(n) where B collects n_{i1,j1} n_{i2,j2} over the
+    :func:`sln_root_pairs` (diagonal pairs give squares); n >= 2.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    roots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = sln_root_pairs(n)
+    roots = [r for r, s in pairs if r == s]
     index = {r: k for k, r in enumerate(roots)}
-    quad2 = {}
-    for (i1, j1) in roots:
-        for (i2, j2) in roots:
-            if (i1, j1) <= (i2, j2) and i1 <= i2 < j1 <= j2:
-                a, b = index[(i1, j1)], index[(i2, j2)]
-                key = (min(a, b), max(a, b))
-                quad2[key] = quad2.get(key, 0) + 2
+    quad2 = {(index[r], index[s]): 2 for r, s in pairs}
     return fermionic_sum(len(roots), quad2, [0] * len(roots), maxdeg2)
 
 
@@ -563,19 +557,11 @@ def ext_vir_triple_sum(maxdeg2):
     return fermionic_sum(3, quad2, [2, 4, 2], maxdeg2)
 
 
-def fermion_product(maxdeg2):
-    """prod_{j>=1} (1 + q^{j - 1/2}): one free odd weight-1/2 generator."""
-    s = QSeries.one(maxdeg2)
-    d = 1
-    while d <= maxdeg2:
-        s.imul_one_plus(d)
-        d += 2
-    return s
-
-
 def free_product(weights2, maxdeg2):
     """Character of the free jet algebra on generators of the given doubled
-    weights/parities: list of (weight2, parity)."""
+    weights/parities, a list of (weight2, parity): the product over
+    d = weight2, weight2 + 2, ... of (1 + q^{d/2}) for an odd generator and
+    1/(1 - q^{d/2}) for an even one.  [(1, "odd")] is one free fermion."""
     s = QSeries.one(maxdeg2)
     for w2, parity in weights2:
         d = w2

@@ -22,10 +22,11 @@ introduces Koszul signs by itself (re-sorting may).
 
 This module is the exact, readable reference.  The slice builder in
 :mod:`jetchar.jetquot` does not multiply through it: it numbers the atoms
-in the canonical order above, so that a monomial is a sorted tuple of int
-ids and a product is a merge, and it applies ``T`` on those ids as the
-integer derivation ``2T``, not through :meth:`RingSpec.derive`, which
-stays here as the readable reference that its tests compare against.
+in the canonical order above and packs a monomial into one integer, a
+digit per atom, so that a product is one addition, and it applies ``T``
+on the packed form as the integer derivation ``2T``, not through
+:meth:`RingSpec.derive`, which stays here as the readable reference that
+its tests compare against.
 Everything public, here and there, still uses ``(base, shift)`` atom
 tuples and ``Fraction`` coefficients.
 """

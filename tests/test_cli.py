@@ -203,11 +203,13 @@ def test_expand_unknown_formula():
 
 @pytest.mark.parametrize("formula", ["theta:0", "n1char:0:0", "theta:-1",
                                      "ml:sl0:rhs", "fs:-1", "poch:-1",
-                                     "invpoch:-2", "ml:sl0:lhs", "ml:sl1:rhs"])
+                                     "invpoch:-2", "ml:sl0:lhs", "ml:sl1:rhs",
+                                     "ml:xx3:rhs"])
 def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
     """These once looped forever (theta:0, n1char:0:0), ended in an
     IndexError traceback (theta:-1, ml:sl0:rhs, fs:-1, the last two from a
-    negative variable count in fermionic_sum), or printed the series 1 (the
+    negative variable count in fermionic_sum), printed the sl3 series
+    (ml:xx3:rhs, whose prefix went unread) or printed the series 1 (the
     rest: an empty product or an empty set of roots); a subprocess bounds a
     relapse."""
     proc = subprocess.run(
@@ -317,6 +319,26 @@ def test_registry_file_bad_relation_is_a_usage_error(tmp_path):
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.splitlines()) == 1
     assert str(path) in proc.stderr and "model bad" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["relation", "extra"])
+def test_registry_file_constant_generator_gives_the_zero_quotient(tmp_path,
+                                                                  field):
+    """A constant generates the unit ideal: every jet dimension is 0 and
+    the model, which has no character, verifies.  This ended in an
+    IndexError traceback from the monomial enumerator."""
+    path = tmp_path / "unit.txt"
+    path.write_text("[model a]\nvariable x even 2\nvariable g odd 3\n"
+                    "%s 1\nmaxdeg2 8\n" % field)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "verify", "--registry",
+         str(path), "--model", "a", "--format", "csv"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [r["degree2"] for r in rows] == [str(d) for d in range(9)]
+    assert all(r["jet_dim"] == "0" for r in rows)
+    assert {r["verdict"] for r in rows} == {"ISO_CONSISTENT"}
 
 
 def _verify_registry(path):

@@ -113,6 +113,19 @@ def test_contains_drops_dead_monomials():
     assert not contains(spec, spec.add(outside, dead))
 
 
+def test_constant_relation_gives_the_zero_quotient():
+    """A constant relation generates the unit ideal: every slice of the
+    quotient is 0, and every polynomial is a member."""
+    variables = (VariableSpec("x", "even", 2), VariableSpec("g", "odd", 3))
+    base = RingSpec(variables)
+    for gens in [((base.parse_poly("3"),), ()),
+                 ((base.parse_poly("x(-1)^2"),), (base.parse_poly("-1/2"),))]:
+        spec = RingSpec(variables, *gens)
+        assert hilbert_series(spec, 12) == [0] * 13
+        for text in ["1", "x(-1)", "g(-3/2)", "x(-2)*g(-3/2) - x(-1)*g(-5/2)"]:
+            assert contains(spec, spec.parse_poly(text))
+
+
 def test_contains_rejects_inhomogeneous():
     spec = xring(relation_power=2)
     bad = spec.add(spec.var("x"), spec.var("x", 1))

@@ -274,6 +274,18 @@ def test_load_registry_file_roundtrip(tmp_path):
     assert matches_expectation(m, report)
 
 
+def test_load_registry_file_minimal_record_takes_model_defaults(tmp_path):
+    path = tmp_path / "models.txt"
+    path.write_text("[model m]\nvariable x even 2\n")
+    m = load_registry_file(str(path))["m"]
+    assert m.description == "user model"
+    assert m.expected == "ISO_CONSISTENT"
+    assert m.expected_mismatch_degree2 is None
+    assert m.default_maxdeg2 == 16
+    assert m.character_key is None and m.character(16) is None
+    assert m.relations == m.extras == () and m.spanning is None
+
+
 def test_load_registry_file_expect_mismatch_degree(tmp_path):
     path = tmp_path / "models.txt"
     path.write_text("""

@@ -293,7 +293,7 @@ def test_n1_character_even_case_matches_product():
 
 def test_free_fermion_product():
     """prod (1 + q^{n-1/2}) counts partitions into distinct half-odd parts."""
-    f = qseries.fermion_product(21)
+    f = qseries.free_product([(1, "odd")], 21)
     for d in range(22):
         want = len([lam for lam in brute_partitions(d, distinct=True)
                     if all(p % 2 == 1 for p in lam)])
