@@ -2,12 +2,14 @@
 
 Exit status: 0 when every selected verification matches its registered
 expectation; 1 when any verdict deviates; 2 on usage errors, unknown
-keys, registry parse failures, or resource-cap overruns.
+keys, registry parse failures, resource-cap overruns, or an output stream
+that the reader closed early (silently, with no message).
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import models, jetquot
@@ -210,14 +212,20 @@ def main(argv=None, out=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
     stream = out if out is not None else sys.stdout
+    command = {"verify": cmd_verify, "expand": cmd_expand, "list": cmd_list}
     try:
-        if args.command == "verify":
-            return cmd_verify(args, stream)
-        if args.command == "expand":
-            return cmd_expand(args, stream)
-        return cmd_list(args, stream)
+        status = command[args.command](args, stream)
+        stream.flush()
+        return status
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed the output (``jetchar list | head``): stop
+        # quietly, and point stdout at devnull so that the interpreter's
+        # flush at exit does not fail on the same pipe
+        if stream is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -15,6 +15,7 @@ partition statistics used as oracles in tests.
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from .superring import _halves
 
@@ -203,114 +204,111 @@ def _pochhammer(n, maxdeg2, step):
 def fermionic_sum(nvars, quad2, lin2, maxdeg2):
     """Sum over n in Z_{>=0}^nvars of q^{E(n)/2} / prod_i (q)_{n_i}.
 
-    ``quad2[(i, j)]`` (i <= j) and ``lin2[i]`` give the DOUBLED exponent
-    ``E(n) = sum quad2[i,j] n_i n_j + sum lin2[i] n_i``.
+    ``quad2[(i, j)]`` (i <= j) and ``lin2[i] >= 0`` give the DOUBLED
+    exponent ``E(n) = sum quad2[i,j] n_i n_j + sum lin2[i] n_i``.
 
-    When every coefficient is nonnegative the exponent is monotone in each
-    variable and a depth-first search with pruning terminates on its own.
-    Otherwise the (half-)coefficient matrix must be positive definite; an
-    exact rational box bound ``n_i^2 <= maxdeg2 * (M^-1)_ii`` then confines
-    the enumeration and each point is filtered exactly.
+    A depth-first search fixes n_0, n_1, ... in turn and carries a lower
+    bound ``low`` on E(n) over every completion of the prefix:
+    - when every coefficient is nonnegative, the exponent of the prefix
+      itself, since the variables still free can only add to it;
+    - otherwise the (half-)coefficient matrix M must be positive definite.
+      With M = L^T D L exactly (L unit lower triangular), E(n) is at
+      least ``sum_t d_t (n_t + sum_{j<t} L_tj n_j)^2`` over the t fixed
+      so far, plus their linear terms: the completed squares of the free
+      variables are nonnegative.
+    At the last variable ``low`` is E(n) itself.  A branch stops once
+    ``low`` exceeds maxdeg2 and can only grow with n_i.  The bounds are
+    kept multiplied by a common denominator, so no node sees a fraction.
 
-    Each level of the search carries one series, ``1/prod_{j<=i} (q)_{n_j}``
-    for the current prefix; stepping ``n_i`` to ``n_i + 1`` divides it in
-    place by ``(1 - q^{n_i+1})``, and a leaf adds only the coefficients
-    that fit under ``maxdeg2`` once shifted by ``q^{E(n)/2}``.
+    Truncation invariant: the prefix series ``1/prod_{j<=i} (q)_{n_j}`` is
+    a plain list in whole powers of q, cut to the coefficients below
+    ``q^{(maxdeg2 - low)/2 + 1}``, the only ones that can still reach the
+    result.  Stepping n_i divides it in place by ``(1 - q^{n_i})``; the
+    last variable's loop adds it at ``q^{E(n)/2}`` with one slice.
     """
     if nvars < 0:
         raise ValueError("nvars must be >= 0")
+    lin2 = list(lin2)
+    if any(v < 0 for v in lin2):
+        raise ValueError("a negative linear term %r would put a term below "
+                         "q^0; lin2 must be >= 0" % min(lin2))
     if nvars == 0:
         return QSeries.one(maxdeg2)
     quad2 = {(min(i, j), max(i, j)): v for (i, j), v in quad2.items() if v}
-    lin2 = list(lin2)
-    result = QSeries(maxdeg2)
+    scale, steps = _bound_steps(nvars, quad2, lin2)
+    top, width = scale * maxdeg2, 2 * scale
+    out = [0] * (maxdeg2 + 1)
+    fixed = []
 
-    monotone = all(v >= 0 for v in quad2.values()) and all(v >= 0 for v in lin2)
-    if monotone:
-        for i in range(nvars):
-            if lin2[i] == 0 and quad2.get((i, i), 0) == 0:
-                raise ValueError(
-                    "variable %d has no positive exponent contribution; "
-                    "the sum would not terminate" % i)
-        bounds = None
-    else:
-        bounds = _definite_box(nvars, quad2, maxdeg2)
-
-    assignment = [0] * nvars
-
-    def contribution(i, n):
-        e = quad2.get((i, i), 0) * n * n + lin2[i] * n
-        for j in range(i):
-            e += quad2.get((min(i, j), max(i, j)), 0) * assignment[j] * n
-        return e
-
-    def rec(i, exp2, acc):
-        if i == nvars:
-            for d in range(max(0, -exp2), maxdeg2 - exp2 + 1):
-                result.c[d + exp2] += acc.c[d]
-            return
-        acc = acc.copy()
+    def rec(t, low, acc):
+        a, beta, g, h, coeffs = steps[t]
+        c = sum(map(mul, coeffs, fixed))
+        b = beta + g * c
+        acc = acc[:(top - low) // width + 1]
+        low += h * c * c
         n = 0
         while True:
-            if bounds is not None and n > bounds[i]:
-                break
-            assignment[i] = n
-            e = exp2 + contribution(i, n)
-            if monotone and e > maxdeg2:
-                break
+            e = low + (a * n + b) * n
+            if a * (2 * n + 1) + b >= 0:  # e no longer falls as n grows
+                if e > top:
+                    break
+                del acc[(top - e) // width + 1:]
             if n:
-                acc.idiv_one_minus(2 * n)
-            # partial exponents may overshoot and come back when cross
-            # terms are negative, so only the monotone case prunes here
-            if not monotone or e <= maxdeg2:
-                rec(i + 1, e, acc)
+                for d in range(n, len(acc)):
+                    acc[d] += acc[d - n]
+            if e <= top:
+                if t == nvars - 1:
+                    e //= scale
+                    out[e::2] = map(add, out[e::2], acc)
+                else:
+                    fixed.append(n)
+                    rec(t + 1, e, acc)
+                    fixed.pop()
             n += 1
-        assignment[i] = 0
 
-    rec(0, 0, QSeries.one(maxdeg2))
-    return result
+    rec(0, 0, [1] + [0] * (maxdeg2 // 2))
+    return QSeries(maxdeg2, out)
 
 
-def _definite_box(nvars, quad2, maxdeg2):
-    """Box bound for a positive definite doubled quadratic form.
+def _bound_steps(nvars, quad2, lin2):
+    """The scaled lower bound of :func:`fermionic_sum`, one step per variable.
 
-    The form is E(n) = n^T M n with M_ii = quad2[i,i] and
-    M_ij = quad2[i,j]/2.  For positive definite M the maximum of n_i^2
-    subject to n^T M n <= maxdeg2 is maxdeg2 * (M^-1)_ii, computed exactly
-    over the rationals.
+    Returns ``scale`` and, per variable t, ``(a, beta, g, h, coeffs)``:
+    with ``c = sum(coeffs[j] * n_j)`` over j < t, fixing n_t adds
+    ``h*c*c + (a*n_t + g*c + beta)*n_t`` to ``scale * low``.
     """
-    m = [[Fraction(0)] * nvars for _ in range(nvars)]
-    for (i, j), v in quad2.items():
-        if i == j:
-            m[i][i] = Fraction(v)
-        else:
-            m[i][j] = m[j][i] = Fraction(v, 2)
-    inv = _invert_posdef(m)
-    if inv is None:
-        raise ValueError("quadratic form with negative coefficients must be "
-                         "positive definite for the enumeration to terminate")
-    return [math.isqrt(int(maxdeg2 * inv[i][i])) + 1 for i in range(nvars)]
-
-
-def _invert_posdef(m):
-    """Exact inverse of a symmetric positive definite Fraction matrix.
-
-    Returns None when a leading principal minor fails to be positive
-    (i.e. the matrix is not positive definite).
-    """
-    n = len(m)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        if a[col][col] <= 0:
-            return None
-        piv = a[col][col]
-        a[col] = [v / piv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    if all(v >= 0 for v in quad2.values()):
+        for t in range(nvars):
+            if lin2[t] == 0 and quad2.get((t, t), 0) == 0:
+                raise ValueError(
+                    "variable %d has no positive exponent contribution; "
+                    "the sum would not terminate" % t)
+        return 1, [(quad2.get((t, t), 0), lin2[t], 1, 0,
+                    [quad2.get((j, t), 0) for j in range(t)])
+                   for t in range(nvars)]
+    m = [[Fraction(quad2.get((min(i, j), max(i, j)), 0), 1 if i == j else 2)
+          for j in range(nvars)] for i in range(nvars)]
+    squares = []
+    for t in reversed(range(nvars)):  # square t involves n_0..n_t only
+        d = m[t][t]
+        if d <= 0:
+            raise ValueError("quadratic form with negative coefficients must "
+                             "be positive definite for the enumeration to "
+                             "terminate")
+        row = [m[t][j] / d for j in range(t)]
+        for j in range(t):
+            for k in range(t):
+                m[j][k] -= d * row[j] * row[k]
+        den = math.lcm(*(v.denominator for v in row))
+        squares.append((d / den ** 2, den, [int(v * den) for v in row]))
+    squares.reverse()
+    # term t is w_t * (den_t n_t + c)^2 + lin2[t] n_t, times scale
+    scale = math.lcm(*(w.denominator for w, _, _ in squares))
+    steps = []
+    for t, (w, den, nums) in enumerate(squares):
+        w = int(w * scale)
+        steps.append((w * den * den, scale * lin2[t], 2 * w * den, w, nums))
+    return scale, steps
 
 
 # ---------------------------------------------------------------------

@@ -412,6 +412,36 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.splitlines()[-1] == "theta:2,6,6,7"
 
 
+def test_package_entry_point_and_closed_stdout():
+    """``python -m jetchar`` runs the cli; a reader that closes the pipe
+    before the output is written ends the run without a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar", "list", "--filter", "theta"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "  theta:2" in proc.stdout.splitlines()
+    proc = subprocess.Popen([sys.executable, "-m", "jetchar", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",), ("expand", "theta:2", "--maxdeg2", "4"),
+    ("verify", "--model", "lattice:2", "--maxdeg2", "4")])
+def test_closed_output_stream_ends_quietly(argv, capsys):
+    assert main(list(argv), out=_ClosedPipe()) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_subprocess_error_goes_to_stderr():
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "verify", "--model", "nope"],

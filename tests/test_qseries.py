@@ -141,6 +141,13 @@ def test_fermionic_sum_empty():
     assert qseries.fermionic_sum(0, {}, [], 10).c == QSeries.one(10).c
 
 
+def test_fermionic_sum_refuses_a_negative_linear_term():
+    """A negative linear term can put a term below q^0; no formula uses
+    one, so it is refused rather than summed."""
+    with pytest.raises(ValueError, match="lin2 must be >= 0"):
+        qseries.fermionic_sum(1, {(0, 0): 2}, [-4], 8)
+
+
 def test_fermionic_sum_requires_growth():
     """A variable with no quadratic or linear contribution cannot be
     bounded, so the enumeration must refuse instead of looping."""
@@ -217,14 +224,33 @@ def monotone_forms(draw):
     nvars = draw(st.integers(1, 3))
     quad2 = {(i, j): draw(st.integers(0, 3))
              for i in range(nvars) for j in range(i, nvars)}
-    # a positive linear term keeps every variable growing
-    lin2 = [draw(st.integers(1, 3)) for _ in range(nvars)]
+    # a positive square or a positive linear term keeps a variable growing
+    lin2 = [draw(st.integers(0 if quad2[(i, i)] else 1, 3))
+            for i in range(nvars)]
     return nvars, quad2, lin2
 
 
-@settings(max_examples=30, deadline=None)
-@given(monotone_forms(), st.integers(0, 14))
+@st.composite
+def dominant_forms(draw):
+    """Diagonally dominant forms with cross terms of either sign: each
+    diagonal exceeds half the absolute off-diagonal row sum by at least 1,
+    so E(n) >= sum n_i^2 >= max(n), as direct_fermionic needs."""
+    nvars = draw(st.integers(2, 3))
+    off = {(i, j): draw(st.integers(-3, 3))
+           for i in range(nvars) for j in range(i + 1, nvars)}
+    quad2 = dict(off)
+    for i in range(nvars):
+        row = sum(abs(v) for (j, k), v in off.items() if i in (j, k))
+        quad2[(i, i)] = draw(st.integers(1 + (row + 1) // 2, 3 + row))
+    lin2 = [draw(st.integers(0, 2)) for _ in range(nvars)]
+    return nvars, quad2, lin2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(monotone_forms(), dominant_forms()), st.integers(0, 18))
 def test_fermionic_sum_matches_direct_products(form, maxdeg2):
+    """Leaf exponents at and next to maxdeg2 test the truncation of the
+    carried series; negative cross terms test the completed-square bound."""
     nvars, quad2, lin2 = form
     assert qseries.fermionic_sum(nvars, quad2, lin2, maxdeg2).c == \
         direct_fermionic(nvars, quad2, lin2, maxdeg2).c
@@ -239,8 +265,10 @@ def test_fermionic_sum_definite_forms_match_direct_products():
     assert qseries.ag_sum(3, 30).c == direct_fermionic(2, ag, [2, 4], 30).c
 
 
-def test_ml_sl4_identity_at_depth_forty():
-    assert qseries.ml_lhs(4, 40).c == qseries.ml_rhs(3, 40).c
+def test_ml_sl4_identity_at_benchmark_depth():
+    """The monotone search (lhs) against the completed-square one (rhs)
+    at the benchmark's depth."""
+    assert qseries.ml_lhs(4, 80).c == qseries.ml_rhs(3, 80).c
 
 
 # ------------------------------------------------------ named characters
@@ -312,8 +340,8 @@ def test_jm_closed_forms_match_sums():
 def test_jm2_closed_forms_match_sums():
     assert qseries.jm2_closed("C3", 20).c == \
         qseries_formula("graphsum:C3", 20).c
-    assert qseries.jm2_closed("C5", 16).c == \
-        qseries_formula("graphsum:C5", 16).c
+    assert qseries.jm2_closed("C5", 60).c == \
+        qseries_formula("graphsum:C5", 60).c
 
 
 def test_ext_vir_pair_equals_triple():
