@@ -8,8 +8,7 @@ combinatorial spanning-set counts.
 
 from .superring import VariableSpec, RingSpec
 from .jetquot import (DEFAULT_MONOMIAL_LIMIT, ResourceLimitError,
-                      enumerate_monomials, ideal_basis, graded_dimension,
-                      hilbert_series, contains)
+                      enumerate_monomials, hilbert_series, contains)
 from .qseries import QSeries
 from .combinat import (compare, leading_term, ColoredRules, GhRules,
                        Dk1Rules, count_constrained)
@@ -24,7 +23,7 @@ __version__ = "1.0.0"
 __all__ = [
     "VariableSpec", "RingSpec",
     "DEFAULT_MONOMIAL_LIMIT", "ResourceLimitError", "enumerate_monomials",
-    "ideal_basis", "graded_dimension", "hilbert_series", "contains",
+    "hilbert_series", "contains",
     "QSeries", "qseries",
     "compare", "leading_term", "ColoredRules", "GhRules", "Dk1Rules",
     "count_constrained",

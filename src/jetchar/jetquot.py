@@ -47,7 +47,11 @@ are the products of the powers with several terms by standard factors,
 restricted to the standard columns, and the rank is smaller by exactly
 the number of monomials left out, so ``#columns - rank`` is unchanged.
 The public functions still take and return ``(base, shift)`` atom tuples
-and ``Fraction`` coefficients.
+and ``Fraction`` coefficients.  Each call builds one slice context,
+:class:`_TPowers`, which also holds the monomial budget;
+:func:`hilbert_series` is the one per-degree loop.  :func:`ideal_basis` and
+:func:`ideal_rows` are internal, but keep their names and take the degree
+second, because ``perfbench`` traces them by name and reads it there.
 """
 
 import math
@@ -278,18 +282,20 @@ def _int_row(columns, poly):
 
 
 class _TPowers:
-    """The atom table, T^j(generator) and standard monomials of one call.
+    """One call's atom table, T^j(generator), standard monomials and budget.
 
-    It packs degrees up to ``top`` and the generators' own.  ``get(i, j)``
+    It packs degrees up to ``top`` and the generators' own, within the
+    monomial budget ``limit`` of each degree.  ``get(i, j)``
     is ``T^j`` of generator ``i`` as terms ``(monomial, int, flips)``: the
     primitive integer polynomial that is a positive multiple of
     ``spec.derive`` applied ``j`` times.  Only ``T^0`` is read from the
     ``Fraction`` generator; each higher power is ``2T`` of the one below
-    (:meth:`_derive`).  ``standard(d, limit)`` lists the monomials of
-    degree ``d`` that no power with a single term divides.
+    (:meth:`_derive`).  ``standard(d)`` lists the monomials of degree
+    ``d`` that no power with a single term divides.
     """
 
-    def __init__(self, spec, top):
+    def __init__(self, spec, top, limit):
+        self.limit = limit
         gens = list(spec.relations) + list(spec.extras)
         gens = [g for g in gens if g]  # odd squares normalise to zero
         self.base_degree2 = [spec.degree2(g) for g in gens]
@@ -309,7 +315,7 @@ class _TPowers:
             powers.append(self._derive(powers[-1]))
         return powers[j]
 
-    def standard(self, degree2, limit):
+    def standard(self, degree2):
         """The packed standard monomials of the degree, in enumeration order.
 
         Built once: every power of degree at most ``degree2`` is made
@@ -323,7 +329,7 @@ class _TPowers:
             cuts = [terms[0][0] for powers in self._terms
                     for terms in powers if len(terms) == 1]
             table = self._tables[degree2] = self.atoms.monomials(
-                degree2, limit, cuts)
+                degree2, self.limit, cuts)
         return table
 
     def _derive(self, terms):
@@ -382,7 +388,7 @@ def _product_row(columns, m, m_odd, terms):
     return row
 
 
-def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
+def ideal_rows(tpowers, degree2):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
@@ -396,9 +402,7 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
     monomials.  A row left empty, or equal to one already taken, is
     skipped.
     """
-    if tpowers is None:
-        tpowers = _TPowers(spec, degree2)
-    table = tpowers.standard(degree2, limit)
+    table = tpowers.standard(degree2)
     odd_bits = tpowers.atoms.odd_bits
     columns = {m: k for k, m in enumerate(table)}
     rows = []
@@ -408,7 +412,7 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
             terms = tpowers.get(i, j)
             if len(terms) < 2:
                 continue
-            for m in tpowers.standard(degree2 - d0 - 2 * j, limit):
+            for m in tpowers.standard(degree2 - d0 - 2 * j):
                 row = _product_row(columns, m, m & odd_bits, terms)
                 key = frozenset(row.items())
                 if key not in seen:
@@ -419,29 +423,24 @@ def ideal_rows(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
     return columns, rows
 
 
-def ideal_basis(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
+def ideal_basis(tpowers, degree2):
     """Echelon basis of the degree slice of the differential ideal.
 
     Returns ``(echelon, n_columns)``; the quotient dimension of the slice is
     ``n_columns - echelon.rank``.
     """
-    columns, rows = ideal_rows(spec, degree2, tpowers=tpowers, limit=limit)
+    columns, rows = ideal_rows(tpowers, degree2)
     ech = Echelon(columns)
     for row in rows:
         ech.insert(row)
     return ech, len(columns)
 
 
-def graded_dimension(spec, degree2, tpowers=None, limit=DEFAULT_MONOMIAL_LIMIT):
-    ech, ncols = ideal_basis(spec, degree2, tpowers=tpowers, limit=limit)
-    return ncols - ech.rank
-
-
 def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2."""
-    tpowers = _TPowers(spec, maxdeg2)
-    return [graded_dimension(spec, d, tpowers=tpowers, limit=limit)
-            for d in range(maxdeg2 + 1)]
+    tpowers = _TPowers(spec, maxdeg2, limit)
+    return [n - ech.rank for ech, n in
+            (ideal_basis(tpowers, d) for d in range(maxdeg2 + 1))]
 
 
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -449,11 +448,9 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     if not poly:
         return True
     degree2 = spec.degree2(poly)
-    tpowers = _TPowers(spec, degree2)
-    ech, _ = ideal_basis(spec, degree2, tpowers=tpowers, limit=limit)
-    encode = tpowers.atoms.encode
-    index = {m: ech.columns.get(encode(m)) for m in poly}
+    tpowers = _TPowers(spec, degree2, limit)
+    ech, _ = ideal_basis(tpowers, degree2)
+    index = {m: ech.columns.get(tpowers.atoms.encode(m)) for m in poly}
     # a monomial off the columns is in the ideal already
     live = {m: c for m, c in poly.items() if index[m] is not None}
     return not ech.reduce(_int_row(index, live))
-

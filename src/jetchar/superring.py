@@ -311,9 +311,9 @@ class RingSpec:
                 exp = 1
                 tail = tail.strip()
                 if tail.startswith("^"):
-                    exp = int(tail[1:])
+                    exp = int(tail[1:]) if tail[1:].strip().isdecimal() else 0
                     if exp < 1:
-                        raise ValueError("exponent below 1 in factor %r" % factor)
+                        raise ValueError("bad exponent in factor %r" % factor)
                 elif tail:
                     raise ValueError("trailing junk in factor %r" % factor)
                 name = name.strip()
@@ -348,7 +348,9 @@ def _split_terms(text):
             cur.append(ch)
     if "".join(cur).strip():
         out.append((sign, "".join(cur)))
-    elif not out:
+    elif out:
+        raise ValueError("polynomial %r ends in an operator" % text)
+    else:
         raise ValueError("empty polynomial string")
     return out
 

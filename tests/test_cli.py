@@ -377,6 +377,19 @@ def test_registry_file_bad_integer_names_line_and_field(tmp_path, text,
         path, lineno, message)
 
 
+def test_registry_file_relation_ending_in_an_operator_is_a_usage_error(
+        tmp_path):
+    """A relation line that lost its last term is refused in one line, not
+    loaded as a different presentation and verified."""
+    path = tmp_path / "cut.txt"
+    path.write_text("[model a]\nvariable x even 2\nrelation x(-1)^2 -\n")
+    proc = _verify_registry(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: registry error: %s: model a: ValueError: "
+                           "polynomial 'x(-1)^2 -' ends in an operator\n"
+                           % path)
+
+
 def test_registry_file_cannot_shadow_builtin(tmp_path):
     path = tmp_path / "shadow.txt"
     path.write_text("[model lattice:2]\nvariable x even 2\n")

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from jetchar import (RingSpec, VariableSpec, ResourceLimitError,
-                     enumerate_monomials, graded_dimension, hilbert_series,
+from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
+                     ResourceLimitError, enumerate_monomials, hilbert_series,
                      contains, models, qseries)
 from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row,
                              _product_row, ideal_rows)
@@ -37,7 +37,7 @@ def test_free_even_ring_counts_partitions():
     spec = xring()
     free = qseries.free_product([(2, "even")], 24)
     for d in range(25):
-        assert graded_dimension(spec, d) == free[d], \
+        assert hilbert_series(spec, d)[d] == free[d], \
             f"free jet dimension at degree2={d}"
 
 
@@ -145,11 +145,25 @@ def test_limit_counts_every_monomial_of_the_degree():
     which 43 are standard."""
     spec = models.get_model("lattice:2").ring()
     assert [len(enumerate_monomials(spec, d)) for d in (8, 10)] == [51, 108]
-    assert len(ideal_rows(spec, 10)[0]) == 43
+    assert len(ideal_rows(_TPowers(spec, 10, 108), 10)[0]) == 43
     assert len(hilbert_series(spec, 8, limit=51)) == 9
     with pytest.raises(ResourceLimitError,
                        match="^more than 51 monomials at degree2=10$"):
         hilbert_series(spec, 12, limit=51)
+
+
+def test_limit_reaches_contains():
+    """contains builds its slice under the same budget: lattice:2 has 108
+    monomials at degree2=10, so a cap of 107 refuses a query there and a
+    cap of 108 answers it."""
+    spec = models.get_model("lattice:2").ring()
+    member, other = spec.parse_poly("x(-1)^2*z(-3)"), spec.parse_poly("z(-5)")
+    for q in (member, other):
+        with pytest.raises(ResourceLimitError,
+                           match="^more than 107 monomials at degree2=10$"):
+            contains(spec, q, limit=107)
+    assert [contains(spec, q, limit=108) for q in (member, other)] == [
+        True, False]
 
 
 # ------------------------------------------------- integer slice builder
@@ -221,10 +235,10 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
     each product row is the Fraction reference restricted to them, and the
     slice spans the reference slice modulo the dead columns."""
     spec = models.get_model(key).ring()
-    tpowers = _TPowers(spec, maxdeg2)
+    tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
     atoms = tpowers.atoms
     for d in range(maxdeg2 + 1):
-        columns, rows = ideal_rows(spec, d, tpowers=tpowers)
+        columns, rows = ideal_rows(tpowers, d)
         full = enumerate_monomials(spec, d)
         products = list(_fraction_products(spec, d))
         dead = set()
@@ -309,7 +323,7 @@ def test_integer_t_matches_fraction_derive(terms):
     poly = spec.poly([t for t in terms if spec.mono_degree2(t[1]) == target])
     assume(poly)
     spec = RingSpec(variables, extras=(poly,))
-    tpowers = _TPowers(spec, target + 12)
+    tpowers = _TPowers(spec, target + 12, DEFAULT_MONOMIAL_LIMIT)
     atoms = tpowers.atoms
     for j in range(7):
         got = tpowers.get(0, j)
@@ -348,9 +362,9 @@ def test_packed_digits_reach_the_top_degree(top, power):
     want = [not ref.reduce(_int_row(columns, q)) for q in queries]
     assert True in want and False in want
     assert [contains(spec, q) for q in queries] == want
-    tpowers = _TPowers(spec, top)
-    ideal_rows(spec, top, tpowers=tpowers)
+    tpowers = _TPowers(spec, top, DEFAULT_MONOMIAL_LIMIT)
+    ideal_rows(tpowers, top)
     with pytest.raises(ValueError, match="above the packed top"):
-        tpowers.standard(top + 1, 10**6)
+        tpowers.standard(top + 1)
     with pytest.raises(ValueError, match="above the packed top"):
         tpowers.get(0, (top - k) // 2 + 1)

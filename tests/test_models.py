@@ -7,6 +7,7 @@ import pytest
 from jetchar import (REGISTRY, adjoint_generators_sl2, get_model, hilbert_series,
                      load_registry_file, matches_expectation, model_keys,
                      qseries_formula, verify, FORMULA_KEYS)
+from jetchar import jetquot
 from jetchar.models import sln_root_pairs
 
 
@@ -183,6 +184,23 @@ def test_verify_flags_odd_odd_pairing_at_nine():
     assert report.verdict == "MISMATCH"
     assert report.mismatch_degree2 == 9
     assert matches_expectation("n1_odd_odd:3:5", report)
+
+
+def test_verify_reads_dimensions_through_jetquot_hilbert_series(monkeypatch):
+    """verify takes its jet dimensions from the module attribute
+    ``jetquot.hilbert_series``, the call perfbench traces: a shifted entry
+    there is the report's jet dimension and its first mismatch."""
+    real = jetquot.hilbert_series
+
+    def shifted(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        dims[6] += 1
+        return dims
+
+    monkeypatch.setattr(jetquot, "hilbert_series", shifted)
+    report = verify("lattice:2", maxdeg2=12)
+    assert report.rows[6]["jet_dim"] == report.rows[6]["character"] + 1
+    assert report.verdict == "MISMATCH" and report.mismatch_degree2 == 6
 
 
 def test_verify_report_dict_shape():

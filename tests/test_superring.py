@@ -250,6 +250,19 @@ def test_parse_poly_rejects_exponents_below_one(text):
         n2_spec().parse_poly(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("h(-1)^2 -", "polynomial 'h(-1)^2 -' ends in an operator"),
+    ("h(-1)^2 +", "polynomial 'h(-1)^2 +' ends in an operator"),
+    ("h(-1)^", "bad exponent in factor 'h(-1)^'"),
+])
+def test_parse_poly_names_a_dangling_operator(text, message):
+    """A text that lost its last term or exponent is refused, not read as
+    the terms before it."""
+    with pytest.raises(ValueError) as exc:
+        n2_spec().parse_poly(text)
+    assert str(exc.value) == message
+
+
 def test_poly_str_zero_and_constant():
     spec = n2_spec()
     assert spec.poly_str({}) == "0"
