@@ -42,10 +42,13 @@ off the slice path.
 Most relations are monomials, so many powers have a single term, and every
 monomial that such a power divides lies in the ideal.  The columns of a
 slice are therefore only the *standard* monomials, those that no
-single-term power divides: the enumerator cuts every other one, the rows
-are the products of the powers with several terms by standard factors,
-restricted to the standard columns, and the rank is smaller by exactly
-the number of monomials left out, so ``#columns - rank`` is unchanged.
+single-term power divides.  Their table for each degree is built from the
+tables below it (:meth:`_Atoms.monomials`): a standard monomial less its
+smallest atom is a standard monomial of lower degree, so only the cuts
+that start at that atom are tested.  The rows are the products of the
+powers with several terms by standard factors, restricted to the standard
+columns, and the rank is smaller by exactly the number of monomials left
+out, so ``#columns - rank`` is unchanged.
 The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  Each call builds one slice context,
 :class:`_TPowers`, which also holds the monomial budget;
@@ -58,6 +61,7 @@ import math
 from bisect import bisect_right
 
 from .qseries import free_product
+from .superring import RingSpec
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
 
@@ -132,58 +136,46 @@ class _Atoms:
             out ^= -1 << (self.width * b + 1)
         return out
 
-    def monomials(self, degree2, limit, cuts=()):
-        """The packed monomials of the doubled degree, in a fixed order.
+    def monomials(self, tables, degree2, cuts):
+        """The packed monomials of the doubled degree that none of the
+        packed monomials ``cuts`` divides, in a fixed order.
 
         The order is ascending in the exponent vector over atom ids (a
-        monomial without an atom comes before those with it).  Odd atoms
-        appear at most once.  A monomial that one of the packed monomials
-        ``cuts`` divides is left out, with its whole subtree.  ``limit``
-        caps the count of all monomials of the degree, cut or not, read off
-        the free jet character before anything is enumerated.
+        monomial without an atom comes before those with it), so the
+        monomials whose atoms are all ``i`` or above form a prefix.  Odd
+        atoms appear at most once.  ``tables[d]`` is the pair (monomials of
+        degree ``d``, prefix length by atom), and the list grows through
+        ``degree2`` a degree at a time: a monomial whose smallest atom is
+        ``i`` is ``x + unit[i]`` for an ``x`` in the prefix of atoms ``i``
+        and above (above ``i`` when ``i`` is odd) of the table
+        ``degree2[i]`` degrees lower, so only the cuts whose smallest atom
+        is ``i`` are tested.  Every cut of degree at most ``d`` must be in
+        ``cuts`` when the table of ``d`` is built.
         """
-        if degree2 < 0:
-            return []
         self.grow(degree2)
-        weights = [(v.weight2, v.parity) for v in self.spec.variables]
-        if free_product(weights, degree2)[degree2] > limit:
-            raise ResourceLimitError(
-                "more than %d monomials at degree2=%d" % (limit, degree2))
-        if 0 in cuts:  # a constant generates the unit ideal
-            return []
         deg, odd, unit, w = self.degree2, self.odd, self.unit, self.width
-        fits = [bisect_right(deg, r) for r in range(degree2 + 1)]
-        guard = sum(unit[:fits[degree2]]) << (w - 1)  # atoms that fit
-        by_top = [[] for _ in range(fits[degree2])]  # cuts by largest id
-        for t in cuts:
-            if sum(deg[a] * k for a, k in self.digits(t)) <= degree2:
-                by_top[(t.bit_length() - 1) // w].append(t)
-        out = []
-
-        def rec(first, remaining, prefix):
-            if remaining == 0:
-                out.append(prefix)
-                return
-            # extend prefix by atoms >= first that fit; each atom's exclusion
-            # comes before its inclusion, hence the descending loop
-            for i in range(fits[remaining] - 1, first - 1, -1):
-                d, u, cut = deg[i], unit[i], by_top[i]
-                mono, left = prefix, remaining
-                while True:
-                    mono += u
-                    left -= d
-                    # every atom below i is placed, so a cut ending in i
-                    # divides mono now or no extension of it by atoms above i
-                    if cut:
-                        g = mono | guard
-                        if any((g - t) & guard == guard for t in cut):
-                            break
-                    rec(i + 1, left, mono)
-                    if odd[i] or left < d:
-                        break
-
-        rec(0, degree2, 0)
-        return out
+        while len(tables) <= degree2:
+            d = len(tables)
+            fits = bisect_right(deg, d)
+            guard = sum(unit[:fits]) << (w - 1)  # atoms that fit
+            by_low = {}  # the cuts within those atoms, by smallest atom
+            for t in cuts:
+                if 0 < t < 1 << (w * fits):
+                    by_low.setdefault(((t & -t).bit_length() - 1) // w,
+                                      []).append(t)
+            out = [0] if d == 0 and 0 not in cuts else []  # 0: unit ideal
+            starts = [len(out)] * (fits + 1)
+            for i in range(fits - 1, -1, -1):
+                below, below_starts = tables[d - deg[i]]
+                n = below_starts[min(i + odd[i], len(below_starts) - 1)]
+                u = unit[i]
+                new = [x + u for x in below[:n]]
+                for t in by_low.get(i, ()):
+                    new = [m for m in new if ((m | guard) - t) & guard != guard]
+                out += new
+                starts[i] = len(out)
+            tables.append((out, starts))
+        return tables[degree2][0]
 
 
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -191,12 +183,15 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
 
     Atoms are taken ascending in the canonical atom order ``(degree2, base,
     shift)``; odd atoms appear at most once.  The result is deterministic and
-    each monomial tuple is already canonical.  The columns of a slice built
-    by :func:`ideal_rows` are the standard monomials of this list, in its
-    order.
+    each monomial tuple is already canonical.  These are the standard
+    monomials of the free ring on ``spec``'s variables, and the columns of
+    a slice built by :func:`ideal_rows` are the standard monomials of this
+    list, in its order.
     """
-    atoms = _Atoms(spec, max(degree2, 0))
-    return [atoms.decode(m) for m in atoms.monomials(degree2, limit)]
+    if degree2 < 0:
+        return []
+    tpowers = _TPowers(RingSpec(spec.variables), degree2, limit)
+    return [tpowers.atoms.decode(m) for m in tpowers.standard(degree2)]
 
 
 class Echelon:
@@ -296,12 +291,14 @@ class _TPowers:
 
     def __init__(self, spec, top, limit):
         self.limit = limit
+        self._weights = [(v.weight2, v.parity) for v in spec.variables]
+        self._free = free_product(self._weights, 0)
         gens = list(spec.relations) + list(spec.extras)
         gens = [g for g in gens if g]  # odd squares normalise to zero
         self.base_degree2 = [spec.degree2(g) for g in gens]
         self.atoms = atoms = _Atoms(spec, max([top, 0] + self.base_degree2))
         atoms.grow(max(self.base_degree2, default=0))
-        self._tables = {}
+        self._tables = []
         self._terms = []
         for g in gens:
             row = _int_row({m: atoms.encode(m) for m in g}, g)
@@ -316,21 +313,32 @@ class _TPowers:
         return powers[j]
 
     def standard(self, degree2):
-        """The packed standard monomials of the degree, in enumeration order.
+        """The packed standard monomials of the degree, in the order of
+        :meth:`_Atoms.monomials`, which builds each table from those below.
 
-        Built once: every power of degree at most ``degree2`` is made
-        first, so no cut that could divide one of them comes later.
+        Every power of degree at most ``degree2`` is made before its table,
+        so no cut that could divide one of them comes later.  ``limit``
+        caps the count of all monomials of the degree, cut or not, read off
+        the free jet character, which is kept to the highest degree asked
+        for so far and doubled when a higher one is asked for.
         """
-        table = self._tables.get(degree2)
-        if table is None:
+        tables = self._tables
+        if degree2 >= len(tables):
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
+            self.atoms.grow(degree2)
+        if degree2 > self._free.maxdeg2:
+            self._free = free_product(self._weights, min(
+                self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
+        if self._free[degree2] > self.limit:
+            raise ResourceLimitError(
+                "more than %d monomials at degree2=%d" % (self.limit, degree2))
+        if degree2 >= len(tables):
             cuts = [terms[0][0] for powers in self._terms
                     for terms in powers if len(terms) == 1]
-            table = self._tables[degree2] = self.atoms.monomials(
-                degree2, self.limit, cuts)
-        return table
+            self.atoms.monomials(tables, degree2, cuts)
+        return tables[degree2][0]
 
     def _derive(self, terms):
         """``2T`` of a list of terms, divided by its positive content.

@@ -5,16 +5,18 @@ dimensions come from product generating functions, the quadratic
 single-variable quotient from constrained-partition counting, and the
 two-supercurrent numbers from the registered model battery.
 """
+import io
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
-                     contains, models, qseries)
+                     cli, contains, models, qseries)
 from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row,
                              _product_row, ideal_rows)
 
@@ -166,6 +168,24 @@ def test_limit_reaches_contains():
         True, False]
 
 
+def test_budget_stops_an_odd_degree_in_verify_and_contains(capsys):
+    """n1_minimal:2 (l even of weight2 4, g odd of weight2 3) has 81
+    monomials at degree2=26 and 101 at the odd degree 27: a cap of 100
+    stops verify there, and refuses a query there that a cap of 101
+    answers."""
+    assert cli.main(["verify", "--model", "n1_minimal:2", "--maxdeg2",
+                     "100000", "--limit", "100"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == (
+        "error: resource cap exceeded for n1_minimal:2: "
+        "more than 100 monomials at degree2=27\n")
+    spec = models.get_model("n1_minimal:2").ring()
+    query = spec.parse_poly("l(-3)*l(-2)^4*g(-5/2)")
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 100 monomials at degree2=27$"):
+        contains(spec, query, limit=100)
+    assert contains(spec, query, limit=101)
+
+
 # ------------------------------------------------- integer slice builder
 
 _ATOM_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -284,8 +304,8 @@ _CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @example([[(1, 1), (1, 0), (1, 0)], [(1, 0), (1, 0), (1, 0)]])
 @example([[(0, 0), (2, 1)], [(2, 0)]])  # odd atoms, alone and in a pair
 def test_pruned_monomials_are_the_undivided_ones(cuts):
-    """Cutting subtrees keeps, in order, exactly the monomials that no cut
-    divides as a multiset."""
+    """Building each table from the cut tables below keeps, in order,
+    exactly the monomials that no cut divides as a multiset."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
     atoms = _Atoms(spec, 15)
@@ -293,11 +313,55 @@ def test_pruned_monomials_are_the_undivided_ones(cuts):
     canons = [spec.normalize(cut) for cut in cuts]
     canons = [c[1] for c in canons if c is not None]  # no odd atom twice
     encoded = [atoms.encode(c) for c in canons]
+    full_tables, cut_tables = [], []
     for d in range(16):
-        full = atoms.monomials(d, 10**6)
-        assert atoms.monomials(d, 10**6, encoded) == [
+        full = atoms.monomials(full_tables, d, ())
+        assert atoms.monomials(cut_tables, d, encoded) == [
             m for m in full
             if not any(_multiset_divides(t, atoms.decode(m)) for t in canons)]
+
+
+def _brute_standard(spec, degree2):
+    """The monomials of the degree that no single-term ``T^j`` of a
+    generator divides, by brute force: multisets of atoms from
+    ``combinations_with_replacement``, kept when their degree is right, no
+    odd atom repeats and no cut divides them, sorted by exponent vector
+    over the atoms in canonical order.  The cuts come from the
+    ``Fraction`` derivation :meth:`RingSpec.derive`."""
+    atoms = sorted(((b, s) for b, v in enumerate(spec.variables)
+                    for s in range((degree2 - v.weight2) // 2 + 1)),
+                   key=spec.atom_key)
+    cuts = []
+    for g in spec.relations + spec.extras:
+        while g and spec.degree2(g) <= degree2:
+            if len(g) == 1:
+                cuts.extend(g)
+            g = spec.derive(g)
+    low = min(v.weight2 for v in spec.variables)
+    out = []
+    for k in range(degree2 // low + 1):
+        # k atoms of degree at least ``low`` leave at most this for each
+        room = degree2 - (k - 1) * low
+        fit = [a for a in atoms if spec.atom_degree2(a) <= room]
+        for mono in combinations_with_replacement(fit, k):
+            if (sum(map(spec.atom_degree2, mono)) == degree2
+                    and not any(spec.atom_odd(a) and mono.count(a) > 1
+                                for a in set(mono))
+                    and not any(_multiset_divides(t, mono) for t in cuts)):
+                out.append(mono)
+    return sorted(out, key=lambda m: [m.count(a) for a in atoms])
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_standard_tables_match_a_brute_force_enumeration(key):
+    """Every registered model's standard monomials of degree2 <= 10, in
+    the order that the column pivoting and contains rely on, equal an
+    enumeration that shares no code with the degree-wise build."""
+    spec = models.get_model(key).ring()
+    tpowers = _TPowers(spec, 10, DEFAULT_MONOMIAL_LIMIT)
+    for d in range(11):
+        got = [tpowers.atoms.decode(m) for m in tpowers.standard(d)]
+        assert got == _brute_standard(spec, d), f"{key} at degree2={d}"
 
 
 _ATOM_TERMS = st.lists(
