@@ -19,8 +19,9 @@ one pass: each color's part lists are tabulated once, keeping only the
 features some boundary reads (the part count of a boundary's t, the
 smallest part of its s), and the colors are folded left to right over
 states (degree, features still needed), each boundary checked as soon
-as both of its colors are placed.  GhRules and Dk1Rules are counted one
-degree at a time.
+as both of its colors are placed.  GhRules and Dk1Rules are counted in
+one pass too: one enumeration up to the truncation records each
+configuration once, at its own degree.
 
 All degrees are doubled integers, matching the rest of the package.
 """
@@ -148,13 +149,7 @@ def count_at(rules, degree2):
     """Number of admissible configurations of one total doubled degree."""
     if degree2 < 0:
         return 0
-    if isinstance(rules, ColoredRules):
-        return count_constrained(rules, degree2)[degree2]
-    if isinstance(rules, GhRules):
-        return _count_gh(degree2)
-    if isinstance(rules, Dk1Rules):
-        return _count_dk1(rules.k, degree2)
-    raise TypeError("unknown constraint set %r" % (rules,))
+    return count_constrained(rules, degree2)[degree2]
 
 
 def count_constrained(rules, maxdeg2):
@@ -162,10 +157,11 @@ def count_constrained(rules, maxdeg2):
     number of admissible configurations of that degree."""
     if isinstance(rules, ColoredRules):
         return _count_colored(rules, maxdeg2)
-    out = QSeries(maxdeg2)
-    for d in range(maxdeg2 + 1):
-        out.c[d] = count_at(rules, d)
-    return out
+    if isinstance(rules, GhRules):
+        return _count_gh(maxdeg2)
+    if isinstance(rules, Dk1Rules):
+        return _count_dk1(rules.k, maxdeg2)
+    raise TypeError("unknown constraint set %r" % (rules,))
 
 
 # -- colored partitions -------------------------------------------------
@@ -258,17 +254,18 @@ def _count_colored(rules, maxdeg2):
 
 # -- Gh monomials --------------------------------------------------------
 
-def _count_gh(degree2):
+def _count_gh(maxdeg2):
     # exponent state per index i: (a_i, b_i, c_i); enumerate indices
-    # ascending, remembering the previous two letters for the clauses.
-    def rec(i, rem, a1, b1, c1, a2, c2):
+    # ascending, remembering the previous two letters for the clauses, and
+    # record each monomial at the index of its last nonzero letter.
+    out = QSeries(maxdeg2)
+    out.c[0] = 1  # the empty monomial
+
+    def rec(i, deg2, a1, b1, c1, a2, c2):
         # a1/b1/c1 are the letters at i-1; a2/c2 at i-2.
-        if rem == 0:
-            # close the (iii) window at i-1, whose c_i entry is zero
-            return 1 if (i - 1 < 2 or a1 + c1 <= 1) else 0
-        if 2 * i > rem and 2 * i + 1 > rem:
-            return 0
-        total = 0
+        rem = maxdeg2 - deg2
+        if 2 * i > rem:
+            return
         da = dc = 2 * i + 1
         db = 2 * i
         for a in (0, 1):
@@ -284,10 +281,13 @@ def _count_gh(degree2):
                     if not _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
                         continue
                     used = a * da + b * db + c * dc
-                    total += rec(i + 1, rem - used, a, b, c, a1, c1)
-        return total
+                    # close the (iii) window at i, whose c_{i+1} entry is zero
+                    if used and (i < 2 or a + c <= 1):
+                        out.c[deg2 + used] += 1
+                    rec(i + 1, deg2 + used, a, b, c, a1, c1)
 
-    return rec(1, degree2, 0, 0, 0, 0, 0)
+    rec(1, 0, 0, 0, 0, 0, 0)
+    return out
 
 
 def _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
@@ -313,12 +313,15 @@ def _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
 
 # -- D_{k,1} partitions ---------------------------------------------------
 
-def _count_dk1(k, degree2):
+def _count_dk1(k, maxdeg2):
     # descending doubled parts; odd >= 3 distinct, even >= 4;
     # window condition against the part k-1 positions earlier.
-    def rec(rem, window):
+    out = QSeries(maxdeg2)
+
+    def rec(deg2, window):
         # window holds the most recent k-1 parts (newest last)
-        total = 1 if rem == 0 else 0
+        out.c[deg2] += 1
+        rem = maxdeg2 - deg2
         start = window[-1] if window else rem
         for p in range(min(start, rem), 2, -1):
             if p % 2 == 0 and p < 4:
@@ -330,7 +333,7 @@ def _count_dk1(k, degree2):
                 need = 2 if anchor % 2 == 1 else 3
                 if anchor - p < need:
                     continue
-            total += rec(rem - p, (window + (p,))[-(k - 1):])
-        return total
+            rec(deg2 + p, (window + (p,))[-(k - 1):])
 
-    return rec(degree2, ())
+    rec(0, ())
+    return out

@@ -48,7 +48,9 @@ smallest atom is a standard monomial of lower degree, so only the cuts
 that start at that atom are tested.  The rows are the products of the
 powers with several terms by standard factors, restricted to the standard
 columns, and the rank is smaller by exactly the number of monomials left
-out, so ``#columns - rank`` is unchanged.
+out, so ``#columns - rank`` is unchanged.  Rows that repeat are not
+filtered: the echelon reduces a repeat to zero, which costs less than
+hashing every row to find the few repeats.
 The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  Each call builds one slice context,
 :class:`_TPowers`, which also holds the monomial budget;
@@ -407,14 +409,13 @@ def ideal_rows(tpowers, degree2):
 
     Only the powers with several terms give rows, and only with standard
     factors ``m``: the other products lie in the span of the left-out
-    monomials.  A row left empty, or equal to one already taken, is
-    skipped.
+    monomials.  A row left empty is skipped; a repeated row is kept, and
+    :meth:`Echelon.insert` reduces it to zero.
     """
     table = tpowers.standard(degree2)
     odd_bits = tpowers.atoms.odd_bits
     columns = {m: k for k, m in enumerate(table)}
     rows = []
-    seen = {frozenset()}  # an empty row counts as taken
     for i, d0 in enumerate(tpowers.base_degree2):
         for j in range((degree2 - d0) // 2 + 1):
             terms = tpowers.get(i, j)
@@ -422,9 +423,7 @@ def ideal_rows(tpowers, degree2):
                 continue
             for m in tpowers.standard(degree2 - d0 - 2 * j):
                 row = _product_row(columns, m, m & odd_bits, terms)
-                key = frozenset(row.items())
-                if key not in seen:
-                    seen.add(key)
+                if row:
                     rows.append(row)
     # Short structured rows first: they pin pivots cheaply and keep fill low.
     rows.sort(key=lambda r: (len(r), min(r)))

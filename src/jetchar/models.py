@@ -96,18 +96,13 @@ def verify(model, maxdeg2=None, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
     dims = jetquot.hilbert_series(model.ring(), maxdeg2, limit)
     char = model.character(maxdeg2)
     span = model.spanning_series(maxdeg2)
-    rows = []
-    mismatch = None
-    for d in range(maxdeg2 + 1):
-        row = {
-            "degree2": d,
-            "spanning": None if span is None else span[d],
-            "jet_dim": dims[d],
-            "character": None if char is None else char[d],
-        }
-        rows.append(row)
-        if char is not None and mismatch is None and dims[d] != char[d]:
-            mismatch = d
+    rows = [{"degree2": d,
+             "spanning": None if span is None else span[d],
+             "jet_dim": dims[d],
+             "character": None if char is None else char[d]}
+            for d in range(maxdeg2 + 1)]
+    mismatch = (None if char is None
+                else char.first_difference(qseries.QSeries(maxdeg2, dims)))
     verdict = "ISO_CONSISTENT" if mismatch is None else "MISMATCH"
     return VerificationReport(model.key, maxdeg2, rows, verdict, mismatch)
 

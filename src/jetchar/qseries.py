@@ -82,9 +82,6 @@ class QSeries:
         n = min(self.maxdeg2, other.maxdeg2)
         return QSeries(n, [self.c[d] - other.c[d] for d in range(n + 1)])
 
-    def __neg__(self):
-        return QSeries(self.maxdeg2, [-v for v in self.c])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QSeries(self.maxdeg2, [v * other for v in self.c])
@@ -99,20 +96,6 @@ class QSeries:
         return QSeries(n, out)
 
     __rmul__ = __mul__
-
-    def invert(self):
-        """Multiplicative inverse; constant term must be a unit (+-1)."""
-        if self.c[0] not in (1, -1):
-            raise ValueError("constant term %r is not a unit" % (self.c[0],))
-        u = self.c[0]
-        out = [0] * (self.maxdeg2 + 1)
-        out[0] = u
-        for d in range(1, self.maxdeg2 + 1):
-            acc = 0
-            for i in range(1, d + 1):
-                acc += self.c[i] * out[d - i]
-            out[d] = -u * acc
-        return QSeries(self.maxdeg2, out)
 
     def shift_up(self, deg2):
         """Multiply by q^(deg2/2)."""
@@ -382,8 +365,9 @@ def n1_character(p, pp, maxdeg2):
     prod (1+q^{i-1/2}) / prod (1-q^i) * sum_{j in Z}
     (q^{j(j p p' + p' - p)/2} - q^{(jp+1)(jp'+1)/2}).
     """
-    if p < 1 or pp < 1:
-        raise ValueError("p and p' must be >= 1")
+    if p < 2 or pp < 2 or p == pp or (pp - p) % 2:
+        raise ValueError("p and p' must be >= 2, distinct and differ by an "
+                         "even number")
     pref = free_product([(1, "odd"), (2, "even")], maxdeg2)
     num = QSeries(maxdeg2)
     j = 0
@@ -586,10 +570,6 @@ def partitions(n, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-PARTITION_STAT_KINDS = ("p", "np", "total_parts", "largest_part_mult_sum",
-                        "two_colored", "even_or_one", "least_vs_greatest")
 
 
 def partition_stats(kind, n):

@@ -204,14 +204,17 @@ def test_expand_unknown_formula():
 @pytest.mark.parametrize("formula", ["theta:0", "n1char:0:0", "theta:-1",
                                      "ml:sl0:rhs", "fs:-1", "poch:-1",
                                      "invpoch:-2", "ml:sl0:lhs", "ml:sl1:rhs",
-                                     "ml:xx3:rhs"])
+                                     "ml:xx3:rhs", "n1char:2:2",
+                                     "n1char:2:3", "n1char:1:1", "n1char:1:3",
+                                     "n1char:1:5"])
 def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
     """These once looped forever (theta:0, n1char:0:0), ended in an
     IndexError traceback (theta:-1, ml:sl0:rhs, fs:-1, the last two from a
     negative variable count in fermionic_sum), printed the sl3 series
-    (ml:xx3:rhs, whose prefix went unread) or printed the series 1 (the
-    rest: an empty product or an empty set of roots); a subprocess bounds a
-    relapse."""
+    (ml:xx3:rhs, whose prefix went unread), printed negative coefficients
+    (n1char:2:2, n1char:2:3) or all zeros (n1char:1:*), which no N=1
+    minimal model has, or printed the series 1 (the rest: an empty product
+    or an empty set of roots); a subprocess bounds a relapse."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "expand", formula],
         capture_output=True, text=True, timeout=60)

@@ -440,6 +440,13 @@ def test_gh_counts_match_brute_force():
         assert count_at(GhRules(), d) == brute_gh(d), f"Gh count at degree2={d}"
 
 
+def test_gh_series_in_one_pass_matches_brute_force():
+    """One enumeration to 14 records every monomial at its own degree,
+    once: not again where trailing zero letters are placed after it."""
+    assert count_constrained(GhRules(), 14).c == [brute_gh(d)
+                                                  for d in range(15)]
+
+
 def test_gh_row_through_ten():
     assert [count_at(GhRules(), d) for d in range(11)] == [
         1, 0, 1, 2, 2, 2, 3, 4, 6, 7, 7]
@@ -473,3 +480,34 @@ def test_dk1_rejects_repeated_half_odd_part():
 def test_dk1_empty_partition_admitted():
     for k in (2, 3, 4):
         assert count_at(Dk1Rules(k), 0) == 1
+
+
+def brute_dk1(k, degree2):
+    """Clause-by-clause transcription of the Dk1Rules docstring: every
+    descending list of doubled parts >= 3 (odd parts >= 3, even parts >= 4)
+    summing to the degree, kept when no odd part repeats and B_j -
+    B_{j+k-1} >= 2 for odd B_j, >= 3 for even B_j."""
+
+    def descending(rem, cap):
+        if rem == 0:
+            yield ()
+            return
+        for p in range(min(rem, cap), 2, -1):
+            for rest in descending(rem - p, p):
+                yield (p,) + rest
+
+    count = 0
+    for parts in descending(degree2, degree2):
+        odd = [p for p in parts if p % 2]
+        if len(set(odd)) != len(odd):
+            continue
+        if all(parts[j] - parts[j + k - 1] >= (2 if parts[j] % 2 else 3)
+               for j in range(len(parts) - k + 1)):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dk1_series_matches_brute_force(k):
+    assert count_constrained(Dk1Rules(k), 20).c == [brute_dk1(k, d)
+                                                    for d in range(21)]

@@ -54,23 +54,6 @@ def test_add_mul_against_convolution():
         assert prod[d] == want, f"convolution at degree2={d}"
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-4, 4), min_size=1, max_size=12),
-       st.sampled_from([1, -1]))
-def test_invert_roundtrip(coeffs, unit):
-    coeffs[0] = unit  # the constant term must be a unit over the integers
-    s = QSeries(len(coeffs) - 1)
-    s.c = list(coeffs)
-    inv = s.invert()
-    assert (s * inv).c == QSeries.one(len(coeffs) - 1).c
-
-
-def test_invert_requires_unit():
-    s = QSeries(4)
-    with pytest.raises(ValueError):
-        s.invert()
-
-
 def test_shift_updown():
     s = qseries.theta_over_eta(3, 10)
     up = s.shift_up(4)
