@@ -65,7 +65,7 @@ def _load_models(registry_path):
     if registry_path:
         try:
             extra = models.load_registry_file(registry_path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError("registry error: %s" % exc)
         for key, model in extra.items():
             if key in table:

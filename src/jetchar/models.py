@@ -561,16 +561,21 @@ def _int_field(path, lineno, field, text):
 
 
 def _record_to_model(path, rec):
-    """A Model whose ring is built and validated now, not at first use."""
+    """A Model whose ring is built and validated now, not at first use.
+
+    Every failure is a ValueError ``PATH: model KEY: MESSAGE``."""
+    where = "%s: model %s: " % (path, rec["key"])
     if not rec["variables"]:
-        raise ValueError("model %s has no variables" % rec["key"])
+        raise ValueError(where + "no variables")
     rec["description"] = rec.get("description") or "user model"
     model = Model(**rec)
     try:
         model.ring()
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("%s: model %s: %s: %s"
-                         % (path, rec["key"], type(exc).__name__, exc))
+        raise ValueError(where + "%s: %s" % (type(exc).__name__, exc))
     if model.character_key is not None:
-        qseries_formula(model.character_key, 0)  # validate the key early
+        try:
+            qseries_formula(model.character_key, 0)  # validate the key early
+        except KeyError as exc:
+            raise ValueError(where + exc.args[0]) from None
     return model

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .superring import _halves
+from .superring import _halves, _signed_sum
 
 
 class QSeries:
@@ -146,10 +146,7 @@ class QSeries:
                 terms.append("%d%s" % (v, q))
         if not terms:
             return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out + " + O(q^{%s})" % _halves(self.maxdeg2 + 1)
+        return _signed_sum(terms) + " + O(q^{%s})" % _halves(self.maxdeg2 + 1)
 
 
 # ---------------------------------------------------------------------

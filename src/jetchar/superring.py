@@ -14,7 +14,8 @@ A monomial is a canonically sorted tuple of ``(base, shift)`` atoms; sorting
 is by ``(degree2, base, shift)``.  Reordering tracks the Koszul sign on odd
 atoms, and a repeated odd atom kills the monomial.  A polynomial is a dict
 mapping monomials to nonzero ``Fraction`` coefficients; the zero polynomial
-is the empty dict.
+is the empty dict.  :meth:`RingSpec.poly` builds every polynomial: the sum,
+product and derivations only list their signed terms for it.
 
 The derivation ``T`` acts on atoms by ``T(x[i]) = -(w/2 + i) * x[i+1]`` and
 extends to polynomials by the Leibniz rule.  ``T`` is even: it never
@@ -61,6 +62,12 @@ def _halves(deg2):
     if deg2 % 2 == 0:
         return str(deg2 // 2)
     return "%d/2" % deg2
+
+
+def _signed_sum(terms):
+    """Join printed terms, folding a leading minus into `` - ``."""
+    return terms[0] + "".join(" - " + t[1:] if t.startswith("-") else " + " + t
+                              for t in terms[1:])
 
 
 class RingSpec:
@@ -114,39 +121,22 @@ class RingSpec:
         """Sort an atom sequence into canonical order.
 
         Returns ``(sign, monomial)`` with ``sign`` in ``{1, -1}``, or ``None``
-        when the monomial vanishes (a repeated odd atom).
+        when the monomial vanishes (a repeated odd atom).  The Koszul sign is
+        the parity of the out-of-order pairs among the odd atoms.
         """
-        atoms = list(atoms)
-        keyed = sorted(range(len(atoms)), key=lambda i: (self.atom_key(atoms[i]), i))
-        # Koszul sign: parity of inversions among odd atoms in the original order.
-        odd_positions = [i for i in range(len(atoms)) if self.atom_odd(atoms[i])]
-        seen = set()
-        for i in odd_positions:
-            if atoms[i] in seen:
-                return None
-            seen.add(atoms[i])
-        inversions = 0
-        odd_ranks = [keyed.index(i) for i in odd_positions]
-        # odd_positions is in original order; count pairs sorted the other way round
-        for a in range(len(odd_ranks)):
-            for b in range(a + 1, len(odd_ranks)):
-                if odd_ranks[a] > odd_ranks[b]:
-                    inversions += 1
-        return (-1 if inversions % 2 else 1, tuple(atoms[i] for i in keyed))
+        atoms = tuple(atoms)
+        odd = [self.atom_key(a) for a in atoms if self.atom_odd(a)]
+        if len(set(odd)) < len(odd):
+            return None
+        inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+        return (-1 if inversions % 2 else 1,
+                tuple(sorted(atoms, key=self.atom_key)))
 
     def mono_degree2(self, mono):
         return sum(self.atom_degree2(a) for a in mono)
 
     def mono_parity(self, mono):
         return sum(1 for a in mono if self.atom_odd(a)) % 2
-
-    def mul_mono(self, m1, m2):
-        """Product of two canonical monomials: ``(sign, monomial)`` or None."""
-        if not m1:
-            return (1, m2)
-        if not m2:
-            return (1, m1)
-        return self.normalize(m1 + m2)
 
     def mono_str(self, mono):
         if not mono:
@@ -165,7 +155,8 @@ class RingSpec:
     # -- polynomials ---------------------------------------------------
 
     def poly(self, terms):
-        """Build a polynomial from ``(coeff, atom-sequence)`` pairs."""
+        """Build a polynomial from ``(coeff, atom-sequence)`` pairs: sort
+        each sequence with its Koszul sign, add it in, drop zero sums."""
         out = {}
         for coeff, atoms in terms:
             norm = self.normalize(atoms)
@@ -185,41 +176,20 @@ class RingSpec:
 
     def var(self, name, shift=0):
         """The jet variable ``name[shift]`` as a polynomial."""
-        return {((self._index[name], shift),): Fraction(1)}
+        return self.poly([(1, (self.atom(name, shift),))])
 
     def add(self, p, q):
-        out = dict(p)
-        for mono, c in q.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return out
+        return self.poly((c, m) for r in (p, q) for m, c in r.items())
 
     def sub(self, p, q):
         return self.add(p, self.scale(q, -1))
 
     def scale(self, p, c):
-        c = Fraction(c)
-        if not c:
-            return {}
-        return {mono: coeff * c for mono, coeff in p.items()}
+        return self.poly((coeff * c, mono) for mono, coeff in p.items())
 
     def mul(self, p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                norm = self.mul_mono(m1, m2)
-                if norm is None:
-                    continue
-                sign, mono = norm
-                c = out.get(mono, Fraction(0)) + c1 * c2 * sign
-                if c:
-                    out[mono] = c
-                else:
-                    out.pop(mono, None)
-        return out
+        return self.poly((c1 * c2, m1 + m2)
+                         for m1, c1 in p.items() for m2, c2 in q.items())
 
     def derivation(self, p, image):
         """Apply the even derivation sending each atom ``a`` to ``image(a)``.
@@ -229,25 +199,15 @@ class RingSpec:
         its image, inserted at that slot, and the product is normalized,
         which supplies the Koszul signs.
         """
-        out = {}
-        for mono, coeff in p.items():
-            for pos, a in enumerate(mono):
-                for imono, icoeff in image(a).items():
-                    norm = self.normalize(mono[:pos] + imono + mono[pos + 1:])
-                    if norm is None:
-                        continue
-                    sign, m = norm
-                    c = out.get(m, Fraction(0)) + coeff * icoeff * sign
-                    if c:
-                        out[m] = c
-                    else:
-                        out.pop(m, None)
-        return out
+        return self.poly((coeff * icoeff, mono[:pos] + imono + mono[pos + 1:])
+                         for mono, coeff in p.items()
+                         for pos, a in enumerate(mono)
+                         for imono, icoeff in image(a).items())
 
     def derive(self, p):
         """Apply the even derivation T once: ``x[i] -> -(w/2 + i) x[i+1]``."""
-        return self.derivation(p, lambda a: {
-            ((a[0], a[1] + 1),): Fraction(-self.atom_degree2(a), 2)})
+        return self.derivation(p, lambda a: self.poly(
+            [(Fraction(-self.atom_degree2(a), 2), ((a[0], a[1] + 1),))]))
 
     def degree2(self, p):
         """Doubled degree of a homogeneous polynomial (0 for the zero poly)."""
@@ -274,10 +234,7 @@ class RingSpec:
             else:
                 term = "%s*%s" % (c, s)
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        return _signed_sum(parts)
 
     # -- parsing (registry files use the same grammar) -------------------
 

@@ -393,6 +393,30 @@ def test_registry_file_relation_ending_in_an_operator_is_a_usage_error(
                            % path)
 
 
+@pytest.mark.parametrize("record, message", [
+    ("variable x even 2\ncharacter theta:2:9\n",
+     "unknown formula key 'theta:2:9'"),
+    ("variable x even 2\ncharacter graphsum:A9\n",
+     "bad formula key 'graphsum:A9': unknown graph shape 'A9' (known: A1, "
+     "A2, A3, A4, A5, A6, C3, C5, L1)"),
+    ("expect ISO_CONSISTENT\n", "no variables"),
+])
+@pytest.mark.parametrize("command", [["verify", "--model", "a"], ["list"]])
+def test_registry_file_bad_record_names_file_and_model(tmp_path, record,
+                                                       message, command):
+    """A record the ring or the character cannot be built from is refused
+    in one unquoted line that names the file and the model."""
+    path = tmp_path / "bad.txt"
+    path.write_text("[model a]\n" + record)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", command[0], "--registry",
+         str(path)] + command[1:],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: registry error: %s: model a: %s\n" % (
+        path, message)
+
+
 def test_registry_file_cannot_shadow_builtin(tmp_path):
     path = tmp_path / "shadow.txt"
     path.write_text("[model lattice:2]\nvariable x even 2\n")

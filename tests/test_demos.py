@@ -3,7 +3,6 @@ the package exports exactly the names it advertises.
 
 Each demo asserts what it prints, so exit status 0 means its claims held.
 """
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +21,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 

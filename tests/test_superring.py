@@ -59,6 +59,38 @@ def test_supercommutativity_basic():
     assert spec.mul(gp, gm) == spec.scale(spec.mul(gm, gp), -1)
 
 
+def _bubble_sort(spec, atoms):
+    """Canonical order by adjacent swaps, with the sign (-1)^(swaps of two
+    odd atoms), or None when an odd atom repeats."""
+    odd = [spec.variables[base].odd for base, _ in atoms]
+    if any(o and atoms.count(a) > 1 for a, o in zip(atoms, odd)):
+        return None
+    key = lambda a: (spec.variables[a[0]].weight2 + 2 * a[1], a[0], a[1])
+    atoms, sign = list(atoms), 1
+    for end in range(len(atoms) - 1, 0, -1):
+        for i in range(end):
+            if key(atoms[i]) > key(atoms[i + 1]):
+                if odd[i] and odd[i + 1]:
+                    sign = -sign
+                atoms[i], atoms[i + 1] = atoms[i + 1], atoms[i]
+                odd[i], odd[i + 1] = odd[i + 1], odd[i]
+    return sign, tuple(atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+def test_normalize_matches_bubble_sort(atoms, coeff):
+    """normalize agrees with sorting by adjacent swaps on a ring with two
+    odd variables and one even one; a polynomial minus itself, or scaled
+    by zero, is the empty dict."""
+    spec = n2_spec()
+    assert spec.normalize(atoms) == _bubble_sort(spec, atoms)
+    p = spec.poly([(coeff, atoms), (1, atoms[::-1])])
+    assert spec.scale(p, 0) == {}
+    assert spec.add(p, spec.scale(p, -1)) == {}
+
+
 def test_derive_single_atom():
     """T(x[i]) = -(weight2 + 2i)/2 * x[i+1]."""
     spec = n2_spec()
