@@ -28,9 +28,8 @@ with ``w = top.bit_length() + 1``.  Every atom has doubled degree at least
 ``top``: bit ``w - 1`` of every digit is a free guard bit, digits never
 carry, and a degree above ``top`` is refused.  So a product is the sum of
 the packed forms (a shared odd atom gives a digit 2, which no column has,
-so that product falls off the columns), its Koszul sign is one masked bit
-count (:meth:`_Atoms.flips`), and ``t`` divides ``m`` exactly when
-``((m | guard) - t) & guard == guard``.  Only ``w`` depends on ``top``:
+so that product falls off the columns), and its Koszul sign is one masked
+bit count (:meth:`_Atoms.flips`).  Only ``w`` depends on ``top``:
 the table still grows lazily, and each degree's monomial budget is checked
 before it is enumerated.  Each ``T^j(g)`` is computed once per call and
 stored packed as a primitive integer polynomial: ``T^0`` is the generator
@@ -40,27 +39,37 @@ with an integer factor), so :meth:`RingSpec.derive` and ``Fraction`` stay
 off the slice path.
 
 Most relations are monomials, so many powers have a single term, and every
-monomial that such a power divides lies in the ideal.  The columns of a
-slice are therefore only the *standard* monomials, those that no
-single-term power divides.  Their table for each degree is built from the
-tables below it (:meth:`_Atoms.monomials`): a standard monomial less its
-smallest atom is a standard monomial of lower degree, so only the cuts
-that start at that atom are tested.  The rows are the products of the
-powers with several terms by standard factors, restricted to the standard
-columns, and the rank is smaller by exactly the number of monomials left
-out, so ``#columns - rank`` is unchanged.  Rows that repeat are not
-filtered: the echelon reduces a repeat to zero, which costs less than
-hashing every row to find the few repeats.
+monomial that such a power divides lies in the ideal.  So does every
+monomial ``c`` that a slice's echelon pivots on alone (a pivot row
+``{c: 1}``): :func:`hilbert_series` *learns* these as cuts, after the
+echelon of their degree, and no slice above spends columns, factors or
+rows on their multiples again.  The columns of a slice are therefore only
+the *standard* monomials, those that no cut divides: no single-term power
+and no learned monomial of lower degree.  Their table for each degree is
+built from the tables below it (:meth:`_Atoms.monomials`): a standard
+monomial less its smallest atom is a standard monomial of lower degree,
+so only the cuts that start at that atom can divide it, and their
+multiples in the block are made from the lower tables and removed in one
+set difference.  The rows are the products of the powers with several
+terms by standard factors, restricted to the standard columns.  A
+monomial left out is in the ideal, and a product with a factor left out
+lands on monomials left out only, so the rank is smaller by exactly the
+number of monomials left out and ``#columns - rank`` is unchanged.  Rows
+that repeat are not filtered: the echelon reduces a repeat to zero, which
+costs less than hashing every row to find the few repeats.
+
 The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  Each call builds one slice context,
 :class:`_TPowers`, which also holds the monomial budget;
-:func:`hilbert_series` is the one per-degree loop.  :func:`ideal_basis` and
-:func:`ideal_rows` are internal, but keep their names and take the degree
-second, because ``perfbench`` traces them by name and reads it there.
+:func:`hilbert_series` is the one per-degree loop, and the only caller
+that learns cuts (:func:`contains` builds a single slice).
+:func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
+names and take the degree second, because ``perfbench`` traces them by
+name and reads it there.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .qseries import free_product
 from .superring import RingSpec
@@ -77,7 +86,8 @@ class _Atoms:
 
     ``atom[i]`` is the ``(base, shift)`` atom with id ``i``, ``degree2[i]``
     its doubled degree, ``odd[i]`` its parity and ``unit[i]`` its packed
-    form ``1 << (width * i)``; ``ids`` maps an atom to its id, and
+    form ``1 << (width * i)``, and ``next[i]`` the id of the atom one shift
+    up (``None`` past the table); ``ids`` maps an atom to its id, and
     ``odd_bits`` is the sum of the odd units.  The table holds every atom
     of doubled degree at most ``grown``, and grows up to ``top``.
     """
@@ -109,6 +119,7 @@ class _Atoms:
         self.odd = [spec.atom_odd(a) for a in self.atom]
         self.unit = [1 << (self.width * i) for i in range(len(self.atom))]
         self.odd_bits = sum(u for u, o in zip(self.unit, self.odd) if o)
+        self.next = [self.ids.get((b, s + 1)) for b, s in self.atom]
         self.grown = degree2
 
     def encode(self, mono):
@@ -117,12 +128,13 @@ class _Atoms:
 
     def digits(self, p):
         """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
-        w, a = self.width, 0
+        w = self.width
         mask = (1 << w) - 1
         while p:
-            if p & mask:
-                yield a, p & mask
-            p, a = p >> w, a + 1
+            a = ((p & -p).bit_length() - 1) // w  # the lowest nonzero digit
+            k = p >> (w * a) & mask
+            yield a, k
+            p -= k << (w * a)
 
     def decode(self, p):
         """The canonical atom-tuple monomial of a packed one."""
@@ -140,44 +152,55 @@ class _Atoms:
 
     def monomials(self, tables, degree2, cuts):
         """The packed monomials of the doubled degree that none of the
-        packed monomials ``cuts`` divides, in a fixed order.
+        ``cuts`` divides, in a fixed order.
 
-        The order is ascending in the exponent vector over atom ids (a
-        monomial without an atom comes before those with it), so the
-        monomials whose atoms are all ``i`` or above form a prefix.  Odd
-        atoms appear at most once.  ``tables[d]`` is the pair (monomials of
-        degree ``d``, prefix length by atom), and the list grows through
+        A cut is a pair (packed monomial, its doubled degree).  The order
+        is ascending in the exponent vector over atom ids (a monomial
+        without an atom comes before those with it), so the monomials
+        whose atoms are all ``i`` or above form a prefix.  Odd atoms appear
+        at most once.  ``tables[d]`` is the pair (monomials of degree
+        ``d``, prefix length by atom), and the list grows through
         ``degree2`` a degree at a time: a monomial whose smallest atom is
         ``i`` is ``x + unit[i]`` for an ``x`` in the prefix of atoms ``i``
         and above (above ``i`` when ``i`` is odd) of the table
         ``degree2[i]`` degrees lower, so only the cuts whose smallest atom
-        is ``i`` are tested.  Every cut of degree at most ``d`` must be in
-        ``cuts`` when the table of ``d`` is built.
+        is ``i`` can divide it.  Their multiples are made, not tested for:
+        each is ``t + y`` with ``y`` from the same prefix of the table
+        ``deg(t)`` degrees lower, and the block drops them in one set
+        difference.  That finds every one, because when ``t`` divides
+        ``x + unit[i]``, ``y`` divides ``x``, so ``y`` is standard and in
+        that prefix.  Every cut of degree at most ``d`` must be in ``cuts``
+        when the table of ``d`` is built.
         """
         self.grow(degree2)
         deg, odd, unit, w = self.degree2, self.odd, self.unit, self.width
         while len(tables) <= degree2:
             d = len(tables)
             fits = bisect_right(deg, d)
-            guard = sum(unit[:fits]) << (w - 1)  # atoms that fit
-            by_low = {}  # the cuts within those atoms, by smallest atom
-            for t in cuts:
-                if 0 < t < 1 << (w * fits):
+            by_low = {}  # the cuts of degree at most d, by smallest atom
+            for t, e in cuts:
+                if 0 < e <= d:
                     by_low.setdefault(((t & -t).bit_length() - 1) // w,
-                                      []).append(t)
-            out = [0] if d == 0 and 0 not in cuts else []  # 0: unit ideal
+                                      []).append((t, e))
+            out = [0] if d == 0 and (0, 0) not in cuts else []  # unit ideal
             starts = [len(out)] * (fits + 1)
             for i in range(fits - 1, -1, -1):
-                below, below_starts = tables[d - deg[i]]
-                n = below_starts[min(i + odd[i], len(below_starts) - 1)]
-                u = unit[i]
-                new = [x + u for x in below[:n]]
-                for t in by_low.get(i, ()):
-                    new = [m for m in new if ((m | guard) - t) & guard != guard]
+                start, u = i + odd[i], unit[i]
+                new = [x + u for x in _prefix(tables[d - deg[i]], start)]
+                if i in by_low:
+                    multiples = {t + y for t, e in by_low[i]
+                                 for y in _prefix(tables[d - e], start)}
+                    new = [m for m in new if m not in multiples]
                 out += new
                 starts[i] = len(out)
             tables.append((out, starts))
         return tables[degree2][0]
+
+
+def _prefix(table, i):
+    """The monomials of a table whose atoms are all ``i`` or above."""
+    monomials, starts = table
+    return monomials[:starts[min(i, len(starts) - 1)]]
 
 
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -288,7 +311,8 @@ class _TPowers:
     ``spec.derive`` applied ``j`` times.  Only ``T^0`` is read from the
     ``Fraction`` generator; each higher power is ``2T`` of the one below
     (:meth:`_derive`).  ``standard(d)`` lists the monomials of degree
-    ``d`` that no power with a single term divides.
+    ``d`` that no cut divides: no power with a single term, and no
+    monomial that :meth:`cut` was given.
     """
 
     def __init__(self, spec, top, limit):
@@ -301,6 +325,7 @@ class _TPowers:
         self.atoms = atoms = _Atoms(spec, max([top, 0] + self.base_degree2))
         atoms.grow(max(self.base_degree2, default=0))
         self._tables = []
+        self._learned = []  # (packed monomial, degree2) given to cut
         self._terms = []
         for g in gens:
             row = _int_row({m: atoms.encode(m) for m in g}, g)
@@ -318,18 +343,21 @@ class _TPowers:
         """The packed standard monomials of the degree, in the order of
         :meth:`_Atoms.monomials`, which builds each table from those below.
 
-        Every power of degree at most ``degree2`` is made before its table,
-        so no cut that could divide one of them comes later.  ``limit``
-        caps the count of all monomials of the degree, cut or not, read off
-        the free jet character, which is kept to the highest degree asked
-        for so far and doubled when a higher one is asked for.
+        The atom table is grown to the degree first, and then every power
+        of degree at most ``degree2`` is made before its table, so no cut
+        that could divide one of them comes later.  Besides the powers with
+        a single term, the cuts are the monomials learned by :meth:`cut`,
+        which leave the tables above theirs.  ``limit`` caps the count of
+        all monomials of the degree, cut or not, read off the free jet
+        character, which is kept to the highest degree asked for so far and
+        doubled when a higher one is asked for.
         """
         tables = self._tables
         if degree2 >= len(tables):
+            self.atoms.grow(degree2)
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
-            self.atoms.grow(degree2)
         if degree2 > self._free.maxdeg2:
             self._free = free_product(self._weights, min(
                 self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
@@ -337,10 +365,31 @@ class _TPowers:
             raise ResourceLimitError(
                 "more than %d monomials at degree2=%d" % (self.limit, degree2))
         if degree2 >= len(tables):
-            cuts = [terms[0][0] for powers in self._terms
-                    for terms in powers if len(terms) == 1]
-            self.atoms.monomials(tables, degree2, cuts)
+            cuts = [(terms[0][0], d0 + 2 * j)
+                    for d0, powers in zip(self.base_degree2, self._terms)
+                    for j, terms in enumerate(powers) if len(terms) == 1]
+            self.atoms.monomials(tables, degree2, cuts + self._learned)
         return tables[degree2][0]
+
+    def cut(self, degree2, monomials):
+        """Learn that the packed ``monomials`` of the degree lie in the
+        ideal: drop them from the table of the degree, and their multiples
+        from every table built after it.
+
+        A product with a multiple of a learned cut is a multiple too, so it
+        leaves the factors as well as the columns, and ``#columns - rank``
+        stays the quotient dimension.  Only the newest table can be cut,
+        because the tables above it would still hold the multiples.
+        """
+        if degree2 != len(self._tables) - 1:
+            raise ValueError("cannot cut degree2=%d: the newest table is %d"
+                             % (degree2, len(self._tables) - 1))
+        drop = set(monomials)
+        table, starts = self._tables[degree2]
+        gone = [k for k, m in enumerate(table) if m in drop]
+        self._tables[degree2] = ([m for m in table if m not in drop],
+                                 [s - bisect_left(gone, s) for s in starts])
+        self._learned += [(m, degree2) for m in drop]
 
     def _derive(self, terms):
         """``2T`` of a list of terms, divided by its positive content.
@@ -352,13 +401,12 @@ class _TPowers:
         present.
         """
         atoms = self.atoms
-        ids, deg, unit = atoms.ids, atoms.degree2, atoms.unit
+        nxt, deg, unit = atoms.next, atoms.degree2, atoms.unit
         out = {}
         for t, c, _ in terms:
             t_odd = t & atoms.odd_bits
             for a, k in atoms.digits(t):
-                base, shift = atoms.atom[a]
-                b = ids[(base, shift + 1)]
+                b = nxt[a]
                 f = -deg[a] * k * c
                 if atoms.odd[a]:
                     if t & unit[b]:
@@ -444,10 +492,22 @@ def ideal_basis(tpowers, degree2):
 
 
 def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2."""
+    """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2.
+
+    A pivot with a single column ``{c: 1}`` shows that the monomial ``c``
+    lies in the ideal, so after each degree's echelon those monomials are
+    cut (:meth:`_TPowers.cut`): the slices above leave out their multiples,
+    as columns and as factors, and do not spend rows on them again.
+    """
     tpowers = _TPowers(spec, maxdeg2, limit)
-    return [n - ech.rank for ech, n in
-            (ideal_basis(tpowers, d) for d in range(maxdeg2 + 1))]
+    dims = []
+    for d in range(maxdeg2 + 1):
+        ech, n = ideal_basis(tpowers, d)
+        dims.append(n - ech.rank)
+        table = tpowers.standard(d)
+        tpowers.cut(d, [table[c] for c, row in ech.pivots.items()
+                        if len(row) == 1])
+    return dims
 
 
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):

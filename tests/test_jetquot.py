@@ -18,7 +18,7 @@ from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, models, qseries)
 from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row,
-                             _product_row, ideal_rows)
+                             _product_row, ideal_basis, ideal_rows)
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -321,16 +321,18 @@ _CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @example([[(1, 0), (1, 0)]])  # h[0]^2: a repeated even atom
 @example([[(1, 1), (1, 0), (1, 0)], [(1, 0), (1, 0), (1, 0)]])
 @example([[(0, 0), (2, 1)], [(2, 0)]])  # odd atoms, alone and in a pair
+@example([[(1, 0), (1, 0)], [(1, 0), (1, 1)]])  # both divide h[0]^2 h[1]
 def test_pruned_monomials_are_the_undivided_ones(cuts):
     """Building each table from the cut tables below keeps, in order,
-    exactly the monomials that no cut divides as a multiset."""
+    exactly the monomials that no cut divides as a multiset; each cut is
+    given with its degree."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
     atoms = _Atoms(spec, 15)
     atoms.grow(7)  # the largest atom drawn is g at shift 2
     canons = [spec.normalize(cut) for cut in cuts]
     canons = [c[1] for c in canons if c is not None]  # no odd atom twice
-    encoded = [atoms.encode(c) for c in canons]
+    encoded = [(atoms.encode(c), spec.mono_degree2(c)) for c in canons]
     full_tables, cut_tables = [], []
     for d in range(16):
         full = atoms.monomials(full_tables, d, ())
@@ -380,6 +382,92 @@ def test_standard_tables_match_a_brute_force_enumeration(key):
     for d in range(11):
         got = [tpowers.atoms.decode(m) for m in tpowers.standard(d)]
         assert got == _brute_standard(spec, d), f"{key} at degree2={d}"
+
+
+def test_only_the_newest_table_can_be_cut():
+    """A cut below the newest table would leave its multiples in the
+    tables above it, so it is refused; the newest table loses the cut."""
+    spec = xring(weight2=1)
+    tpowers = _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT)
+    tpowers.standard(4)
+    x = tpowers.atoms.encode(((0, 0),))
+    for degree2 in (3, 5):
+        with pytest.raises(ValueError, match="the newest table is 4$"):
+            tpowers.cut(degree2, [])
+    assert 4 * x in tpowers.standard(4)
+    tpowers.cut(4, [4 * x])
+    assert 4 * x not in tpowers.standard(4)
+    assert 5 * x not in tpowers.standard(5)
+    assert 5 * x in _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT).standard(5)
+
+
+def _learning_check(spec, maxdeg2):
+    """hilbert_series equals a path that learns nothing, one fresh slice
+    per degree; every cut it learns, decoded, is in the ideal; and its
+    standard tables are those of a call that learns nothing, less every
+    multiple of a learned cut."""
+    learned, called = [], []
+    cut = _TPowers.cut
+
+    def record(self, degree2, monomials):
+        called.append(self)
+        learned.extend(self.atoms.decode(m) for m in monomials)
+        cut(self, degree2, monomials)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TPowers, "cut", record)
+        dims = hilbert_series(spec, maxdeg2)
+    fresh = [n - ech.rank for ech, n in
+             (ideal_basis(_TPowers(spec, d, DEFAULT_MONOMIAL_LIMIT), d)
+              for d in range(maxdeg2 + 1))]
+    assert dims == fresh
+    assert all(contains(spec, {m: Fraction(1)}) for m in learned)
+    plain = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
+    for d in range(maxdeg2 + 1):
+        assert called[-1].standard(d) == [
+            m for m in plain.standard(d) if not any(
+                _multiset_divides(t, plain.atoms.decode(m)) for t in learned)]
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_learned_cuts_keep_the_series(key):
+    """Every registered model at min(its default truncation, 14)."""
+    model = models.get_model(key)
+    _learning_check(model.ring(), min(model.default_maxdeg2, 14))
+
+
+_PRESENTATIONS = st.tuples(
+    st.lists(st.tuples(st.sampled_from(("even", "odd")), st.integers(1, 3)),
+             min_size=1, max_size=3),
+    st.lists(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
+                                st.lists(st.integers(0, 2), min_size=1,
+                                         max_size=3)),
+                      min_size=1, max_size=2),
+             min_size=1, max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRESENTATIONS)
+@example(([("even", 1), ("even", 2), ("odd", 3)],  # a^2 - b and c a:
+          [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]]))  # learns b(-1)c(-3/2)
+def test_learned_cuts_keep_random_series(presentation):
+    """Monomial and binomial relations on one to three variables, odd
+    ones included, through degree2 10."""
+    weights, relations = presentation
+    variables = [VariableSpec("v%d" % i, parity, weight2)
+                 for i, (parity, weight2) in enumerate(weights)]
+    spec = RingSpec(variables)
+    polys = []
+    for terms in relations:
+        terms = [(c, [(v % len(variables), 0) for v in mono])
+                 for c, mono in terms]
+        target = spec.mono_degree2(terms[0][1])
+        poly = spec.poly([t for t in terms
+                          if spec.mono_degree2(t[1]) == target])
+        if poly:
+            polys.append(poly)
+    assume(polys)
+    _learning_check(RingSpec(variables, polys), 10)
 
 
 _ATOM_TERMS = st.lists(
