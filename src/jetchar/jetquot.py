@@ -18,21 +18,28 @@ ordering, generator order, or scalar rescalings of the generators.
 
 Slices are built on integers only.  The jet atoms ``(base, shift)`` are
 numbered in the canonical atom order ``(degree2, base, shift)``; the table
-grows a whole degree at a time, so an id never changes once given.  A
-monomial with multiplicity ``k_a`` of atom ``a`` is the *packed* integer
-``sum(k_a << (w * a))`` (packed exponent vectors: Monagan and Pearce, CASC
-2007).  A :func:`hilbert_series` or :func:`contains` call packs degrees up
-to ``top`` (its ``maxdeg2`` or query degree, and the generators' degrees)
-with ``w = top.bit_length() + 1``.  Every atom has doubled degree at least
-1, so no digit of a monomial or product of degree at most ``top`` exceeds
-``top``: bit ``w - 1`` of every digit is a free guard bit, digits never
-carry, and a degree above ``top`` is refused.  So a product is the sum of
-the packed forms (a shared odd atom gives a digit 2, which no column has,
-so that product falls off the columns), and its Koszul sign is one masked
-bit count (:meth:`_Atoms.flips`).  Only ``w`` depends on ``top``:
-the table still grows lazily, and each degree's monomial budget is checked
-before it is enumerated.  Each ``T^j(g)`` is computed once per call and
-stored packed as a primitive integer polynomial: ``T^0`` is the generator
+grows a degree at a time by appending that degree's atoms, so an id never
+changes once given.  A monomial with multiplicity ``k_a`` of atom ``a`` is
+the *packed* integer ``sum(k_a << (s + w * a)) + grade`` (packed exponent
+vectors: Monagan and Pearce, CASC 2007).  A :func:`hilbert_series` or
+:func:`contains` call packs degrees up to ``top`` (its ``maxdeg2`` or query
+degree, and the generators' degrees) with ``w = top.bit_length() + 1``.
+Every atom has doubled degree at least 1, so no digit of a monomial or
+product of degree at most ``top`` exceeds ``top``: bit ``w - 1`` of every
+digit is a free guard bit, digits never carry, and a degree above ``top``
+is refused.  The lowest ``s`` bits hold the *grade*: the relations are
+homogeneous for a lattice of charges on the base variables (each term of
+a generator has the same weighted count of each base, and ``T`` keeps the
+bases), and the grade packs a monomial's charges, one field each, lifted
+by a multiple of its degree to stay non-negative (:class:`_Atoms`).  So a
+product is the sum of the packed forms, grade included (a shared odd atom
+gives a digit 2, which no column has, so that product falls off the
+columns), and its Koszul sign is one masked bit count
+(:meth:`_Atoms.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
+also on the charges), never on the atom count: the table still grows
+lazily, and each degree's monomial budget is checked before it is
+enumerated.  Each ``T^j(g)`` is computed once per call and stored packed
+as a primitive integer polynomial: ``T^0`` is the generator
 with its denominators cleared, and each higher power applies the scaled
 derivation ``2T`` on the packed form (one digit moves to the next shift
 with an integer factor), so :meth:`RingSpec.derive` and ``Fraction`` stay
@@ -62,8 +69,11 @@ The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  Each call builds one slice context,
 :class:`_TPowers`, which also holds the monomial budget;
 :func:`hilbert_series` is the one per-degree loop, and the only caller
-that learns cuts (:func:`contains` builds a single slice).
-:func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
+that learns cuts.  :func:`contains` builds a single slice, and of it only
+the rows in its query's grades: every row ``m * T^j(g)`` lies in one
+grade, and rows of different grades share no column, so the other blocks
+cannot change the answer.  :func:`ideal_basis` and :func:`ideal_rows` are
+internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
 """
@@ -81,55 +91,144 @@ class ResourceLimitError(RuntimeError):
     """Raised when a graded piece exceeds the monomial budget."""
 
 
+def _charge_lattice(spec):
+    """An integer basis of the charges of the ring's generators.
+
+    A charge is a vector ``q`` over the base variables for which every
+    term of a generator has the same ``q . (count of each base)``: the
+    kernel of the count differences between the terms of each generator.
+    A fraction-free row reduction keeps every pivot row zero at the other
+    pivots, so each basis vector is positive at its own free base, zero
+    at the other free bases, and fixed by the pivot rows at the pivots.
+    """
+    n = len(spec.variables)
+    pivots = {}  # pivot base -> primitive integer row, zero at other pivots
+    for g in spec.relations + spec.extras:
+        monos = list(g)
+        for mono in monos[1:]:
+            row = [0] * n
+            for base, _ in mono:
+                row[base] += 1
+            for base, _ in monos[0]:
+                row[base] -= 1
+            for p, prow in pivots.items():
+                if row[p]:
+                    row = [a * prow[p] - row[p] * b
+                           for a, b in zip(row, prow)]
+            lead = next((c for c, v in enumerate(row) if v), None)
+            if lead is not None:
+                row = _primitive(row)
+                for p, prow in pivots.items():
+                    if prow[lead]:
+                        pivots[p] = _primitive([a * row[lead] - prow[lead] * b
+                                                for a, b in zip(prow, row)])
+                pivots[lead] = row
+    basis = []
+    for free in (b for b in range(n) if b not in pivots):
+        scale = math.lcm(*(prow[p] for p, prow in pivots.items()
+                           if prow[free]))
+        basis.append(_primitive([
+            -pivots[b][free] * scale // pivots[b][b] if b in pivots
+            else scale * (b == free) for b in range(n)]))
+    return basis
+
+
+def _primitive(v):
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v]
+
+
 class _Atoms:
     """The jet atoms of a ring, numbered in canonical atom order.
 
     ``atom[i]`` is the ``(base, shift)`` atom with id ``i``, ``degree2[i]``
-    its doubled degree, ``odd[i]`` its parity and ``unit[i]`` its packed
-    form ``1 << (width * i)``, and ``next[i]`` the id of the atom one shift
-    up (``None`` past the table); ``ids`` maps an atom to its id, and
-    ``odd_bits`` is the sum of the odd units.  The table holds every atom
-    of doubled degree at most ``grown``, and grows up to ``top``.
+    its doubled degree, ``odd[i]`` its parity, ``next[i]`` the id of the
+    atom one shift up (``None`` past the table), and ``ids`` maps an atom
+    to its id.  The table holds every atom of doubled degree at most
+    ``grown``, and grows up to ``top``.
+
+    A packed monomial has two parts.  The atom digits sit above the lowest
+    ``grade_bits`` bits: ``bit[i] = 1 << (grade_bits + width * i)`` is one
+    copy of atom ``i``, and ``odd_bits`` is the sum of the odd ``bit``.
+    The bits below hold the monomial's *grade* (``p & grade_mask``): its
+    charges, one field of ``field`` bits each.  ``charges`` is an integer
+    basis of the vectors ``q`` over the base variables for which every
+    term of every generator has the same charge ``q . (count of each
+    base)``.  ``T`` keeps the bases, so every ``T^j(g)`` has one grade
+    too.  A field holds the charge plus ``lift`` times the doubled degree,
+    which keeps it non-negative, and no field of a monomial of degree at
+    most ``top`` overflows, so ``unit[i] = bit[i] + grade of atom i`` is
+    the packed form of atom ``i`` and a product is still one addition.
+    The widths depend on ``top`` and the charges, never on the atom count,
+    so the table can grow without repacking.
     """
 
     def __init__(self, spec, top):
         self.spec = spec
         self.top = top
         self.width = top.bit_length() + 1
+        self.charges = _charge_lattice(spec)
+        self.lift = [-min(0, *q) for q in self.charges]
+        # each vector has a positive charge, so a field of a monomial of
+        # degree d is at most d * (its largest charge + its lift)
+        self.field = (top * max([max(q) + s for q, s in zip(
+            self.charges, self.lift)], default=0)).bit_length()
+        self.grade_bits = self.field * len(self.charges)
+        self.grade_mask = (1 << self.grade_bits) - 1
+        self.atom, self.ids, self.degree2, self.odd = [], {}, [], []
+        self.next, self.bit, self.unit = [], [], []
+        self.odd_bits = 0
         self.grown = -1
         self.grow(0)
 
     def grow(self, degree2):
         """Number every atom of doubled degree at most ``degree2``.
 
-        The order is degree-first, so the atoms already numbered keep their
-        ids: they are a prefix of the new table.
+        The order is degree-first, and bases ascend within a degree, so
+        each new degree only appends its atoms: the ids already given stay.
         """
         if degree2 <= self.grown:
             return
         if degree2 > self.top:
             raise ValueError("degree2=%d is above the packed top %d"
                              % (degree2, self.top))
-        spec = self.spec
-        atoms = [(base, shift) for base, v in enumerate(spec.variables)
-                 for shift in range((degree2 - v.weight2) // 2 + 1)]
-        self.atom = sorted(atoms, key=spec.atom_key)
-        self.ids = {a: i for i, a in enumerate(self.atom)}
-        self.degree2 = [spec.atom_degree2(a) for a in self.atom]
-        self.odd = [spec.atom_odd(a) for a in self.atom]
-        self.unit = [1 << (self.width * i) for i in range(len(self.atom))]
-        self.odd_bits = sum(u for u, o in zip(self.unit, self.odd) if o)
-        self.next = [self.ids.get((b, s + 1)) for b, s in self.atom]
+        variables, f = self.spec.variables, self.field
+        for d in range(self.grown + 1, degree2 + 1):
+            for base, v in enumerate(variables):
+                if v.weight2 > d or (d - v.weight2) % 2:
+                    continue
+                i, shift = len(self.atom), (d - v.weight2) // 2
+                self.atom.append((base, shift))
+                self.ids[base, shift] = i
+                self.degree2.append(d)
+                self.odd.append(v.odd)
+                self.next.append(None)
+                if shift:
+                    self.next[self.ids[base, shift - 1]] = i
+                bit = 1 << (self.grade_bits + self.width * i)
+                self.bit.append(bit)
+                self.unit.append(bit + sum(
+                    (q[base] + s * d) << (f * k) for k, (q, s) in
+                    enumerate(zip(self.charges, self.lift))))
+                if v.odd:
+                    self.odd_bits += bit
         self.grown = degree2
 
     def encode(self, mono):
         """The packed form of a canonical atom-tuple monomial in the table."""
         return sum(self.unit[self.ids[a]] for a in mono)
 
+    def lowest(self, p):
+        """The smallest atom id in a packed monomial other than 1."""
+        p >>= self.grade_bits
+        return ((p & -p).bit_length() - 1) // self.width
+
     def digits(self, p):
         """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
         w = self.width
         mask = (1 << w) - 1
+        p >>= self.grade_bits
         while p:
             a = ((p & -p).bit_length() - 1) // w  # the lowest nonzero digit
             k = p >> (w * a) & mask
@@ -141,13 +240,14 @@ class _Atoms:
         return tuple(self.atom[a] for a, k in self.digits(p) for _ in range(k))
 
     def flips(self, p):
-        """The XOR of ``-1 << (width * b + 1)`` over the odd atoms ``b`` of
-        ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has the parity of
-        the odd atoms ``a > b`` of ``m`` that ``b`` moves past in ``m * p``.
+        """The XOR of ``-1 << (grade_bits + width * b + 1)`` over the odd
+        atoms ``b`` of ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has
+        the parity of the odd atoms ``a > b`` of ``m`` that ``b`` moves past
+        in ``m * p``.
         """
         out = 0
         for b, _ in self.digits(p & self.odd_bits):
-            out ^= -1 << (self.width * b + 1)
+            out ^= -1 << (self.grade_bits + self.width * b + 1)
         return out
 
     def monomials(self, tables, degree2, cuts):
@@ -173,15 +273,14 @@ class _Atoms:
         when the table of ``d`` is built.
         """
         self.grow(degree2)
-        deg, odd, unit, w = self.degree2, self.odd, self.unit, self.width
+        deg, odd, unit, low = self.degree2, self.odd, self.unit, self.lowest
         while len(tables) <= degree2:
             d = len(tables)
             fits = bisect_right(deg, d)
             by_low = {}  # the cuts of degree at most d, by smallest atom
             for t, e in cuts:
                 if 0 < e <= d:
-                    by_low.setdefault(((t & -t).bit_length() - 1) // w,
-                                      []).append((t, e))
+                    by_low.setdefault(low(t), []).append((t, e))
             out = [0] if d == 0 and (0, 0) not in cuts else []  # unit ideal
             starts = [len(out)] * (fits + 1)
             for i in range(fits - 1, -1, -1):
@@ -358,13 +457,12 @@ class _TPowers:
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
-        if degree2 > self._free.maxdeg2:
-            self._free = free_product(self._weights, min(
-                self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
-        if self._free[degree2] > self.limit:
-            raise ResourceLimitError(
-                "more than %d monomials at degree2=%d" % (self.limit, degree2))
-        if degree2 >= len(tables):
+            if degree2 > self._free.maxdeg2:
+                self._free = free_product(self._weights, min(
+                    self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
+            if self._free[degree2] > self.limit:
+                raise ResourceLimitError("more than %d monomials at degree2=%d"
+                                         % (self.limit, degree2))
             cuts = [(terms[0][0], d0 + 2 * j)
                     for d0, powers in zip(self.base_degree2, self._terms)
                     for j, terms in enumerate(powers) if len(terms) == 1]
@@ -401,7 +499,7 @@ class _TPowers:
         present.
         """
         atoms = self.atoms
-        nxt, deg, unit = atoms.next, atoms.degree2, atoms.unit
+        nxt, deg, unit, bit = atoms.next, atoms.degree2, atoms.unit, atoms.bit
         out = {}
         for t, c, _ in terms:
             t_odd = t & atoms.odd_bits
@@ -409,10 +507,10 @@ class _TPowers:
                 b = nxt[a]
                 f = -deg[a] * k * c
                 if atoms.odd[a]:
-                    if t & unit[b]:
+                    if t & bit[b]:
                         continue
                     # the bits strictly between digit a and digit b
-                    if (t_odd & (unit[b] - (unit[a] << 1))).bit_count() & 1:
+                    if (t_odd & (bit[b] - (bit[a] << 1))).bit_count() & 1:
                         f = -f
                 new = t - unit[a] + unit[b]
                 out[new] = out.get(new, 0) + f
@@ -446,7 +544,7 @@ def _product_row(columns, m, m_odd, terms):
     return row
 
 
-def ideal_rows(tpowers, degree2):
+def ideal_rows(tpowers, degree2, grades=None):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
@@ -458,10 +556,12 @@ def ideal_rows(tpowers, degree2):
     Only the powers with several terms give rows, and only with standard
     factors ``m``: the other products lie in the span of the left-out
     monomials.  A row left empty is skipped; a repeated row is kept, and
-    :meth:`Echelon.insert` reduces it to zero.
+    :meth:`Echelon.insert` reduces it to zero.  Given a set of ``grades``,
+    only the rows of those grades are built: a factor is kept when its
+    grade plus the power's is one of them.
     """
     table = tpowers.standard(degree2)
-    odd_bits = tpowers.atoms.odd_bits
+    odd_bits, mask = tpowers.atoms.odd_bits, tpowers.atoms.grade_mask
     columns = {m: k for k, m in enumerate(table)}
     rows = []
     for i, d0 in enumerate(tpowers.base_degree2):
@@ -469,7 +569,12 @@ def ideal_rows(tpowers, degree2):
             terms = tpowers.get(i, j)
             if len(terms) < 2:
                 continue
-            for m in tpowers.standard(degree2 - d0 - 2 * j):
+            factors = tpowers.standard(degree2 - d0 - 2 * j)
+            if grades is not None:
+                power = terms[0][0] & mask
+                keep = {g - power for g in grades}
+                factors = [m for m in factors if m & mask in keep]
+            for m in factors:
                 row = _product_row(columns, m, m & odd_bits, terms)
                 if row:
                     rows.append(row)
@@ -478,13 +583,14 @@ def ideal_rows(tpowers, degree2):
     return columns, rows
 
 
-def ideal_basis(tpowers, degree2):
-    """Echelon basis of the degree slice of the differential ideal.
+def ideal_basis(tpowers, degree2, grades=None):
+    """Echelon basis of the degree slice of the differential ideal, or of
+    its blocks of the given ``grades`` (see :func:`ideal_rows`).
 
     Returns ``(echelon, n_columns)``; the quotient dimension of the slice is
     ``n_columns - echelon.rank``.
     """
-    columns, rows = ideal_rows(tpowers, degree2)
+    columns, rows = ideal_rows(tpowers, degree2, grades)
     ech = Echelon(columns)
     for row in rows:
         ech.insert(row)
@@ -511,13 +617,23 @@ def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
 
 
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Is the homogeneous polynomial in the differential ideal's slice?"""
+    """Is the homogeneous polynomial in the differential ideal's slice?
+
+    Every ideal row lies in one grade (see :class:`_Atoms`), and rows of
+    different grades share no column, so the slice is a direct sum of
+    blocks, one per grade.  Only the blocks of the query's grades are
+    built; the answer is the one the whole slice gives.
+    """
     if not poly:
         return True
     degree2 = spec.degree2(poly)
     tpowers = _TPowers(spec, degree2, limit)
-    ech, _ = ideal_basis(tpowers, degree2)
-    index = {m: ech.columns.get(tpowers.atoms.encode(m)) for m in poly}
+    atoms = tpowers.atoms
+    atoms.grow(degree2)
+    packed = {m: atoms.encode(m) for m in poly}
+    grades = {p & atoms.grade_mask for p in packed.values()}
+    ech, _ = ideal_basis(tpowers, degree2, grades)
+    index = {m: ech.columns.get(p) for m, p in packed.items()}
     # a monomial off the columns is in the ideal already
     live = {m: c for m, c in poly.items() if index[m] is not None}
     return not ech.reduce(_int_row(index, live))

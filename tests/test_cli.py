@@ -133,8 +133,9 @@ def test_verify_limit_below_one_is_a_usage_error(limit):
 
 
 def test_verify_huge_maxdeg2_stops_at_the_first_capped_slice():
-    """Only the digit width depends on the truncation: the atom table grows
-    one degree at a time, so the cap stops the run at degree2=10."""
+    """Only the digit and grade widths depend on the truncation: the atom
+    table grows one degree at a time, so the cap stops the run at
+    degree2=10."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "verify", "--model",
          "lattice:2", "--maxdeg2", "10000000", "--limit", "100"],

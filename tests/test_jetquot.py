@@ -7,6 +7,7 @@ two-supercurrent numbers from the registered model battery.
 """
 import io
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -453,6 +454,13 @@ _PRESENTATIONS = st.tuples(
 def test_learned_cuts_keep_random_series(presentation):
     """Monomial and binomial relations on one to three variables, odd
     ones included, through degree2 10."""
+    _learning_check(_random_ring(presentation), 10)
+
+
+def _random_ring(presentation):
+    """The ring of a drawn presentation: each relation keeps the terms of
+    its first term's degree, and a presentation left with no nonzero
+    relation is discarded."""
     weights, relations = presentation
     variables = [VariableSpec("v%d" % i, parity, weight2)
                  for i, (parity, weight2) in enumerate(weights)]
@@ -467,7 +475,7 @@ def test_learned_cuts_keep_random_series(presentation):
         if poly:
             polys.append(poly)
     assume(polys)
-    _learning_check(RingSpec(variables, polys), 10)
+    return RingSpec(variables, polys)
 
 
 _ATOM_TERMS = st.lists(
@@ -538,3 +546,127 @@ def test_packed_digits_reach_the_top_degree(top, power):
         tpowers.standard(top + 1)
     with pytest.raises(ValueError, match="above the packed top"):
         tpowers.get(0, (top - k) // 2 + 1)
+
+
+# ----------------------------------------------- charges and their grades
+
+def _charge(charges, mono):
+    """The charge vector of an atom-tuple monomial, from its base counts."""
+    return [sum(q[base] for base, _ in mono) for q in charges]
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_every_power_has_its_generators_grade(key):
+    """Every term of every T^j(g) has the charge of the generator's first
+    term, and its packed grade is that charge plus ``lift`` times its
+    degree, one field per charge; ``T`` keeps the charges."""
+    model = models.get_model(key)
+    spec = model.ring()
+    maxdeg2 = min(model.default_maxdeg2, 14)
+    tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
+    atoms = tpowers.atoms
+    gens = [g for g in spec.relations + spec.extras if g]
+    for i, (g, d0) in enumerate(zip(gens, tpowers.base_degree2)):
+        want = _charge(atoms.charges, next(iter(g)))
+        for j in range((maxdeg2 - d0) // 2 + 1):
+            grade = sum((c + s * (d0 + 2 * j)) << (atoms.field * k)
+                        for k, (c, s) in enumerate(zip(want, atoms.lift)))
+            for t, _, _ in tpowers.get(i, j):
+                assert _charge(atoms.charges, atoms.decode(t)) == want
+                assert t & atoms.grade_mask == grade, f"{key} T^{j} of {i}"
+
+
+@pytest.mark.parametrize("key, rank", [("graph:A4", 4), ("sln_principal:4", 5),
+                                       ("lattice:2", 2), ("n2_c1:ab", 2),
+                                       ("n2_c1:abc", 1)])
+def test_charge_lattice_ranks(key, rank):
+    """A monomial relation keeps every base count, a binomial ties two
+    count vectors: graph:A4 has monomial relations on 4 variables,
+    sln_principal:4 one binomial on 6, lattice:2 ties x y to z^2 on 3,
+    and n2_c1:abc adds to n2_c1:ab's two ties (gp gm to h^3, on 3) one
+    that ties h^2 gm to gm, so only gm's charge against gp's is left."""
+    atoms = _Atoms(models.get_model(key).ring(), 10)
+    assert len(atoms.charges) == rank
+
+
+def _full_slice_contains(spec, poly):
+    """Membership read off the whole slice, every grade's rows built."""
+    degree2 = spec.degree2(poly)
+    tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
+    ech, _ = ideal_basis(tpowers, degree2)
+    index = {m: ech.columns.get(tpowers.atoms.encode(m)) for m in poly}
+    live = {m: c for m, c in poly.items() if index[m] is not None}
+    return not ech.reduce(_int_row(index, live))
+
+
+def _products(spec, degree2):
+    """``(T^j(g), factors)`` for every power of degree at most degree2,
+    with the monomials ``m`` that make ``m * T^j(g)`` of that degree."""
+    out = []
+    for g in spec.relations + spec.extras:
+        while g and spec.degree2(g) <= degree2:
+            factors = enumerate_monomials(spec, degree2 - spec.degree2(g))
+            if factors:
+                out.append((g, factors))
+            g = spec.derive(g)
+    return out
+
+
+def _query(spec, picks, extras):
+    """A sum of ``c * m * power`` over the picks, plus ``c * monomial``
+    over the extras."""
+    poly = {}
+    for c, power, m in picks:
+        poly = spec.add(poly, spec.scale(spec.mul({m: Fraction(1)}, power), c))
+    return spec.add(poly, spec.poly(extras))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRESENTATIONS, st.integers(4, 10), st.data())
+def test_restricted_contains_matches_the_full_slice(presentation, degree2,
+                                                    data):
+    """contains builds only its query's grades; a full slice gives the
+    same answer on members spread over several grades, on those plus
+    monomials of any grade, and on monomials off the columns."""
+    spec = _random_ring(presentation)
+    products = _products(spec, degree2)
+    monomials = enumerate_monomials(spec, degree2)
+    assume(products and monomials)
+    coeff = st.integers(-2, 2).filter(bool)
+    picks = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        power, factors = data.draw(st.sampled_from(products))
+        picks.append((data.draw(coeff), power, data.draw(
+            st.sampled_from(factors))))
+    extras = data.draw(st.lists(st.tuples(coeff, st.sampled_from(monomials)),
+                                max_size=2))
+    poly = _query(spec, picks, extras)
+    assume(poly)
+    assert contains(spec, poly) == _full_slice_contains(spec, poly)
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_restricted_contains_matches_the_full_slice_on_every_model(key):
+    """At min(default truncation, 10): a seeded member that sums products
+    from six random powers and factors, that member plus a monomial, and
+    on their own eight random monomials and four off the columns."""
+    model = models.get_model(key)
+    spec = model.ring()
+    degree2 = min(model.default_maxdeg2, 10)
+    rng = random.Random(key)
+    products = _products(spec, degree2)
+    monomials = enumerate_monomials(spec, degree2)
+    picks = []
+    for _ in range(6 if products else 0):  # graph:A1 has no relation
+        power, factors = rng.choice(products)
+        picks.append((rng.choice((-2, -1, 1, 2)), power, rng.choice(factors)))
+    member = _query(spec, picks, [])
+    queries = [member, _query(spec, picks, [(1, rng.choice(monomials))])]
+    tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
+    columns = set(map(tpowers.atoms.decode, tpowers.standard(degree2)))
+    off = [m for m in monomials if m not in columns]
+    queries += [{m: Fraction(1)} for m in rng.sample(monomials, min(
+        8, len(monomials))) + rng.sample(off, min(4, len(off)))]
+    got = [contains(spec, q) for q in queries]
+    assert got == [_full_slice_contains(spec, q) for q in queries]
+    assert got[0] is True
