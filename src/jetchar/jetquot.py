@@ -21,9 +21,10 @@ numbered in the canonical atom order ``(degree2, base, shift)``; the table
 grows a degree at a time by appending that degree's atoms, so an id never
 changes once given.  A monomial with multiplicity ``k_a`` of atom ``a`` is
 the *packed* integer ``sum(k_a << (s + w * a)) + grade`` (packed exponent
-vectors: Monagan and Pearce, CASC 2007).  A :func:`hilbert_series` or
-:func:`contains` call packs degrees up to ``top`` (its ``maxdeg2`` or query
-degree, and the generators' degrees) with ``w = top.bit_length() + 1``.
+vectors: Monagan and Pearce, CASC 2007).  A slice context packs degrees
+up to ``top`` (the ``maxdeg2`` of a :func:`hilbert_series` call, or for
+:func:`contains` the largest number with the query degree's bit length;
+at least the generators' degrees) with ``w = top.bit_length() + 1``.
 Every atom has doubled degree at least 1, so no digit of a monomial or
 product of degree at most ``top`` exceeds ``top``: bit ``w - 1`` of every
 digit is a free guard bit, digits never carry, and a degree above ``top``
@@ -38,7 +39,7 @@ columns), and its Koszul sign is one masked bit count
 (:meth:`_Atoms.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
 also on the charges), never on the atom count: the table still grows
 lazily, and each degree's monomial budget is checked before it is
-enumerated.  Each ``T^j(g)`` is computed once per call and stored packed
+enumerated.  Each ``T^j(g)`` is computed once per context and stored packed
 as a primitive integer polynomial: ``T^0`` is the generator
 with its denominators cleared, and each higher power applies the scaled
 derivation ``2T`` on the packed form (one digit moves to the next shift
@@ -66,11 +67,16 @@ that repeat are not filtered: the echelon reduces a repeat to zero, which
 costs less than hashing every row to find the few repeats.
 
 The public functions still take and return ``(base, shift)`` atom tuples
-and ``Fraction`` coefficients.  Each call builds one slice context,
-:class:`_TPowers`, which also holds the monomial budget;
-:func:`hilbert_series` is the one per-degree loop, and the only caller
-that learns cuts.  :func:`contains` builds a single slice, and of it only
-the rows in its query's grades: every row ``m * T^j(g)`` lies in one
+and ``Fraction`` coefficients.  A slice context, :class:`_TPowers`,
+holds the atom table, the powers, the standard tables and the monomial
+budget.  :func:`hilbert_series` builds one per call: it is the one
+per-degree loop, and the only caller that learns cuts.  :func:`contains`
+keeps one per ring (weakly, so a dropped ring frees it) and reuses it for
+the ring's next query under the same budget, up to its packed top.  That
+is exact: a context that learns nothing holds the tables and powers a
+fresh one would build, in the same order, so the columns, rows and
+pivots are the same.  Of the query's slice it builds only the columns
+and rows in the query's grades: every row ``m * T^j(g)`` lies in one
 grade, and rows of different grades share no column, so the other blocks
 cannot change the answer.  :func:`ideal_basis` and :func:`ideal_rows` are
 internal, but keep their
@@ -79,6 +85,7 @@ name and reads it there.
 """
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 
 from .qseries import free_product
@@ -89,6 +96,10 @@ DEFAULT_MONOMIAL_LIMIT = 200_000
 
 class ResourceLimitError(RuntimeError):
     """Raised when a graded piece exceeds the monomial budget."""
+
+
+# RingSpec -> the slice context that contains keeps for its next query
+_CONTEXTS = weakref.WeakKeyDictionary()
 
 
 def _charge_lattice(spec):
@@ -165,7 +176,9 @@ class _Atoms:
     """
 
     def __init__(self, spec, top):
-        self.spec = spec
+        # the variables, not spec: a context that contains keeps must not
+        # keep its ring alive
+        self.variables = spec.variables
         self.top = top
         self.width = top.bit_length() + 1
         self.charges = _charge_lattice(spec)
@@ -193,7 +206,7 @@ class _Atoms:
         if degree2 > self.top:
             raise ValueError("degree2=%d is above the packed top %d"
                              % (degree2, self.top))
-        variables, f = self.spec.variables, self.field
+        variables, f = self.variables, self.field
         for d in range(self.grown + 1, degree2 + 1):
             for base, v in enumerate(variables):
                 if v.weight2 > d or (d - v.weight2) % 2:
@@ -401,7 +414,8 @@ def _int_row(columns, poly):
 
 
 class _TPowers:
-    """One call's atom table, T^j(generator), standard monomials and budget.
+    """A slice context: the atom table, T^j(generator), standard monomials
+    and budget of a ring.
 
     It packs degrees up to ``top`` and the generators' own, within the
     monomial budget ``limit`` of each degree.  ``get(i, j)``
@@ -446,10 +460,8 @@ class _TPowers:
         of degree at most ``degree2`` is made before its table, so no cut
         that could divide one of them comes later.  Besides the powers with
         a single term, the cuts are the monomials learned by :meth:`cut`,
-        which leave the tables above theirs.  ``limit`` caps the count of
-        all monomials of the degree, cut or not, read off the free jet
-        character, which is kept to the highest degree asked for so far and
-        doubled when a higher one is asked for.
+        which leave the tables above theirs.  A table is built only within
+        the budget (:meth:`check`); one that exists is not checked again.
         """
         tables = self._tables
         if degree2 >= len(tables):
@@ -457,17 +469,26 @@ class _TPowers:
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
-            if degree2 > self._free.maxdeg2:
-                self._free = free_product(self._weights, min(
-                    self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
-            if self._free[degree2] > self.limit:
-                raise ResourceLimitError("more than %d monomials at degree2=%d"
-                                         % (self.limit, degree2))
+            self.check(degree2)
             cuts = [(terms[0][0], d0 + 2 * j)
                     for d0, powers in zip(self.base_degree2, self._terms)
                     for j, terms in enumerate(powers) if len(terms) == 1]
             self.atoms.monomials(tables, degree2, cuts + self._learned)
         return tables[degree2][0]
+
+    def check(self, degree2):
+        """Refuse a degree with more than ``limit`` monomials, cut or not.
+
+        The count is read off the free jet character, which is kept to the
+        highest degree asked for so far and doubled when a higher one is
+        asked for.
+        """
+        if degree2 > self._free.maxdeg2:
+            self._free = free_product(self._weights, min(
+                self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
+        if self._free[degree2] > self.limit:
+            raise ResourceLimitError("more than %d monomials at degree2=%d"
+                                     % (self.limit, degree2))
 
     def cut(self, degree2, monomials):
         """Learn that the packed ``monomials`` of the degree lie in the
@@ -557,11 +578,13 @@ def ideal_rows(tpowers, degree2, grades=None):
     factors ``m``: the other products lie in the span of the left-out
     monomials.  A row left empty is skipped; a repeated row is kept, and
     :meth:`Echelon.insert` reduces it to zero.  Given a set of ``grades``,
-    only the rows of those grades are built: a factor is kept when its
-    grade plus the power's is one of them.
+    only the columns and rows of those grades are built: a factor is kept
+    when its grade plus the power's is one of them.
     """
     table = tpowers.standard(degree2)
     odd_bits, mask = tpowers.atoms.odd_bits, tpowers.atoms.grade_mask
+    if grades is not None:
+        table = [m for m in table if m & mask in grades]
     columns = {m: k for k, m in enumerate(table)}
     rows = []
     for i, d0 in enumerate(tpowers.base_degree2):
@@ -587,8 +610,8 @@ def ideal_basis(tpowers, degree2, grades=None):
     """Echelon basis of the degree slice of the differential ideal, or of
     its blocks of the given ``grades`` (see :func:`ideal_rows`).
 
-    Returns ``(echelon, n_columns)``; the quotient dimension of the slice is
-    ``n_columns - echelon.rank``.
+    Returns ``(echelon, n_columns)``; the quotient dimension of the slice,
+    or of its blocks of those grades, is ``n_columns - echelon.rank``.
     """
     columns, rows = ideal_rows(tpowers, degree2, grades)
     ech = Echelon(columns)
@@ -621,18 +644,33 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
 
     Every ideal row lies in one grade (see :class:`_Atoms`), and rows of
     different grades share no column, so the slice is a direct sum of
-    blocks, one per grade.  Only the blocks of the query's grades are
-    built; the answer is the one the whole slice gives.
+    blocks, one per grade.  Only the columns and rows of the query's grades
+    are built; the answer is the one the whole slice gives.
+
+    The slice context of a ring is kept for the next query of the same
+    ring and ``limit`` up to its packed top, so a ring is taken as fixed
+    once it has been queried: changing its variables, relations or extras
+    in place afterwards gives wrong answers.
     """
     if not poly:
         return True
     degree2 = spec.degree2(poly)
-    tpowers = _TPowers(spec, degree2, limit)
+    # taken out while in use, so that no other call shares it, and a call
+    # cut short (an error, an interrupt) leaves none half grown behind
+    tpowers = _CONTEXTS.pop(spec, None)
+    if (tpowers is None or tpowers.limit != limit
+            or degree2 > tpowers.atoms.top):
+        # the same digit width as degree2: a ring asked at 13 to 23 is
+        # built at most twice, with tops 15 and 31
+        top = (1 << degree2.bit_length()) - 1
+        tpowers = _TPowers(spec, top, limit)
+    tpowers.check(degree2)  # its table may have been built for a higher query
     atoms = tpowers.atoms
     atoms.grow(degree2)
     packed = {m: atoms.encode(m) for m in poly}
     grades = {p & atoms.grade_mask for p in packed.values()}
     ech, _ = ideal_basis(tpowers, degree2, grades)
+    _CONTEXTS[spec] = tpowers
     index = {m: ech.columns.get(p) for m, p in packed.items()}
     # a monomial off the columns is in the ideal already
     live = {m: c for m, c in poly.items() if index[m] is not None}

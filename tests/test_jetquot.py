@@ -5,9 +5,13 @@ dimensions come from product generating functions, the quadratic
 single-variable quotient from constrained-partition counting, and the
 two-supercurrent numbers from the registered model battery.
 """
+import gc
 import io
 import math
 import random
+import sys
+import threading
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -18,7 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, models, qseries)
-from jetchar.jetquot import (Echelon, _Atoms, _TPowers, _int_row,
+from jetchar.jetquot import (_CONTEXTS, Echelon, _Atoms, _TPowers, _int_row,
                              _product_row, ideal_basis, ideal_rows)
 
 
@@ -156,17 +160,105 @@ def test_limit_counts_every_monomial_of_the_degree():
 
 
 def test_limit_reaches_contains():
-    """contains builds its slice under the same budget: lattice:2 has 108
-    monomials at degree2=10, so a cap of 107 refuses a query there and a
-    cap of 108 answers it."""
+    """contains builds its slice under the same budget: lattice:2 has 51
+    monomials at degree2=8 and 108 at 10, so a cap of 107 refuses a query
+    at 10, also from the context that a query at 8 left, and a cap of 108
+    answers it.  After a refusal the ring still answers at 8."""
     spec = models.get_model("lattice:2").ring()
     member, other = spec.parse_poly("x(-1)^2*z(-3)"), spec.parse_poly("z(-5)")
+    lower = [spec.parse_poly("x(-1)^2*z(-2)"), spec.parse_poly("z(-4)")]
     for q in (member, other):
+        assert [contains(spec, p, limit=107) for p in lower] == [True, False]
         with pytest.raises(ResourceLimitError,
                            match="^more than 107 monomials at degree2=10$"):
             contains(spec, q, limit=107)
+        assert [contains(spec, p, limit=107) for p in lower] == [True, False]
     assert [contains(spec, q, limit=108) for q in (member, other)] == [
         True, False]
+
+
+def test_contains_checks_the_budget_of_a_table_already_built():
+    """x of weight2 2 and y of 7 have 3 monomials at degree2=6 and 1 at 7:
+    a cap of 2 answers at 7, and after that query has built the table of
+    6 it still refuses a query at 6, as a first query there does."""
+    spec = RingSpec((VariableSpec("x", "even", 2),
+                     VariableSpec("y", "even", 7)))
+    assert not contains(spec, spec.parse_poly("y(-7/2)"), limit=2)
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 2 monomials at degree2=6$"):
+        contains(spec, spec.parse_poly("x(-3)"), limit=2)
+
+
+def test_a_dropped_ring_frees_its_context():
+    """contains keeps a ring's context only while the ring lives."""
+    gc.collect()
+    before = len(_CONTEXTS)
+    spec = xring(relation_power=2)
+    assert contains(spec, spec.mul(spec.var("x"), spec.var("x")))
+    assert len(_CONTEXTS) == before + 1
+    ring = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ring() is None
+    assert len(_CONTEXTS) == before
+
+
+def test_threads_asking_one_ring_get_the_answers_of_one():
+    """Each call takes the ring's context out while it uses it, so threads
+    that ask a fresh ring at once, at degrees that grow and rebuild its
+    context, get the answers that one thread gets."""
+    base = models.get_model("lattice:2").ring()
+    texts = ["x(-1)^2*z(-2)", "z(-4)", "x(-1)^2*z(-3)", "z(-5)",
+             "x(-1)^2*z(-7)", "x(-2)*z(-9)"]
+    want = [contains(base, base.parse_poly(t)) for t in texts]
+    assert True in want and False in want
+    rings = [RingSpec(base.variables, base.relations, base.extras)
+             for _ in range(60)]
+    orders = [range(6), range(5, -1, -1), (4, 0, 5, 1, 3, 2),
+              (1, 3, 5, 0, 2, 4)]
+    start = threading.Barrier(len(orders), timeout=20)
+    got = []
+
+    def ask(order):
+        for spec in rings:
+            start.wait()
+            got.append([(k, contains(spec, spec.parse_poly(texts[k])))
+                        for k in order])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(order,))
+                   for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == len(rings) * len(orders)
+    assert all(answer == want[k] for run in got for k, answer in run)
+
+
+def test_an_interrupted_query_keeps_no_context(monkeypatch):
+    """A query cut short while its context grows leaves no context behind,
+    so a half-grown one never answers the ring's next query."""
+    spec = xring(relation_power=2)
+    square = spec.mul(spec.var("x"), spec.var("x"))
+    cube = spec.mul(square, spec.var("x"))
+    assert contains(spec, square)
+    assert spec in _CONTEXTS
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_Atoms, "monomials", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            contains(spec, cube)
+    assert spec not in _CONTEXTS
+    assert contains(spec, cube)
 
 
 def test_budget_stops_an_odd_degree_in_verify_and_contains(capsys):
@@ -621,6 +713,22 @@ def _query(spec, picks, extras):
     return spec.add(poly, spec.poly(extras))
 
 
+def _draw_query(data, spec, degree2, products):
+    """A drawn query of the degree, which must have a monomial: a member
+    summing one to four products (when the degree has any), plus up to two
+    monomials of any grade; a first monomial when the sum is zero."""
+    monomials = enumerate_monomials(spec, degree2)
+    coeff = st.integers(-2, 2).filter(bool)
+    picks = []
+    for _ in range(data.draw(st.integers(1, 4)) if products else 0):
+        power, factors = data.draw(st.sampled_from(products))
+        picks.append((data.draw(coeff), power, data.draw(
+            st.sampled_from(factors))))
+    extras = data.draw(st.lists(st.tuples(coeff, st.sampled_from(monomials)),
+                                max_size=2))
+    return _query(spec, picks, extras) or {monomials[0]: Fraction(1)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_PRESENTATIONS, st.integers(4, 10), st.data())
 def test_restricted_contains_matches_the_full_slice(presentation, degree2,
@@ -630,43 +738,69 @@ def test_restricted_contains_matches_the_full_slice(presentation, degree2,
     monomials of any grade, and on monomials off the columns."""
     spec = _random_ring(presentation)
     products = _products(spec, degree2)
-    monomials = enumerate_monomials(spec, degree2)
-    assume(products and monomials)
-    coeff = st.integers(-2, 2).filter(bool)
-    picks = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        power, factors = data.draw(st.sampled_from(products))
-        picks.append((data.draw(coeff), power, data.draw(
-            st.sampled_from(factors))))
-    extras = data.draw(st.lists(st.tuples(coeff, st.sampled_from(monomials)),
-                                max_size=2))
-    poly = _query(spec, picks, extras)
-    assume(poly)
+    assume(products and enumerate_monomials(spec, degree2))
+    poly = _draw_query(data, spec, degree2, products)
     assert contains(spec, poly) == _full_slice_contains(spec, poly)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_PRESENTATIONS, st.data())
+def test_kept_contexts_keep_every_answer(presentation, data):
+    """contains keeps one context per ring and builds a new one for a
+    query above its packed top.  A run of queries at shuffled degrees, one
+    of them above the first context's top and a lower one after it, gets
+    the answers of a fresh full slice per query."""
+    spec = _random_ring(presentation)
+    live = [d for d in range(1, 12) if enumerate_monomials(spec, d)]
+    assume(any(d <= 7 for d in live))
+
+    def ask(degree2):
+        poly = _draw_query(data, spec, degree2, _products(spec, degree2))
+        assert contains(spec, poly) == _full_slice_contains(spec, poly)
+
+    ask(data.draw(st.sampled_from([d for d in live if d <= 7])))
+    first = _CONTEXTS[spec]
+    higher = [d for d in live if d > first.atoms.top]
+    assume(higher)
+    above = data.draw(st.sampled_from(higher))
+    degrees = data.draw(st.permutations(
+        [above] + data.draw(st.lists(st.sampled_from(live), max_size=2))))
+    for degree2 in degrees + [data.draw(st.sampled_from(
+            [d for d in live if d < above]))]:
+        ask(degree2)
+    assert _CONTEXTS[spec] is not first
 
 
 @pytest.mark.parametrize("key", models.model_keys())
 def test_restricted_contains_matches_the_full_slice_on_every_model(key):
-    """At min(default truncation, 10): a seeded member that sums products
-    from six random powers and factors, that member plus a monomial, and
-    on their own eight random monomials and four off the columns."""
+    """At min(default truncation, 10) and the two degrees below it, asked
+    in that descending order of one ring, so the later degrees read tables
+    that a higher query built: at each degree with a monomial, a seeded
+    member that sums products from six random powers and factors, that
+    member plus a monomial, and on their own eight random monomials and
+    four off the columns."""
     model = models.get_model(key)
     spec = model.ring()
-    degree2 = min(model.default_maxdeg2, 10)
+    top = min(model.default_maxdeg2, 10)
     rng = random.Random(key)
-    products = _products(spec, degree2)
-    monomials = enumerate_monomials(spec, degree2)
-    picks = []
-    for _ in range(6 if products else 0):  # graph:A1 has no relation
-        power, factors = rng.choice(products)
-        picks.append((rng.choice((-2, -1, 1, 2)), power, rng.choice(factors)))
-    member = _query(spec, picks, [])
-    queries = [member, _query(spec, picks, [(1, rng.choice(monomials))])]
-    tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
-    columns = set(map(tpowers.atoms.decode, tpowers.standard(degree2)))
-    off = [m for m in monomials if m not in columns]
-    queries += [{m: Fraction(1)} for m in rng.sample(monomials, min(
-        8, len(monomials))) + rng.sample(off, min(4, len(off)))]
+    queries = []
+    for degree2 in range(top, top - 3, -1):
+        products = _products(spec, degree2)
+        monomials = enumerate_monomials(spec, degree2)
+        if not monomials:
+            continue
+        picks = []
+        for _ in range(6 if products else 0):  # graph:A1 has no relation
+            power, factors = rng.choice(products)
+            picks.append((rng.choice((-2, -1, 1, 2)), power,
+                          rng.choice(factors)))
+        member = _query(spec, picks, [])
+        queries += [member, _query(spec, picks, [(1, rng.choice(monomials))])]
+        tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
+        columns = set(map(tpowers.atoms.decode, tpowers.standard(degree2)))
+        off = [m for m in monomials if m not in columns]
+        queries += [{m: Fraction(1)} for m in rng.sample(monomials, min(
+            8, len(monomials))) + rng.sample(off, min(4, len(off)))]
     got = [contains(spec, q) for q in queries]
     assert got == [_full_slice_contains(spec, q) for q in queries]
     assert got[0] is True
