@@ -8,6 +8,7 @@ that the reader closed early (silently, with no message).
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,12 @@ class CliError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on first use and kept for the process:
+    parsing reads it and never changes it, and every call gets a fresh
+    namespace (``append`` copies its default list before it adds to it).
+    """
     ap = argparse.ArgumentParser(
         prog="jetchar",
         description="Jet-algebra character verification toolkit.")
@@ -209,8 +215,13 @@ def cmd_list(args, out=sys.stdout):
 
 
 def main(argv=None, out=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    """Run one command line and return its exit status.
+
+    The parser is built once per process, on the first call, so ``main``
+    is cheap and safe to call repeatedly in one process: no call sees
+    another's options.
+    """
+    args = _build_parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
     command = {"verify": cmd_verify, "expand": cmd_expand, "list": cmd_list}
     try:

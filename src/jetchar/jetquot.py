@@ -283,7 +283,9 @@ class _Atoms:
         difference.  That finds every one, because when ``t`` divides
         ``x + unit[i]``, ``y`` divides ``x``, so ``y`` is standard and in
         that prefix.  Every cut of degree at most ``d`` must be in ``cuts``
-        when the table of ``d`` is built.
+        when the table of ``d`` is built.  An atom whose lower prefix is
+        empty starts no monomial, so its block is skipped and only its
+        prefix length is set.
         """
         self.grow(degree2)
         deg, odd, unit, low = self.degree2, self.odd, self.unit, self.lowest
@@ -298,12 +300,14 @@ class _Atoms:
             starts = [len(out)] * (fits + 1)
             for i in range(fits - 1, -1, -1):
                 start, u = i + odd[i], unit[i]
-                new = [x + u for x in _prefix(tables[d - deg[i]], start)]
-                if i in by_low:
-                    multiples = {t + y for t, e in by_low[i]
-                                 for y in _prefix(tables[d - e], start)}
-                    new = [m for m in new if m not in multiples]
-                out += new
+                lower = _prefix(tables[d - deg[i]], start)
+                if lower:
+                    new = [x + u for x in lower]
+                    if i in by_low:
+                        multiples = {t + y for t, e in by_low[i]
+                                     for y in _prefix(tables[d - e], start)}
+                        new = [m for m in new if m not in multiples]
+                    out += new
                 starts[i] = len(out)
             tables.append((out, starts))
         return tables[degree2][0]
@@ -334,12 +338,14 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
 class Echelon:
     """Sparse integer row echelon with deterministic pivoting.
 
-    Rows are dicts ``{column: int}``; ``columns`` maps each packed
-    standard monomial of the slice to its column.  ``insert`` reduces a row
-    against the current pivots (always eliminating the smallest column
-    first) and, if a nonzero remainder survives, installs it as a new pivot
-    after dividing by its content.  ``reduce`` performs the same elimination
-    without installing, so membership tests do not grow the basis.
+    Rows are dicts ``{column: int}`` whose entries are all nonzero (a zero
+    entry would be taken for a column of the row); ``columns`` maps each
+    packed standard monomial of the slice to its column.  ``insert``
+    reduces a row against the current pivots (always eliminating the
+    smallest column first) and, if a nonzero remainder survives, installs
+    it as a new pivot after dividing by its content.  ``reduce`` performs
+    the same elimination without installing, so membership tests do not
+    grow the basis.
     """
 
     def __init__(self, columns):
@@ -373,13 +379,12 @@ class Echelon:
         return row, None
 
     def insert(self, row):
-        """Insert a row; returns True when it increased the rank."""
+        """Insert a row; returns True when it increased the rank.  The
+        caller's row is not changed: the elimination works on a copy."""
         row, c = self._eliminate(dict(row))
         if c is None:
             return False
-        g = 0
-        for v in row.values():
-            g = math.gcd(g, v)
+        g = math.gcd(*row.values())
         if row[c] < 0:
             g = -g
         if g != 1:
@@ -498,11 +503,14 @@ class _TPowers:
         A product with a multiple of a learned cut is a multiple too, so it
         leaves the factors as well as the columns, and ``#columns - rank``
         stays the quotient dimension.  Only the newest table can be cut,
-        because the tables above it would still hold the multiples.
+        because the tables above it would still hold the multiples.  A cut
+        of no monomials learns nothing and leaves the table as it is.
         """
         if degree2 != len(self._tables) - 1:
             raise ValueError("cannot cut degree2=%d: the newest table is %d"
                              % (degree2, len(self._tables) - 1))
+        if not monomials:
+            return
         drop = set(monomials)
         table, starts = self._tables[degree2]
         gone = [k for k, m in enumerate(table) if m in drop]
@@ -579,12 +587,17 @@ def ideal_rows(tpowers, degree2, grades=None):
     monomials.  A row left empty is skipped; a repeated row is kept, and
     :meth:`Echelon.insert` reduces it to zero.  Given a set of ``grades``,
     only the columns and rows of those grades are built: a factor is kept
-    when its grade plus the power's is one of them.
+    when its grade plus the power's is one of them.  A slice with no
+    columns (every odd degree of a ring of integer weights) has no rows
+    either, since every product lands off the columns, so it is returned
+    at once as ``({}, [])``.
     """
     table = tpowers.standard(degree2)
     odd_bits, mask = tpowers.atoms.odd_bits, tpowers.atoms.grade_mask
     if grades is not None:
         table = [m for m in table if m & mask in grades]
+    if not table:
+        return {}, []
     columns = {m: k for k, m in enumerate(table)}
     rows = []
     for i, d0 in enumerate(tpowers.base_degree2):
@@ -650,8 +663,11 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     The slice context of a ring is kept for the next query of the same
     ring and ``limit`` up to its packed top, so a ring is taken as fixed
     once it has been queried: changing its variables, relations or extras
-    in place afterwards gives wrong answers.
+    in place afterwards gives wrong answers.  Terms with a zero coefficient
+    are dropped first, so they neither make a member a non-member nor
+    count towards the degree.
     """
+    poly = {m: c for m, c in poly.items() if c}
     if not poly:
         return True
     degree2 = spec.degree2(poly)

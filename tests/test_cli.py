@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from jetchar import cli
 from jetchar.cli import main
 
 
@@ -158,6 +159,50 @@ def test_verify_all_small_degree():
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 1 + 5 * len(set(r[0] for r in rows[1:]))
+
+
+# ---------------------------------------------- repeated calls, one parser
+
+def test_main_builds_its_parser_once_per_process():
+    cli._build_parser.cache_clear()
+    for argv in [("list", "--filter", "theta"),
+                 ("expand", "theta:2", "--maxdeg2", "4"),
+                 ("verify", "--model", "graph:A1", "--maxdeg2", "4")]:
+        assert run_cli(*argv)[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_repeated_model_calls_do_not_share_the_append_default():
+    """``--model`` appends to its default list; a reused parser must not
+    carry one call's models into the next."""
+    for key in ("graph:A1", "graph:A2", "graph:A1"):
+        code, out = run_cli("verify", "--model", key, "--maxdeg2", "6",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["model"] == key
+    assert cli._build_parser().parse_args(["verify"]).model == []
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--maxdeg2", "x")
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run_cli("verify", "--model", "graph:A1", "--maxdeg2", "4")[0] == 0
+
+
+def test_all_after_model_calls_matches_a_fresh_process():
+    """``--all`` after ``--model`` calls in one process prints what it
+    prints in a fresh process, and is not refused as both at once."""
+    argv = ["verify", "--all", "--maxdeg2", "4"]
+    assert run_cli("verify", "--model", "lattice:2", "--maxdeg2", "4")[0] == 0
+    assert run_cli("verify", "--model", "graph:A2", "--model", "nope")[0] == 2
+    code, out = run_cli(*argv)
+    fresh = subprocess.run([sys.executable, "-m", "jetchar"] + argv,
+                           capture_output=True, text=True, timeout=120)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert fresh.stderr == ""
 
 
 # ------------------------------------------------------------- expand

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
-                     cli, contains, models, qseries)
+                     cli, contains, jetquot, models, qseries)
 from jetchar.jetquot import (_CONTEXTS, Echelon, _Atoms, _TPowers, _int_row,
                              _product_row, ideal_basis, ideal_rows)
 
@@ -138,6 +138,20 @@ def test_contains_rejects_inhomogeneous():
     bad = spec.add(spec.var("x"), spec.var("x", 1))
     with pytest.raises(ValueError):
         contains(spec, bad)
+
+
+def test_contains_ignores_zero_coefficients():
+    """The zero polynomial is in every ideal, however it is written: a
+    term with coefficient 0 changes no answer and no degree."""
+    spec = models.get_model("graph:A4").ring()
+    member = spec.derive(spec.parse_poly("x1(-1)*x2(-1)"))
+    zero = {m: Fraction(0) for m in spec.parse_poly("x1(-2)*x1(-1)")}
+    assert not contains(spec, spec.parse_poly("x1(-2)*x1(-1)"))
+    assert contains(spec, zero)
+    assert contains(spec, member)
+    assert contains(spec, {**member, **zero})
+    other_degree = {m: Fraction(0) for m in spec.parse_poly("x3(-1)")}
+    assert contains(spec, {**member, **other_degree})
 
 
 def test_resource_limit_raises():
@@ -359,6 +373,64 @@ def test_echelon_insert_drops_a_dependent_row(dependent):
     assert ech.pivots == pivots
 
 
+def _fraction_rank(rows, n):
+    """The rank of sparse rows over ``n`` columns, by ``Fraction``
+    Gaussian elimination on dense vectors."""
+    basis = {}  # pivot column -> dense row, 1 at the pivot
+    for row in rows:
+        v = [Fraction(row.get(k, 0)) for k in range(n)]
+        for c, b in basis.items():
+            if v[c]:
+                f = v[c]
+                v = [x - f * y for x, y in zip(v, b)]
+        lead = next((k for k, x in enumerate(v) if x), None)
+        if lead is not None:
+            v = [x / v[lead] for x in v]
+            for c, b in basis.items():
+                if b[lead]:
+                    f = b[lead]
+                    basis[c] = [x - f * y for x, y in zip(b, v)]
+            basis[lead] = v
+    return len(basis)
+
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+_ROWS = st.lists(st.dictionaries(st.integers(0, 7), _NONZERO, max_size=4),
+                 max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, st.lists(st.lists(st.integers(-3, 3), min_size=10,
+                                max_size=10), max_size=3), _ROWS)
+def test_echelon_matches_a_fraction_elimination(rows, combos, others):
+    """On random sparse rows with nonzero entries, the echelon's rank is
+    the ``Fraction`` rank; ``reduce`` leaves nothing exactly of the rows in
+    their span (combinations of the inserted rows and random rows); every
+    pivot is primitive and positive at its own, smallest column; and
+    ``insert`` changes no row that it is given."""
+    ech = Echelon(dict.fromkeys(range(8)))
+    for k, row in enumerate(rows):
+        given, rank = dict(row), ech.rank
+        grew = ech.insert(row)
+        assert row == given
+        assert ech.rank == _fraction_rank(rows[:k + 1], 8)
+        assert grew == (ech.rank > rank)
+    assert ech.rank == _fraction_rank(rows, 8)
+    for c, piv in ech.pivots.items():
+        assert min(piv) == c and piv[c] > 0
+        assert math.gcd(*piv.values()) == 1
+        assert all(piv.values())
+    probes = others + [
+        {k: v for k in range(8) if (v := sum(f * r.get(k, 0)
+                                             for f, r in zip(combo, rows)))}
+        for combo in combos]
+    for probe in probes:
+        given = dict(probe)
+        inside = _fraction_rank(rows + [probe], 8) == ech.rank
+        assert (not ech.reduce(probe)) == inside
+        assert probe == given
+
+
 @pytest.mark.parametrize("key, maxdeg2", [("n2_c1:abc", 16),
                                           ("sln_principal:4", 12),
                                           ("lattice:3", 12)])
@@ -492,6 +564,56 @@ def test_only_the_newest_table_can_be_cut():
     assert 4 * x not in tpowers.standard(4)
     assert 5 * x not in tpowers.standard(5)
     assert 5 * x in _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT).standard(5)
+
+
+def test_an_empty_cut_keeps_the_table():
+    spec = xring(weight2=1, relation_power=2)
+    tpowers = _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT)
+    tpowers.standard(4)
+    table = tpowers._tables[4]
+    tpowers.cut(4, [])
+    assert tpowers._tables[4] is table and tpowers._learned == []
+
+
+def test_a_slice_without_columns_builds_no_rows(monkeypatch):
+    """Every atom of ``a`` is cut, so no monomial of odd degree is
+    standard, though the factors of the two-term power of degree 3 are
+    (``b`` alone).  A slice with no columns is returned as ``({}, [])``
+    without building a product; so is every odd slice of ``graph:A4``."""
+    calls = []
+    product_row = _product_row
+
+    def counted(*args):
+        calls.append(args)
+        return product_row(*args)
+
+    monkeypatch.setattr(jetquot, "_product_row", counted)
+    variables = (VariableSpec("a", "even", 1), VariableSpec("b", "even", 2))
+    base = RingSpec(variables)
+    spec = RingSpec(variables, (base.parse_poly("a(-1/2)"), base.parse_poly(
+        "a(-1/2)*b(-1) + a(-1/2)^3")))
+    tpowers = _TPowers(spec, 9, DEFAULT_MONOMIAL_LIMIT)
+    for d in range(10):
+        del calls[:]
+        columns, rows = ideal_rows(tpowers, d)
+        if d % 2:
+            assert tpowers.standard(d - 3)  # factors of T^0 of the pair
+            assert (columns, rows, calls) == ({}, [], [])
+        else:
+            assert columns
+    graph = _TPowers(models.get_model("graph:A4").ring(), 11,
+                     DEFAULT_MONOMIAL_LIMIT)
+    built = 0
+    for d in range(12):
+        del calls[:]
+        columns, rows = ideal_rows(graph, d)
+        if d % 2:
+            assert (columns, rows, calls) == ({}, [], [])
+        else:
+            assert columns and len(calls) >= len(rows)
+            built += len(calls)
+    assert built  # the even slices do build products
+    assert hilbert_series(spec, 9) == [1, 0, 1, 0, 2, 0, 3, 0, 5, 0]
 
 
 def _learning_check(spec, maxdeg2):
