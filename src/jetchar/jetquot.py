@@ -32,11 +32,11 @@ is refused.  The lowest ``s`` bits hold the *grade*: the relations are
 homogeneous for a lattice of charges on the base variables (each term of
 a generator has the same weighted count of each base, and ``T`` keeps the
 bases), and the grade packs a monomial's charges, one field each, lifted
-by a multiple of its degree to stay non-negative (:class:`_Atoms`).  So a
+by a multiple of its degree to stay non-negative (:class:`_TPowers`).  So a
 product is the sum of the packed forms, grade included (a shared odd atom
 gives a digit 2, which no column has, so that product falls off the
 columns), and its Koszul sign is one masked bit count
-(:meth:`_Atoms.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
+(:meth:`_TPowers.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
 also on the charges), never on the atom count: the table still grows
 lazily, and each degree's monomial budget is checked before it is
 enumerated.  Each ``T^j(g)`` is computed once per context and stored packed
@@ -52,34 +52,37 @@ monomial ``c`` that a slice's echelon pivots on alone (a pivot row
 ``{c: 1}``): :func:`hilbert_series` *learns* these as cuts, after the
 echelon of their degree, and no slice above spends columns, factors or
 rows on their multiples again.  The columns of a slice are therefore only
-the *standard* monomials, those that no cut divides: no single-term power
-and no learned monomial of lower degree.  Their table for each degree is
-built from the tables below it (:meth:`_Atoms.monomials`): a standard
-monomial less its smallest atom is a standard monomial of lower degree,
-so only the cuts that start at that atom can divide it, and their
-multiples in the block are made from the lower tables and removed in one
-set difference.  The rows are the products of the powers with several
-terms by standard factors, restricted to the standard columns.  A
-monomial left out is in the ideal, and a product with a factor left out
-lands on monomials left out only, so the rank is smaller by exactly the
-number of monomials left out and ``#columns - rank`` is unchanged.  Rows
-that repeat are not filtered: the echelon reduces a repeat to zero, which
-costs less than hashing every row to find the few repeats.
+the *standard* monomials, those that no cut divides.  Their table for
+each degree is built from the tables below it (:meth:`_TPowers._table`):
+a standard monomial less its smallest atom is a standard monomial of
+lower degree, so only the cuts whose smallest atom is that atom can
+divide it, and their multiples in the block are made from the lower
+tables and removed in one set difference.  The rows are the products of
+the powers with several terms by standard factors, restricted to the
+standard columns.  A monomial left out is in the ideal, and a product
+with a factor left out lands on monomials left out only, so the rank is
+smaller by exactly the number of monomials left out and ``#columns -
+rank`` is unchanged.  Rows that repeat are not filtered: the echelon
+reduces a repeat to zero, which costs less than hashing every row to find
+the few repeats.
 
 The public functions still take and return ``(base, shift)`` atom tuples
-and ``Fraction`` coefficients.  A slice context, :class:`_TPowers`,
-holds the atom table, the powers, the standard tables and the monomial
-budget.  :func:`hilbert_series` builds one per call: it is the one
-per-degree loop, and the only caller that learns cuts.  :func:`contains`
-keeps one per ring (weakly, so a dropped ring frees it) and reuses it for
-the ring's next query under the same budget, up to its packed top.  That
-is exact: a context that learns nothing holds the tables and powers a
-fresh one would build, in the same order, so the columns, rows and
-pivots are the same.  Of the query's slice it builds only the columns
-and rows in the query's grades: every row ``m * T^j(g)`` lies in one
-grade, and rows of different grades share no column, so the other blocks
-cannot change the answer.  :func:`ideal_basis` and :func:`ideal_rows` are
-internal, but keep their
+and ``Fraction`` coefficients.  One slice context, :class:`_TPowers`,
+holds all of the above for a ring: the atom table and its packing, the
+powers, the standard tables, the monomial budget, and one index of the
+cuts by smallest atom.  A cut enters the index when it is found: a
+single-term power when it is made, a learned monomial when it is given
+to :meth:`_TPowers.cut`.  :func:`hilbert_series` builds one context per
+call: it is the one per-degree loop, and the only caller that learns
+cuts.  :func:`contains` keeps one per ring (weakly, so a dropped ring
+frees it) and reuses it for the ring's next query under the same budget,
+up to its packed top.  That is exact: a context that learns nothing holds
+the tables and powers a fresh one would build, in the same order, so the
+columns, rows and pivots are the same.  Of the query's slice it builds
+only the columns and rows in the query's grades: every row ``m *
+T^j(g)`` lies in one grade, and rows of different grades share no
+column, so the other blocks cannot change the answer.
+:func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
 """
@@ -150,175 +153,6 @@ def _primitive(v):
     return [x // g for x in v]
 
 
-class _Atoms:
-    """The jet atoms of a ring, numbered in canonical atom order.
-
-    ``atom[i]`` is the ``(base, shift)`` atom with id ``i``, ``degree2[i]``
-    its doubled degree, ``odd[i]`` its parity, ``next[i]`` the id of the
-    atom one shift up (``None`` past the table), and ``ids`` maps an atom
-    to its id.  The table holds every atom of doubled degree at most
-    ``grown``, and grows up to ``top``.
-
-    A packed monomial has two parts.  The atom digits sit above the lowest
-    ``grade_bits`` bits: ``bit[i] = 1 << (grade_bits + width * i)`` is one
-    copy of atom ``i``, and ``odd_bits`` is the sum of the odd ``bit``.
-    The bits below hold the monomial's *grade* (``p & grade_mask``): its
-    charges, one field of ``field`` bits each.  ``charges`` is an integer
-    basis of the vectors ``q`` over the base variables for which every
-    term of every generator has the same charge ``q . (count of each
-    base)``.  ``T`` keeps the bases, so every ``T^j(g)`` has one grade
-    too.  A field holds the charge plus ``lift`` times the doubled degree,
-    which keeps it non-negative, and no field of a monomial of degree at
-    most ``top`` overflows, so ``unit[i] = bit[i] + grade of atom i`` is
-    the packed form of atom ``i`` and a product is still one addition.
-    The widths depend on ``top`` and the charges, never on the atom count,
-    so the table can grow without repacking.
-    """
-
-    def __init__(self, spec, top):
-        # the variables, not spec: a context that contains keeps must not
-        # keep its ring alive
-        self.variables = spec.variables
-        self.top = top
-        self.width = top.bit_length() + 1
-        self.charges = _charge_lattice(spec)
-        self.lift = [-min(0, *q) for q in self.charges]
-        # each vector has a positive charge, so a field of a monomial of
-        # degree d is at most d * (its largest charge + its lift)
-        self.field = (top * max([max(q) + s for q, s in zip(
-            self.charges, self.lift)], default=0)).bit_length()
-        self.grade_bits = self.field * len(self.charges)
-        self.grade_mask = (1 << self.grade_bits) - 1
-        self.atom, self.ids, self.degree2, self.odd = [], {}, [], []
-        self.next, self.bit, self.unit = [], [], []
-        self.odd_bits = 0
-        self.grown = -1
-        self.grow(0)
-
-    def grow(self, degree2):
-        """Number every atom of doubled degree at most ``degree2``.
-
-        The order is degree-first, and bases ascend within a degree, so
-        each new degree only appends its atoms: the ids already given stay.
-        """
-        if degree2 <= self.grown:
-            return
-        if degree2 > self.top:
-            raise ValueError("degree2=%d is above the packed top %d"
-                             % (degree2, self.top))
-        variables, f = self.variables, self.field
-        for d in range(self.grown + 1, degree2 + 1):
-            for base, v in enumerate(variables):
-                if v.weight2 > d or (d - v.weight2) % 2:
-                    continue
-                i, shift = len(self.atom), (d - v.weight2) // 2
-                self.atom.append((base, shift))
-                self.ids[base, shift] = i
-                self.degree2.append(d)
-                self.odd.append(v.odd)
-                self.next.append(None)
-                if shift:
-                    self.next[self.ids[base, shift - 1]] = i
-                bit = 1 << (self.grade_bits + self.width * i)
-                self.bit.append(bit)
-                self.unit.append(bit + sum(
-                    (q[base] + s * d) << (f * k) for k, (q, s) in
-                    enumerate(zip(self.charges, self.lift))))
-                if v.odd:
-                    self.odd_bits += bit
-        self.grown = degree2
-
-    def encode(self, mono):
-        """The packed form of a canonical atom-tuple monomial in the table."""
-        return sum(self.unit[self.ids[a]] for a in mono)
-
-    def lowest(self, p):
-        """The smallest atom id in a packed monomial other than 1."""
-        p >>= self.grade_bits
-        return ((p & -p).bit_length() - 1) // self.width
-
-    def digits(self, p):
-        """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
-        w = self.width
-        mask = (1 << w) - 1
-        p >>= self.grade_bits
-        while p:
-            a = ((p & -p).bit_length() - 1) // w  # the lowest nonzero digit
-            k = p >> (w * a) & mask
-            yield a, k
-            p -= k << (w * a)
-
-    def decode(self, p):
-        """The canonical atom-tuple monomial of a packed one."""
-        return tuple(self.atom[a] for a, k in self.digits(p) for _ in range(k))
-
-    def flips(self, p):
-        """The XOR of ``-1 << (grade_bits + width * b + 1)`` over the odd
-        atoms ``b`` of ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has
-        the parity of the odd atoms ``a > b`` of ``m`` that ``b`` moves past
-        in ``m * p``.
-        """
-        out = 0
-        for b, _ in self.digits(p & self.odd_bits):
-            out ^= -1 << (self.grade_bits + self.width * b + 1)
-        return out
-
-    def monomials(self, tables, degree2, cuts):
-        """The packed monomials of the doubled degree that none of the
-        ``cuts`` divides, in a fixed order.
-
-        A cut is a pair (packed monomial, its doubled degree).  The order
-        is ascending in the exponent vector over atom ids (a monomial
-        without an atom comes before those with it), so the monomials
-        whose atoms are all ``i`` or above form a prefix.  Odd atoms appear
-        at most once.  ``tables[d]`` is the pair (monomials of degree
-        ``d``, prefix length by atom), and the list grows through
-        ``degree2`` a degree at a time: a monomial whose smallest atom is
-        ``i`` is ``x + unit[i]`` for an ``x`` in the prefix of atoms ``i``
-        and above (above ``i`` when ``i`` is odd) of the table
-        ``degree2[i]`` degrees lower, so only the cuts whose smallest atom
-        is ``i`` can divide it.  Their multiples are made, not tested for:
-        each is ``t + y`` with ``y`` from the same prefix of the table
-        ``deg(t)`` degrees lower, and the block drops them in one set
-        difference.  That finds every one, because when ``t`` divides
-        ``x + unit[i]``, ``y`` divides ``x``, so ``y`` is standard and in
-        that prefix.  Every cut of degree at most ``d`` must be in ``cuts``
-        when the table of ``d`` is built.  An atom whose lower prefix is
-        empty starts no monomial, so its block is skipped and only its
-        prefix length is set.
-        """
-        self.grow(degree2)
-        deg, odd, unit, low = self.degree2, self.odd, self.unit, self.lowest
-        while len(tables) <= degree2:
-            d = len(tables)
-            fits = bisect_right(deg, d)
-            by_low = {}  # the cuts of degree at most d, by smallest atom
-            for t, e in cuts:
-                if 0 < e <= d:
-                    by_low.setdefault(low(t), []).append((t, e))
-            out = [0] if d == 0 and (0, 0) not in cuts else []  # unit ideal
-            starts = [len(out)] * (fits + 1)
-            for i in range(fits - 1, -1, -1):
-                start, u = i + odd[i], unit[i]
-                lower = _prefix(tables[d - deg[i]], start)
-                if lower:
-                    new = [x + u for x in lower]
-                    if i in by_low:
-                        multiples = {t + y for t, e in by_low[i]
-                                     for y in _prefix(tables[d - e], start)}
-                        new = [m for m in new if m not in multiples]
-                    out += new
-                starts[i] = len(out)
-            tables.append((out, starts))
-        return tables[degree2][0]
-
-
-def _prefix(table, i):
-    """The monomials of a table whose atoms are all ``i`` or above."""
-    monomials, starts = table
-    return monomials[:starts[min(i, len(starts) - 1)]]
-
-
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
     """All jet monomials of the given doubled degree, in a fixed order.
 
@@ -332,7 +166,7 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
     if degree2 < 0:
         return []
     tpowers = _TPowers(RingSpec(spec.variables), degree2, limit)
-    return [tpowers.atoms.decode(m) for m in tpowers.standard(degree2)]
+    return [tpowers.decode(m) for m in tpowers.standard(degree2)]
 
 
 class Echelon:
@@ -401,17 +235,9 @@ class Echelon:
 
 def _int_row(columns, poly):
     """Clear denominators of a polynomial supported on ``columns``."""
-    if not poly:
-        return {}
-    denom = 1
-    for c in poly.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    row = {}
-    for mono, c in poly.items():
-        row[columns[mono]] = int(c * denom)
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
+    denom = math.lcm(*(c.denominator for c in poly.values()))
+    row = {columns[mono]: int(c * denom) for mono, c in poly.items()}
+    g = math.gcd(*row.values())
     if g > 1:
         for k in row:
             row[k] //= g
@@ -419,67 +245,231 @@ def _int_row(columns, poly):
 
 
 class _TPowers:
-    """A slice context: the atom table, T^j(generator), standard monomials
-    and budget of a ring.
+    """A slice context: the atoms, packing, powers ``T^j(g)``, standard
+    tables, monomial budget and cuts of a ring.
 
-    It packs degrees up to ``top`` and the generators' own, within the
-    monomial budget ``limit`` of each degree.  ``get(i, j)``
-    is ``T^j`` of generator ``i`` as terms ``(monomial, int, flips)``: the
-    primitive integer polynomial that is a positive multiple of
-    ``spec.derive`` applied ``j`` times.  Only ``T^0`` is read from the
+    ``atom[i]`` is the ``(base, shift)`` atom with id ``i``, numbered in
+    canonical atom order, ``atom_degree2[i]`` its doubled degree,
+    ``odd[i]`` its parity, ``next[i]`` the id of the atom one shift up
+    (``None`` past the table), and ``ids`` maps an atom to its id.  The
+    table holds every atom of doubled degree at most ``grown``, and grows
+    up to ``top``: the ``top`` asked for, or the generators' degrees if
+    higher.
+
+    A packed monomial has two parts.  The atom digits sit above the lowest
+    ``grade_bits`` bits: ``bit[i] = 1 << (grade_bits + width * i)`` is one
+    copy of atom ``i``, and ``odd_bits`` is the sum of the odd ``bit``.
+    The bits below hold the monomial's *grade* (``p & grade_mask``): its
+    charges, one field of ``field`` bits each.  ``charges`` is an integer
+    basis of the vectors ``q`` over the base variables for which every
+    term of every generator has the same charge ``q . (count of each
+    base)``.  ``T`` keeps the bases, so every ``T^j(g)`` has one grade
+    too.  A field holds the charge plus ``lift`` times the doubled degree,
+    which keeps it non-negative, and no field of a monomial of degree at
+    most ``top`` overflows, so ``unit[i] = bit[i] + grade of atom i`` is
+    the packed form of atom ``i`` and a product is still one addition.
+    The widths depend on ``top`` and the charges, never on the atom count,
+    so the table can grow without repacking.
+
+    ``get(i, j)`` is ``T^j`` of generator ``i`` as terms ``(monomial, int,
+    flips)``: the primitive integer polynomial that is a positive multiple
+    of ``spec.derive`` applied ``j`` times.  Only ``T^0`` is read from the
     ``Fraction`` generator; each higher power is ``2T`` of the one below
-    (:meth:`_derive`).  ``standard(d)`` lists the monomials of degree
-    ``d`` that no cut divides: no power with a single term, and no
-    monomial that :meth:`cut` was given.
+    (:meth:`_derive`).
+
+    A cut is a monomial known to lie in the ideal: a power with a single
+    term, filed when the power is made, or a monomial given to
+    :meth:`cut`.  ``_cuts`` is the one index of them: the pairs (packed
+    cut, its doubled degree) under the id of the cut's smallest atom, and
+    the unit under ``-1``.  ``standard(d)`` lists the monomials of degree
+    ``d`` that no cut divides, within the monomial budget ``limit`` of
+    each degree.
     """
 
     def __init__(self, spec, top, limit):
         self.limit = limit
+        # the variables, not spec: a context that contains keeps must not
+        # keep its ring alive
+        self.variables = spec.variables
         self._weights = [(v.weight2, v.parity) for v in spec.variables]
         self._free = free_product(self._weights, 0)
-        gens = list(spec.relations) + list(spec.extras)
-        gens = [g for g in gens if g]  # odd squares normalise to zero
+        # odd squares normalise to zero
+        gens = [g for g in spec.relations + spec.extras if g]
         self.base_degree2 = [spec.degree2(g) for g in gens]
-        self.atoms = atoms = _Atoms(spec, max([top, 0] + self.base_degree2))
-        atoms.grow(max(self.base_degree2, default=0))
-        self._tables = []
-        self._learned = []  # (packed monomial, degree2) given to cut
-        self._terms = []
-        for g in gens:
-            row = _int_row({m: atoms.encode(m) for m in g}, g)
-            self._terms.append(
-                [[(t, c, atoms.flips(t)) for t, c in row.items()]])
+        self.top = top = max([top, 0] + self.base_degree2)
+        self.width = top.bit_length() + 1
+        self.charges = _charge_lattice(spec)
+        self.lift = [-min(0, *q) for q in self.charges]
+        # each vector has a positive charge, so a field of a monomial of
+        # degree d is at most d * (its largest charge + its lift)
+        self.field = (top * max([max(q) + s for q, s in zip(
+            self.charges, self.lift)], default=0)).bit_length()
+        self.grade_bits = self.field * len(self.charges)
+        self.grade_mask = (1 << self.grade_bits) - 1
+        self.atom, self.ids, self.atom_degree2, self.odd = [], {}, [], []
+        self.next, self.bit, self.unit = [], [], []
+        self.odd_bits = 0
+        self.grown = -1
+        self.grow(max(self.base_degree2, default=0))
+        self._tables = []  # by degree: (monomials, prefix length by atom)
+        self._cuts = {}
+        self._terms = [[] for _ in gens]
+        for i, g in enumerate(gens):
+            row = _int_row({m: self.encode(m) for m in g}, g)
+            self._add_power(i, [(t, c, self.flips(t)) for t, c in row.items()])
+
+    def grow(self, degree2):
+        """Number every atom of doubled degree at most ``degree2``.
+
+        The order is degree-first, and bases ascend within a degree, so
+        each new degree only appends its atoms: the ids already given stay.
+        """
+        if degree2 <= self.grown:
+            return
+        if degree2 > self.top:
+            raise ValueError("degree2=%d is above the packed top %d"
+                             % (degree2, self.top))
+        variables, f = self.variables, self.field
+        for d in range(self.grown + 1, degree2 + 1):
+            for base, v in enumerate(variables):
+                if v.weight2 > d or (d - v.weight2) % 2:
+                    continue
+                i, shift = len(self.atom), (d - v.weight2) // 2
+                self.atom.append((base, shift))
+                self.ids[base, shift] = i
+                self.atom_degree2.append(d)
+                self.odd.append(v.odd)
+                self.next.append(None)
+                if shift:
+                    self.next[self.ids[base, shift - 1]] = i
+                bit = 1 << (self.grade_bits + self.width * i)
+                self.bit.append(bit)
+                self.unit.append(bit + sum(
+                    (q[base] + s * d) << (f * k) for k, (q, s) in
+                    enumerate(zip(self.charges, self.lift))))
+                if v.odd:
+                    self.odd_bits += bit
+        self.grown = degree2
+
+    def encode(self, mono):
+        """The packed form of a canonical atom-tuple monomial in the table."""
+        return sum(self.unit[self.ids[a]] for a in mono)
+
+    def lowest(self, p):
+        """The smallest atom id in a packed monomial, or -1 for the unit."""
+        p >>= self.grade_bits
+        return ((p & -p).bit_length() - 1) // self.width
+
+    def digits(self, p):
+        """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
+        w = self.width
+        mask = (1 << w) - 1
+        p >>= self.grade_bits
+        while p:
+            a = ((p & -p).bit_length() - 1) // w  # the lowest nonzero digit
+            k = p >> (w * a) & mask
+            yield a, k
+            p -= k << (w * a)
+
+    def decode(self, p):
+        """The canonical atom-tuple monomial of a packed one."""
+        return tuple(self.atom[a] for a, k in self.digits(p) for _ in range(k))
+
+    def flips(self, p):
+        """The XOR of ``-1 << (grade_bits + width * b + 1)`` over the odd
+        atoms ``b`` of ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has
+        the parity of the odd atoms ``a > b`` of ``m`` that ``b`` moves past
+        in ``m * p``.
+        """
+        out = 0
+        for b, _ in self.digits(p & self.odd_bits):
+            out ^= -1 << (self.grade_bits + self.width * b + 1)
+        return out
 
     def get(self, i, j):
         powers = self._terms[i]
         while len(powers) <= j:
-            self.atoms.grow(self.base_degree2[i] + 2 * len(powers))
-            powers.append(self._derive(powers[-1]))
+            self.grow(self.base_degree2[i] + 2 * len(powers))
+            self._add_power(i, self._derive(powers[-1]))
         return powers[j]
+
+    def _add_power(self, i, terms):
+        """Append the next power of generator ``i``; one with a single
+        term is a cut."""
+        powers = self._terms[i]
+        if len(terms) == 1:
+            self._file(terms[0][0], self.base_degree2[i] + 2 * len(powers))
+        powers.append(terms)
+
+    def _file(self, t, degree2):
+        """Put the cut ``t`` of the degree into the index."""
+        self._cuts.setdefault(self.lowest(t), []).append((t, degree2))
 
     def standard(self, degree2):
         """The packed standard monomials of the degree, in the order of
-        :meth:`_Atoms.monomials`, which builds each table from those below.
+        :meth:`_table`, which builds each table from those below.
 
         The atom table is grown to the degree first, and then every power
         of degree at most ``degree2`` is made before its table, so no cut
-        that could divide one of them comes later.  Besides the powers with
-        a single term, the cuts are the monomials learned by :meth:`cut`,
-        which leave the tables above theirs.  A table is built only within
-        the budget (:meth:`check`); one that exists is not checked again.
+        that could divide one of them comes later.  A table is built only
+        within the budget (:meth:`check`); one that exists is not checked
+        again.
         """
         tables = self._tables
         if degree2 >= len(tables):
-            self.atoms.grow(degree2)
+            self.grow(degree2)
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
             self.check(degree2)
-            cuts = [(terms[0][0], d0 + 2 * j)
-                    for d0, powers in zip(self.base_degree2, self._terms)
-                    for j, terms in enumerate(powers) if len(terms) == 1]
-            self.atoms.monomials(tables, degree2, cuts + self._learned)
+            while len(tables) <= degree2:
+                tables.append(self._table(len(tables)))
         return tables[degree2][0]
+
+    def _table(self, d):
+        """The pair (packed monomials of degree ``d`` that no cut divides,
+        prefix length by atom), in a fixed order.
+
+        The order is ascending in the exponent vector over atom ids (a
+        monomial without an atom comes before those with it), so the
+        monomials whose atoms are all ``i`` or above form a prefix.  Odd
+        atoms appear at most once.  A monomial whose smallest atom is ``i``
+        is ``x + unit[i]`` for an ``x`` in the prefix of atoms ``i`` and
+        above (above ``i`` when ``i`` is odd) of the table
+        ``atom_degree2[i]`` degrees lower, so only the cuts filed under
+        ``i`` can divide it.  Their multiples are made, not tested for:
+        each is ``t + y`` with ``y`` from the same prefix of the table
+        ``deg(t)`` degrees lower, and the block drops them in one set
+        difference.  That finds every one, because when ``t`` divides
+        ``x + unit[i]``, ``y`` divides ``x``, so ``y`` is standard and in
+        that prefix.  Every cut of degree at most ``d`` must be filed when
+        the table of ``d`` is built.  An atom whose lower prefix is empty
+        starts no monomial, so its block is skipped and only its prefix
+        length is set.
+        """
+        deg, odd, unit = self.atom_degree2, self.odd, self.unit
+        fits = bisect_right(deg, d)
+        out = [] if d or -1 in self._cuts else [0]  # -1: the unit is cut
+        starts = [len(out)] * (fits + 1)
+        for i in range(fits - 1, -1, -1):
+            start = i + odd[i]
+            lower = self._prefix(d - deg[i], start)
+            if lower:
+                u = unit[i]
+                new = [x + u for x in lower]
+                multiples = {t + y for t, e in self._cuts.get(i, ()) if e <= d
+                             for y in self._prefix(d - e, start)}
+                if multiples:
+                    new = [m for m in new if m not in multiples]
+                out += new
+            starts[i] = len(out)
+        return out, starts
+
+    def _prefix(self, degree2, i):
+        """The standard monomials of the degree whose atoms are all ``i``
+        or above."""
+        monomials, starts = self._tables[degree2]
+        return monomials[:starts[min(i, len(starts) - 1)]]
 
     def check(self, degree2):
         """Refuse a degree with more than ``limit`` monomials, cut or not.
@@ -490,21 +480,21 @@ class _TPowers:
         """
         if degree2 > self._free.maxdeg2:
             self._free = free_product(self._weights, min(
-                self.atoms.top, max(degree2, 2 * self._free.maxdeg2)))
+                self.top, max(degree2, 2 * self._free.maxdeg2)))
         if self._free[degree2] > self.limit:
             raise ResourceLimitError("more than %d monomials at degree2=%d"
                                      % (self.limit, degree2))
 
     def cut(self, degree2, monomials):
         """Learn that the packed ``monomials`` of the degree lie in the
-        ideal: drop them from the table of the degree, and their multiples
-        from every table built after it.
+        ideal: drop them from the table of the degree, and file them, so
+        that every table built after it leaves out their multiples.
 
-        A product with a multiple of a learned cut is a multiple too, so it
-        leaves the factors as well as the columns, and ``#columns - rank``
-        stays the quotient dimension.  Only the newest table can be cut,
-        because the tables above it would still hold the multiples.  A cut
-        of no monomials learns nothing and leaves the table as it is.
+        A product with a multiple of a cut is a multiple too, so it leaves
+        the factors as well as the columns, and ``#columns - rank`` stays
+        the quotient dimension.  Only the newest table can be cut, because
+        the tables above it would still hold the multiples.  A cut of no
+        monomials learns nothing and leaves the table as it is.
         """
         if degree2 != len(self._tables) - 1:
             raise ValueError("cannot cut degree2=%d: the newest table is %d"
@@ -516,7 +506,8 @@ class _TPowers:
         gone = [k for k, m in enumerate(table) if m in drop]
         self._tables[degree2] = ([m for m in table if m not in drop],
                                  [s - bisect_left(gone, s) for s in starts])
-        self._learned += [(m, degree2) for m in drop]
+        for m in drop:
+            self._file(m, degree2)
 
     def _derive(self, terms):
         """``2T`` of a list of terms, divided by its positive content.
@@ -527,15 +518,14 @@ class _TPowers:
         between ``a`` and ``b``, which it passes, and dies when ``b`` is
         present.
         """
-        atoms = self.atoms
-        nxt, deg, unit, bit = atoms.next, atoms.degree2, atoms.unit, atoms.bit
+        nxt, deg, unit, bit = self.next, self.atom_degree2, self.unit, self.bit
         out = {}
         for t, c, _ in terms:
-            t_odd = t & atoms.odd_bits
-            for a, k in atoms.digits(t):
+            t_odd = t & self.odd_bits
+            for a, k in self.digits(t):
                 b = nxt[a]
                 f = -deg[a] * k * c
-                if atoms.odd[a]:
+                if self.odd[a]:
                     if t & bit[b]:
                         continue
                     # the bits strictly between digit a and digit b
@@ -547,7 +537,7 @@ class _TPowers:
         if not out:
             return []
         g = math.gcd(*out.values())
-        return [(t, c // g, atoms.flips(t)) for t, c in out.items()]
+        return [(t, c // g, self.flips(t)) for t, c in out.items()]
 
 
 def _product_row(columns, m, m_odd, terms):
@@ -577,7 +567,7 @@ def ideal_rows(tpowers, degree2, grades=None):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
-    monomial of the degree (packed, see :class:`_Atoms`) to its index and
+    monomial of the degree (packed, see :class:`_TPowers`) to its index and
     ``rows`` is a list of sparse integer rows over them.  Every monomial
     off the columns is in the ideal, and the rows span the products
     ``m * T^j(g)`` modulo those monomials.
@@ -593,7 +583,7 @@ def ideal_rows(tpowers, degree2, grades=None):
     at once as ``({}, [])``.
     """
     table = tpowers.standard(degree2)
-    odd_bits, mask = tpowers.atoms.odd_bits, tpowers.atoms.grade_mask
+    odd_bits, mask = tpowers.odd_bits, tpowers.grade_mask
     if grades is not None:
         table = [m for m in table if m & mask in grades]
     if not table:
@@ -655,7 +645,7 @@ def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     """Is the homogeneous polynomial in the differential ideal's slice?
 
-    Every ideal row lies in one grade (see :class:`_Atoms`), and rows of
+    Every ideal row lies in one grade (see :class:`_TPowers`), and rows of
     different grades share no column, so the slice is a direct sum of
     blocks, one per grade.  Only the columns and rows of the query's grades
     are built; the answer is the one the whole slice gives.
@@ -675,16 +665,15 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     # cut short (an error, an interrupt) leaves none half grown behind
     tpowers = _CONTEXTS.pop(spec, None)
     if (tpowers is None or tpowers.limit != limit
-            or degree2 > tpowers.atoms.top):
+            or degree2 > tpowers.top):
         # the same digit width as degree2: a ring asked at 13 to 23 is
         # built at most twice, with tops 15 and 31
         top = (1 << degree2.bit_length()) - 1
         tpowers = _TPowers(spec, top, limit)
     tpowers.check(degree2)  # its table may have been built for a higher query
-    atoms = tpowers.atoms
-    atoms.grow(degree2)
-    packed = {m: atoms.encode(m) for m in poly}
-    grades = {p & atoms.grade_mask for p in packed.values()}
+    tpowers.grow(degree2)
+    packed = {m: tpowers.encode(m) for m in poly}
+    grades = {p & tpowers.grade_mask for p in packed.values()}
     ech, _ = ideal_basis(tpowers, degree2, grades)
     _CONTEXTS[spec] = tpowers
     index = {m: ech.columns.get(p) for m, p in packed.items()}

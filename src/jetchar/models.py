@@ -490,9 +490,10 @@ def load_registry_file(path):
 
     A field the record leaves out takes the default of :class:`Model`; the
     description defaults to "user model".  Returns a dict key -> Model; a
-    key given twice is an error.  Every ring is built while the file loads,
-    so a relation that does not parse, divides by zero or is not
-    homogeneous raises ValueError naming the file and the model.
+    key given twice, or with whitespace in it, is an error.  Every ring is
+    built while the file loads, so a relation that does not parse, divides
+    by zero or is not homogeneous raises ValueError naming the file and
+    the model.
     """
     records = []
     current = None
@@ -501,10 +502,14 @@ def load_registry_file(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("[model") and line.endswith("]"):
-                key = line[len("[model"):-1].strip()
-                if not key:
+            if line.startswith("[") and line.endswith("]"):
+                head = line[1:-1].split()
+                if head[:1] != ["model"] or len(head) > 2:
+                    raise ValueError("%s:%d: bad header %r, want [model KEY]"
+                                     % (path, lineno, line))
+                if len(head) < 2:
                     raise ValueError("%s:%d: missing model key" % (path, lineno))
+                key = head[1]
                 if any(rec["key"] == key for rec in records):
                     raise ValueError("%s:%d: duplicate model key %r"
                                      % (path, lineno, key))

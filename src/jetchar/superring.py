@@ -264,7 +264,10 @@ class RingSpec:
                     coeff *= Fraction(factor)
                     continue
                 name, _, rest = factor.partition("(")
-                sub, _, tail = rest.partition(")")
+                sub, closed, tail = rest.partition(")")
+                if not closed:
+                    raise ValueError("unclosed parenthesis in factor %r"
+                                     % factor)
                 exp = 1
                 tail = tail.strip()
                 if tail.startswith("^"):

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, jetquot, models, qseries)
-from jetchar.jetquot import (_CONTEXTS, Echelon, _Atoms, _TPowers, _int_row,
+from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _int_row,
                              _product_row, ideal_basis, ideal_rows)
 
 
@@ -268,7 +268,7 @@ def test_an_interrupted_query_keeps_no_context(monkeypatch):
         raise KeyboardInterrupt
 
     with monkeypatch.context() as mp:
-        mp.setattr(_Atoms, "monomials", interrupt)
+        mp.setattr(_TPowers, "_table", interrupt)
         with pytest.raises(KeyboardInterrupt):
             contains(spec, cube)
     assert spec not in _CONTEXTS
@@ -315,16 +315,16 @@ def test_merge_product_matches_fraction_product(left, right):
     assume(None not in canon)
     m1, m2 = (mono for _, mono in canon)
     top = spec.mono_degree2(m1) + spec.mono_degree2(m2)
-    atoms = _Atoms(spec, max(top, 7))
-    atoms.grow(7)  # the largest atom drawn is g at shift 2
-    p1, p2 = atoms.encode(m1), atoms.encode(m2)
+    tpowers = _TPowers(spec, max(top, 7), DEFAULT_MONOMIAL_LIMIT)
+    tpowers.grow(7)  # the largest atom drawn is g at shift 2
+    p1, p2 = tpowers.encode(m1), tpowers.encode(m2)
     prod = p1 + p2
     want = spec.mul({m1: Fraction(1)}, {m2: Fraction(1)})
-    if any(k > 1 for a, k in atoms.digits(prod) if atoms.odd[a]):
+    if any(k > 1 for a, k in tpowers.digits(prod) if tpowers.odd[a]):
         assert want == {}
     else:
-        flips = (p1 & atoms.odd_bits & atoms.flips(p2)).bit_count()
-        assert want == {atoms.decode(prod): -1 if flips & 1 else 1}
+        flips = (p1 & tpowers.odd_bits & tpowers.flips(p2)).bit_count()
+        assert want == {tpowers.decode(prod): -1 if flips & 1 else 1}
 
 
 def _fraction_products(spec, degree2):
@@ -440,7 +440,6 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
     slice spans the reference slice modulo the dead columns."""
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
-    atoms = tpowers.atoms
     for d in range(maxdeg2 + 1):
         columns, rows = ideal_rows(tpowers, d)
         full = enumerate_monomials(spec, d)
@@ -450,12 +449,12 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
             if nterms == 1:
                 dead.update(ref)
         live = [k for k in range(len(full)) if k not in dead]
-        assert [atoms.decode(m) for m in columns] == [full[k] for k in live]
+        assert [tpowers.decode(m) for m in columns] == [full[k] for k in live]
         new_of = {k: n for n, k in enumerate(live)}  # full column -> column
         want = []
         for i, j, m, _, ref in products:
-            e = atoms.encode(m)
-            got = _product_row(columns, e, e & atoms.odd_bits,
+            e = tpowers.encode(m)
+            got = _product_row(columns, e, e & tpowers.odd_bits,
                                tpowers.get(i, j))
             restricted = {new_of[k]: v for k, v in ref.items() if k in new_of}
             g = math.gcd(*restricted.values())
@@ -490,20 +489,46 @@ _CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 def test_pruned_monomials_are_the_undivided_ones(cuts):
     """Building each table from the cut tables below keeps, in order,
     exactly the monomials that no cut divides as a multiset; each cut is
-    given with its degree."""
+    given to cut() when the table of its degree is the newest."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
-    atoms = _Atoms(spec, 15)
-    atoms.grow(7)  # the largest atom drawn is g at shift 2
+    plain = _TPowers(spec, 15, DEFAULT_MONOMIAL_LIMIT)
+    pruned = _TPowers(spec, 15, DEFAULT_MONOMIAL_LIMIT)
+    pruned.grow(7)  # the largest atom drawn is g at shift 2
     canons = [spec.normalize(cut) for cut in cuts]
     canons = [c[1] for c in canons if c is not None]  # no odd atom twice
-    encoded = [(atoms.encode(c), spec.mono_degree2(c)) for c in canons]
-    full_tables, cut_tables = [], []
     for d in range(16):
-        full = atoms.monomials(full_tables, d, ())
-        assert atoms.monomials(cut_tables, d, encoded) == [
-            m for m in full
-            if not any(_multiset_divides(t, atoms.decode(m)) for t in canons)]
+        pruned.standard(d)
+        pruned.cut(d, [pruned.encode(c) for c in canons
+                       if spec.mono_degree2(c) == d])
+        assert pruned.standard(d) == [
+            m for m in plain.standard(d)
+            if not any(_multiset_divides(t, plain.decode(m)) for t in canons)]
+
+
+@pytest.mark.parametrize("text", ["x(-1)*y(-1)", "x(-2)*g(-3/2)"])
+def test_a_learned_cut_leaves_the_tables_of_a_single_term_power(text):
+    """A monomial given as a single-term extra, and the same monomial
+    given to cut() when the table of its degree is the newest, enter the
+    same index of cuts and leave the same tables, prefix lengths included.
+    No higher power of these extras has a single term."""
+    variables = (VariableSpec("x", "even", 2), VariableSpec("y", "even", 2),
+                 VariableSpec("g", "odd", 3))
+    base = RingSpec(variables)
+    mono = base.parse_poly(text)
+    degree2 = base.degree2(mono)
+    extra = _TPowers(RingSpec(variables, extras=(mono,)), 14,
+                     DEFAULT_MONOMIAL_LIMIT)
+    learned = _TPowers(base, 14, DEFAULT_MONOMIAL_LIMIT)
+    for d in range(15):
+        extra.standard(d)
+        learned.standard(d)
+        if d == degree2:
+            learned.cut(d, [learned.encode(m) for m in mono])
+        assert learned._tables[d] == extra._tables[d], f"degree2={d}"
+    assert all(len(extra.get(0, j)) > 1
+               for j in range(1, (14 - degree2) // 2 + 1))
+    assert learned._cuts == extra._cuts
 
 
 def _brute_standard(spec, degree2):
@@ -545,7 +570,7 @@ def test_standard_tables_match_a_brute_force_enumeration(key):
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec, 10, DEFAULT_MONOMIAL_LIMIT)
     for d in range(11):
-        got = [tpowers.atoms.decode(m) for m in tpowers.standard(d)]
+        got = [tpowers.decode(m) for m in tpowers.standard(d)]
         assert got == _brute_standard(spec, d), f"{key} at degree2={d}"
 
 
@@ -555,7 +580,7 @@ def test_only_the_newest_table_can_be_cut():
     spec = xring(weight2=1)
     tpowers = _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT)
     tpowers.standard(4)
-    x = tpowers.atoms.encode(((0, 0),))
+    x = tpowers.encode(((0, 0),))
     for degree2 in (3, 5):
         with pytest.raises(ValueError, match="the newest table is 4$"):
             tpowers.cut(degree2, [])
@@ -571,8 +596,9 @@ def test_an_empty_cut_keeps_the_table():
     tpowers = _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT)
     tpowers.standard(4)
     table = tpowers._tables[4]
+    cuts = {i: list(filed) for i, filed in tpowers._cuts.items()}
     tpowers.cut(4, [])
-    assert tpowers._tables[4] is table and tpowers._learned == []
+    assert tpowers._tables[4] is table and tpowers._cuts == cuts
 
 
 def test_a_slice_without_columns_builds_no_rows(monkeypatch):
@@ -626,7 +652,7 @@ def _learning_check(spec, maxdeg2):
 
     def record(self, degree2, monomials):
         called.append(self)
-        learned.extend(self.atoms.decode(m) for m in monomials)
+        learned.extend(self.decode(m) for m in monomials)
         cut(self, degree2, monomials)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -641,7 +667,7 @@ def _learning_check(spec, maxdeg2):
     for d in range(maxdeg2 + 1):
         assert called[-1].standard(d) == [
             m for m in plain.standard(d) if not any(
-                _multiset_divides(t, plain.atoms.decode(m)) for t in learned)]
+                _multiset_divides(t, plain.decode(m)) for t in learned)]
 
 
 @pytest.mark.parametrize("key", models.model_keys())
@@ -716,12 +742,11 @@ def test_integer_t_matches_fraction_derive(terms):
     assume(poly)
     spec = RingSpec(variables, extras=(poly,))
     tpowers = _TPowers(spec, target + 12, DEFAULT_MONOMIAL_LIMIT)
-    atoms = tpowers.atoms
     for j in range(7):
         got = tpowers.get(0, j)
         want = _int_row({m: m for m in poly}, poly)
-        assert {atoms.decode(t): c for t, c, _ in got} == want
-        assert all(flip == atoms.flips(t) for t, _, flip in got)
+        assert {tpowers.decode(t): c for t, c, _ in got} == want
+        assert all(flip == tpowers.flips(t) for t, _, flip in got)
         poly = spec.derive(poly)
 
 
@@ -778,16 +803,15 @@ def test_every_power_has_its_generators_grade(key):
     spec = model.ring()
     maxdeg2 = min(model.default_maxdeg2, 14)
     tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
-    atoms = tpowers.atoms
     gens = [g for g in spec.relations + spec.extras if g]
     for i, (g, d0) in enumerate(zip(gens, tpowers.base_degree2)):
-        want = _charge(atoms.charges, next(iter(g)))
+        want = _charge(tpowers.charges, next(iter(g)))
         for j in range((maxdeg2 - d0) // 2 + 1):
-            grade = sum((c + s * (d0 + 2 * j)) << (atoms.field * k)
-                        for k, (c, s) in enumerate(zip(want, atoms.lift)))
+            grade = sum((c + s * (d0 + 2 * j)) << (tpowers.field * k)
+                        for k, (c, s) in enumerate(zip(want, tpowers.lift)))
             for t, _, _ in tpowers.get(i, j):
-                assert _charge(atoms.charges, atoms.decode(t)) == want
-                assert t & atoms.grade_mask == grade, f"{key} T^{j} of {i}"
+                assert _charge(tpowers.charges, tpowers.decode(t)) == want
+                assert t & tpowers.grade_mask == grade, f"{key} T^{j} of {i}"
 
 
 @pytest.mark.parametrize("key, rank", [("graph:A4", 4), ("sln_principal:4", 5),
@@ -799,8 +823,9 @@ def test_charge_lattice_ranks(key, rank):
     sln_principal:4 one binomial on 6, lattice:2 ties x y to z^2 on 3,
     and n2_c1:abc adds to n2_c1:ab's two ties (gp gm to h^3, on 3) one
     that ties h^2 gm to gm, so only gm's charge against gp's is left."""
-    atoms = _Atoms(models.get_model(key).ring(), 10)
-    assert len(atoms.charges) == rank
+    tpowers = _TPowers(models.get_model(key).ring(), 10,
+                       DEFAULT_MONOMIAL_LIMIT)
+    assert len(tpowers.charges) == rank
 
 
 def _full_slice_contains(spec, poly):
@@ -808,7 +833,7 @@ def _full_slice_contains(spec, poly):
     degree2 = spec.degree2(poly)
     tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
     ech, _ = ideal_basis(tpowers, degree2)
-    index = {m: ech.columns.get(tpowers.atoms.encode(m)) for m in poly}
+    index = {m: ech.columns.get(tpowers.encode(m)) for m in poly}
     live = {m: c for m, c in poly.items() if index[m] is not None}
     return not ech.reduce(_int_row(index, live))
 
@@ -882,7 +907,7 @@ def test_kept_contexts_keep_every_answer(presentation, data):
 
     ask(data.draw(st.sampled_from([d for d in live if d <= 7])))
     first = _CONTEXTS[spec]
-    higher = [d for d in live if d > first.atoms.top]
+    higher = [d for d in live if d > first.top]
     assume(higher)
     above = data.draw(st.sampled_from(higher))
     degrees = data.draw(st.permutations(
@@ -919,7 +944,7 @@ def test_restricted_contains_matches_the_full_slice_on_every_model(key):
         member = _query(spec, picks, [])
         queries += [member, _query(spec, picks, [(1, rng.choice(monomials))])]
         tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
-        columns = set(map(tpowers.atoms.decode, tpowers.standard(degree2)))
+        columns = set(map(tpowers.decode, tpowers.standard(degree2)))
         off = [m for m in monomials if m not in columns]
         queries += [{m: Fraction(1)} for m in rng.sample(monomials, min(
             8, len(monomials))) + rng.sample(off, min(4, len(off)))]

@@ -327,6 +327,8 @@ expect MISMATCH@3
     ("[model a]\nvariable x even 2\nexpect MAYBE\n", "bad verdict"),
     ("[model a]\nvariable x even 2\nfrobnicate yes\n", "unknown field"),
     ("[model ]\nvariable x even 2\n", "missing model key"),
+    ("[modelfoo]\nvariable x even 2\n", "bad header '[modelfoo]'"),
+    ("[models bar]\nvariable x even 2\n", "bad header '[models bar]'"),
     ("[model a]\nexpect ISO_CONSISTENT\n", "no variables"),
     ("[model a]\nvariable x even 2\ncharacter wat:1\n", "unknown formula"),
 ])
@@ -344,7 +346,8 @@ def test_load_registry_file_bad_polynomial(tmp_path):
     path = tmp_path / "models.txt"
     for relation, fragment in [("y(-1)^2", "unknown variable"),
                                ("1/0*x(-1)", "ZeroDivisionError"),
-                               ("x(-1) + x(-1)^2", "not homogeneous")]:
+                               ("x(-1) + x(-1)^2", "not homogeneous"),
+                               ("x(-1", "unclosed parenthesis")]:
         path.write_text("[model a]\nvariable x even 2\nrelation %s\n"
                         % relation)
         with pytest.raises(ValueError) as err:

@@ -286,10 +286,13 @@ def test_parse_poly_rejects_exponents_below_one(text):
     ("h(-1)^2 -", "polynomial 'h(-1)^2 -' ends in an operator"),
     ("h(-1)^2 +", "polynomial 'h(-1)^2 +' ends in an operator"),
     ("h(-1)^", "bad exponent in factor 'h(-1)^'"),
+    ("h(-1", "unclosed parenthesis in factor 'h(-1'"),
+    ("2*h(-1", "unclosed parenthesis in factor 'h(-1'"),
+    ("h(-1)*h(-2", "unclosed parenthesis in factor 'h(-2'"),
 ])
 def test_parse_poly_names_a_dangling_operator(text, message):
-    """A text that lost its last term or exponent is refused, not read as
-    the terms before it."""
+    """A text that lost its last term, exponent or closing parenthesis is
+    refused, not read as the terms before it."""
     with pytest.raises(ValueError) as exc:
         n2_spec().parse_poly(text)
     assert str(exc.value) == message
