@@ -103,62 +103,66 @@ def cmd_verify(args, out=sys.stdout):
         raise CliError("--limit must be >= 1, got %d" % args.limit)
     table = _load_models(args.registry)
     keys = _select(args, table)
-    reports = []
-    all_ok = True
+    judged = []
     for key in keys:
         model = table[key]
         try:
             rep = models.verify(model, args.maxdeg2, limit=args.limit)
         except jetquot.ResourceLimitError as exc:
             raise CliError("resource cap exceeded for %s: %s" % (key, exc))
-        reports.append((model, rep))
-        if not models.matches_expectation(model, rep):
-            all_ok = False
+        judged.append((model, rep, models.matches_expectation(model, rep)))
     if args.format == "json":
-        payload = [r.to_dict() for _, r in reports]
+        payload = [rep.to_dict() for _, rep, _ in judged]
         out.write(json.dumps(payload[0] if len(payload) == 1 else payload,
                              indent=2))
         out.write("\n")
     elif args.format == "csv":
-        w = csv.writer(out)
-        w.writerow(["model", "maxdeg2", "verdict", "mismatch_degree2",
-                    "degree2", "spanning", "jet_dim", "character"])
-        for _, rep in reports:
-            for row in rep.rows:
-                w.writerow([rep.model, rep.maxdeg2, rep.verdict,
-                            _cell(rep.mismatch_degree2), row["degree2"],
-                            _cell(row["spanning"]), row["jet_dim"],
-                            _cell(row["character"])])
+        _csv(out, ["model", "maxdeg2", "verdict", "mismatch_degree2"],
+             [([rep.model, rep.maxdeg2, rep.verdict, rep.mismatch_degree2],
+               rep.rows) for _, rep, _ in judged])
     else:
-        for model, rep in reports:
-            _human_report(model, rep, out)
-    return 0 if all_ok else 1
+        for model, rep, ok in judged:
+            _human_report(model, rep, ok, out)
+    return 0 if all(ok for _, _, ok in judged) else 1
+
+
+def _csv(out, head, records):
+    """CSV of ``records``, (values under ``head``, rows) pairs: the columns
+    are ``head`` and then the row keys, one line per row."""
+    keys = list(records[0][1][0])
+    w = csv.writer(out)
+    w.writerow(head + keys)
+    for values, rows in records:
+        for row in rows:
+            w.writerow(values + [row[k] for k in keys])
 
 
 def _cell(value):
     return "" if value is None else value
 
 
-def _human_report(model, rep, out):
-    ok = models.matches_expectation(model, rep)
+def _expected(model):
+    """The registered expectation as printed: ISO_CONSISTENT, MISMATCH@8."""
+    if model.expected_mismatch_degree2 is None:
+        return model.expected
+    return "%s@%d" % (model.expected, model.expected_mismatch_degree2)
+
+
+def _human_report(model, rep, ok, out):
+    """The rows as a table, a column per row key (``deg``, the first, shows
+    degree2 as a power of q), then the verdict, judged ``ok`` by the caller."""
     out.write("model %s  (maxdeg2=%d)\n" % (rep.model, rep.maxdeg2))
     out.write("  %s\n" % model.description)
-    header = "  %-8s %-10s %-10s %-10s" % ("deg", "spanning", "jet_dim",
-                                           "character")
-    out.write(header.rstrip() + "\n")
+    keys = list(rep.rows[0])[1:]
+    line = "  %-8s" + " %-10s" * len(keys)
+    out.write((line % ("deg", *keys)).rstrip() + "\n")
     for row in rep.rows:
-        out.write("  %-8s %-10s %-10s %-10s\n" % (
-            _qlabel(row["degree2"]), _cell(row["spanning"]),
-            row["jet_dim"], _cell(row["character"])))
-    tail = "  verdict: %s" % rep.verdict
-    if rep.mismatch_degree2 is not None:
-        tail += " at %s (degree2=%d)" % (_qlabel(rep.mismatch_degree2),
-                                         rep.mismatch_degree2)
-    tail += "  [expected %s" % model.expected
-    if model.expected_mismatch_degree2 is not None:
-        tail += "@%d" % model.expected_mismatch_degree2
-    tail += ": %s]\n" % ("ok" if ok else "DEVIATES")
-    out.write(tail)
+        out.write(line % (_qlabel(row["degree2"]),
+                          *(_cell(row[k]) for k in keys)) + "\n")
+    at = ("" if rep.mismatch_degree2 is None else " at %s (degree2=%d)"
+          % (_qlabel(rep.mismatch_degree2), rep.mismatch_degree2))
+    out.write("  verdict: %s%s  [expected %s: %s]\n" % (
+        rep.verdict, at, _expected(model), "ok" if ok else "DEVIATES"))
 
 
 def cmd_expand(args, out=sys.stdout):
@@ -176,11 +180,8 @@ def cmd_expand(args, out=sys.stdout):
                              indent=2))
         out.write("\n")
     elif args.format == "csv":
-        w = csv.writer(out)
-        w.writerow(["formula", "maxdeg2", "degree2", "coefficient"])
-        for row in rows:
-            w.writerow([args.formula, args.maxdeg2, row["degree2"],
-                        row["coefficient"]])
+        _csv(out, ["formula", "maxdeg2"],
+             [([args.formula, args.maxdeg2], rows)])
     else:
         out.write("formula %s  (maxdeg2=%d)\n" % (args.formula, args.maxdeg2))
         for row in rows:
@@ -201,12 +202,10 @@ def cmd_list(args, out=sys.stdout):
         model = table[key]
         if not keep(key, model.description):
             continue
-        expected = model.expected
-        if model.expected_mismatch_degree2 is not None:
-            expected += "@%d" % model.expected_mismatch_degree2
         marker = "" if model.character_key else "  character: none (HS-only)"
         out.write("  %-22s expect=%-16s maxdeg2=%-3d %s%s\n" % (
-            key, expected, model.default_maxdeg2, model.description, marker))
+            key, _expected(model), model.default_maxdeg2, model.description,
+            marker))
     out.write("formulas:\n")
     for key in sorted(models.FORMULA_KEYS):
         if not needle or needle in key.lower():

@@ -145,13 +145,6 @@ class Dk1Rules:
 # Counting
 # ---------------------------------------------------------------------
 
-def count_at(rules, degree2):
-    """Number of admissible configurations of one total doubled degree."""
-    if degree2 < 0:
-        return 0
-    return count_constrained(rules, degree2)[degree2]
-
-
 def count_constrained(rules, maxdeg2):
     """QSeries whose coefficient at each doubled degree 0..maxdeg2 is the
     number of admissible configurations of that degree."""

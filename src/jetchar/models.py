@@ -108,13 +108,15 @@ def verify(model, maxdeg2=None, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
 
 
 def matches_expectation(model, report):
+    """Whether ``report`` reads as ``model`` expects: its verdict and, for
+    an expected MISMATCH@d, a first mismatch at d, however far it ran."""
     if isinstance(model, str):
         model = get_model(model)
     if report.verdict != model.expected:
         return False
     if model.expected == "MISMATCH":
         want = model.expected_mismatch_degree2
-        if want is not None and report.maxdeg2 >= want:
+        if want is not None:
             return report.mismatch_degree2 == want
     return True
 

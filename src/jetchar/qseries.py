@@ -516,6 +516,8 @@ def ml_rhs(rank, maxdeg2):
 
 def fs_sum(n, maxdeg2):
     """sum over l in Z_{>=0}^n of q^{sum l_i^2 + sum_{i<j} l_i l_j}/prod (q)_{l_i}."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     quad2 = {}
     for i in range(n):
         quad2[(i, i)] = 2

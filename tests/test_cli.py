@@ -161,6 +161,72 @@ def test_verify_all_small_degree():
     assert len(rows) == 1 + 5 * len(set(r[0] for r in rows[1:]))
 
 
+
+def _human_cells(text, width):
+    """(model, degree2) -> the ``width`` cells of each row of the human
+    tables in ``text``, the degree read back from its q label."""
+    degree = {cli._qlabel(d): d for d in range(64)}
+    cells = {}
+    for line in text.splitlines():
+        if line.startswith("model "):
+            model = line.split()[1]
+        elif line[2:10].strip() in degree:
+            row = [line[2:10]] + [line[11 + 11 * i:21 + 11 * i]
+                                  for i in range(width - 1)]
+            cells[model, degree[row[0].strip()]] = [c.strip() for c in row]
+    return cells
+
+
+def test_verify_formats_agree_cell_by_cell():
+    """JSON, CSV and the human table print the same cell for every model,
+    degree and row key; the human table shows the degree as a q label."""
+    outs = {}
+    for fmt in ("json", "csv", "human"):
+        code, outs[fmt] = run_cli("verify", "--all", "--maxdeg2", "8",
+                                  "--format", fmt)
+        assert code == 1
+    reports = json.loads(outs["json"])
+    keys = list(reports[0]["rows"][0])
+    want = {(rep["model"], row["degree2"]):
+            ["" if row[k] is None else str(row[k]) for k in keys]
+            for rep in reports for row in rep["rows"]}
+    assert len(want) == 9 * len(cli.models.REGISTRY)
+    got_csv = {(r["model"], int(r["degree2"])): [r[k] for k in keys]
+               for r in csv.DictReader(io.StringIO(outs["csv"]))}
+    assert got_csv == want
+    got_human = _human_cells(outs["human"], len(keys))
+    assert got_human == {key: [cli._qlabel(key[1])] + cells[1:]
+                         for key, cells in want.items()}
+
+
+def test_a_new_row_key_is_a_column_of_csv_and_human(monkeypatch):
+    """A key added to the rows of models.verify shows up, in row-key
+    order, in the CSV and human headers and rows with no change to cli."""
+    verify = cli.models.verify
+
+    def probed(*args, **kwargs):
+        rep = verify(*args, **kwargs)
+        rep.rows = [{"degree2": r["degree2"], "probe": 100 + r["degree2"],
+                     **r} for r in rep.rows]
+        return rep
+
+    monkeypatch.setattr(cli.models, "verify", probed)
+    argv = ("verify", "--model", "lattice:2", "--maxdeg2", "4")
+    _, out = run_cli(*argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["model", "maxdeg2", "verdict", "mismatch_degree2",
+                       "degree2", "probe", "spanning", "jet_dim",
+                       "character"]
+    assert [r[5] for r in rows[1:]] == ["100", "101", "102", "103", "104"]
+    _, out = run_cli(*argv)
+    lines = out.splitlines()
+    assert lines[2].split() == ["deg", "probe", "spanning", "jet_dim",
+                                "character"]
+    cells = _human_cells(out, 5)
+    assert [cells["lattice:2", d][1] for d in range(5)] == [
+        "100", "101", "102", "103", "104"]
+
+
 # ---------------------------------------------- repeated calls, one parser
 
 def test_main_builds_its_parser_once_per_process():
@@ -250,7 +316,7 @@ def test_expand_unknown_formula():
 @pytest.mark.parametrize("formula", ["theta:0", "n1char:0:0", "theta:-1",
                                      "ml:sl0:rhs", "fs:-1", "poch:-1",
                                      "invpoch:-2", "ml:sl0:lhs", "ml:sl1:rhs",
-                                     "ml:xx3:rhs", "n1char:2:2",
+                                     "fs:0", "ml:xx3:rhs", "n1char:2:2",
                                      "n1char:2:3", "n1char:1:1", "n1char:1:3",
                                      "n1char:1:5"])
 def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
@@ -259,8 +325,9 @@ def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
     negative variable count in fermionic_sum), printed the sl3 series
     (ml:xx3:rhs, whose prefix went unread), printed negative coefficients
     (n1char:2:2, n1char:2:3) or all zeros (n1char:1:*), which no N=1
-    minimal model has, or printed the series 1 (the rest: an empty product
-    or an empty set of roots); a subprocess bounds a relapse."""
+    minimal model has, or printed the series 1 (the rest: an empty product,
+    an empty set of roots, or no summation variables); a subprocess
+    bounds a relapse."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "expand", formula],
         capture_output=True, text=True, timeout=60)
@@ -480,6 +547,25 @@ def test_registry_file_duplicate_key_is_a_usage_error(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: registry error: %s:4: duplicate model "
                            "key 'a'\n" % path)
+
+
+@pytest.mark.parametrize("maxdeg2", ["10", "14"])
+def test_registry_file_early_mismatch_deviates_at_any_depth(tmp_path,
+                                                            maxdeg2):
+    """lattice:3 against theta:3 first mismatches at degree2 8, so an
+    expected MISMATCH@12 deviates; a run stopped below 12 once read ok."""
+    path = tmp_path / "early.txt"
+    path.write_text("[model a]\nvariable x odd 3\nvariable y odd 3\n"
+                    "variable z even 2\nrelation x(-3/2)^2\n"
+                    "relation y(-3/2)^2\n"
+                    "relation x(-3/2)*y(-3/2) - z(-1)^3\n"
+                    "relation x(-3/2)*z(-1)\nrelation y(-3/2)*z(-1)\n"
+                    "character theta:3\nexpect MISMATCH@12\n")
+    code, out = run_cli("verify", "--registry", str(path), "--model", "a",
+                        "--maxdeg2", maxdeg2)
+    assert code == 1
+    assert out.splitlines()[-1] == ("  verdict: MISMATCH at q^4 (degree2=8)"
+                                    "  [expected MISMATCH@12: DEVIATES]")
 
 
 def test_registry_file_missing(tmp_path):

@@ -14,7 +14,6 @@ from jetchar import (RingSpec, VariableSpec, ColoredRules, GhRules, Dk1Rules,
                      compare, count_constrained, enumerate_monomials,
                      get_model, leading_term, qseries)
 from jetchar import combinat, models
-from jetchar.combinat import count_at
 
 
 def two_var_spec():
@@ -277,7 +276,8 @@ def test_colored_against_brute_force():
     ]
     for rules in cases:
         for d in range(15):
-            assert count_at(rules, d) == brute_colored(rules, d), (rules, d)
+            assert (count_constrained(rules, d)[d]
+                    == brute_colored(rules, d)), (rules, d)
 
 
 @st.composite
@@ -363,15 +363,14 @@ def test_colored_rules_validation():
         ColoredRules([("x", 2, False)], boundaries=(("x", "z"),))
 
 
-def test_count_at_negative_degree_and_empty():
+def test_count_constrained_counts_the_empty_configuration():
     rules = ColoredRules([("x", 2, False)])
-    assert count_at(rules, -2) == 0
-    assert count_at(rules, 0) == 1  # the empty configuration
+    assert count_constrained(rules, 0)[0] == 1
 
 
-def test_count_at_rejects_unknown_rules():
+def test_count_constrained_rejects_unknown_rules():
     with pytest.raises(TypeError):
-        count_at(object(), 4)
+        count_constrained(object(), 4)
 
 
 def test_graph_path_rules_match_two_variable_sum():
@@ -437,7 +436,8 @@ def brute_gh(degree2):
 
 def test_gh_counts_match_brute_force():
     for d in range(15):
-        assert count_at(GhRules(), d) == brute_gh(d), f"Gh count at degree2={d}"
+        assert count_constrained(GhRules(), d)[d] == brute_gh(d), \
+            f"Gh count at degree2={d}"
 
 
 def test_gh_series_in_one_pass_matches_brute_force():
@@ -448,12 +448,12 @@ def test_gh_series_in_one_pass_matches_brute_force():
 
 
 def test_gh_row_through_ten():
-    assert [count_at(GhRules(), d) for d in range(11)] == [
+    assert [count_constrained(GhRules(), d)[d] for d in range(11)] == [
         1, 0, 1, 2, 2, 2, 3, 4, 6, 7, 7]
 
 
 def test_gh_count_at_degree_nine():
-    assert count_at(GhRules(), 9) == 7
+    assert count_constrained(GhRules(), 9)[9] == 7
 
 
 # ---------------------------------------------------------- Dk1 counting
@@ -473,13 +473,13 @@ def test_dk1_matches_product_characters():
 def test_dk1_rejects_repeated_half_odd_part():
     # at doubled degree 6 the only candidates are [6] and [3, 3]; the
     # repeated half-odd part 3/2 is forbidden, so exactly one survives.
-    assert count_at(Dk1Rules(2), 6) == 1
-    assert count_at(Dk1Rules(3), 6) == 1
+    assert count_constrained(Dk1Rules(2), 6)[6] == 1
+    assert count_constrained(Dk1Rules(3), 6)[6] == 1
 
 
 def test_dk1_empty_partition_admitted():
     for k in (2, 3, 4):
-        assert count_at(Dk1Rules(k), 0) == 1
+        assert count_constrained(Dk1Rules(k), 0)[0] == 1
 
 
 def brute_dk1(k, degree2):

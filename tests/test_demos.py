@@ -38,11 +38,13 @@ def test_every_exported_name_resolves():
     ("jetchar", "dk1_conditions"), ("jetchar.combinat", "dk1_conditions"),
     ("jetchar.qseries", "path_graph_sum"),
     ("jetchar.qseries", "cycle_graph_sum"),
+    ("jetchar.combinat", "count_at"),
 ])
 def test_removed_duplicates_stay_gone(module, name):
     """Each job has one entry point: models.verify compares, graphsum:
     formula keys build graph characters, and the rule classes are passed
-    to count_at and count_constrained directly."""
+    to count_constrained directly, whose series gives the count at each
+    degree."""
     mod = sys.modules[module]
     assert not hasattr(mod, name)
     assert name not in getattr(mod, "__all__", ())
