@@ -12,9 +12,10 @@ rows are the ideal elements ``m * T^j(g)`` landing in that degree, columns
 are the jet monomials of that degree, and the quotient dimension is
 ``#columns - rank``.
 
-Rows are scaled to integers and reduced by a sparse Gaussian echelon with
-deterministic smallest-column pivoting, so ranks do not depend on dict
-ordering, generator order, or scalar rescalings of the generators.
+Integer rows go in as built to one sparse Gaussian echelon with
+deterministic smallest-column pivoting, :class:`Echelon`, the one place
+their content is taken out, so ranks do not depend on dict ordering,
+generator order, or scalar rescalings of the generators.
 
 Slices are built on integers only.  The jet atoms ``(base, shift)`` are
 numbered in the canonical atom order ``(degree2, base, shift)``; the table
@@ -111,39 +112,33 @@ def _charge_lattice(spec):
     A charge is a vector ``q`` over the base variables for which every
     term of a generator has the same ``q . (count of each base)``: the
     kernel of the count differences between the terms of each generator.
-    A fraction-free row reduction keeps every pivot row zero at the other
-    pivots, so each basis vector is positive at its own free base, zero
-    at the other free bases, and fixed by the pivot rows at the pivots.
+    The differences go into an :class:`Echelon`; each base off its pivot
+    columns is free, and gives the one primitive kernel vector that is
+    positive there and zero at the other free bases, its pivots solved by
+    integer back-substitution from the largest pivot down.
     """
     n = len(spec.variables)
-    pivots = {}  # pivot base -> primitive integer row, zero at other pivots
+    ech = Echelon()
     for g in spec.relations + spec.extras:
         monos = list(g)
         for mono in monos[1:]:
-            row = [0] * n
-            for base, _ in mono:
-                row[base] += 1
-            for base, _ in monos[0]:
-                row[base] -= 1
-            for p, prow in pivots.items():
-                if row[p]:
-                    row = [a * prow[p] - row[p] * b
-                           for a, b in zip(row, prow)]
-            lead = next((c for c, v in enumerate(row) if v), None)
-            if lead is not None:
-                row = _primitive(row)
-                for p, prow in pivots.items():
-                    if prow[lead]:
-                        pivots[p] = _primitive([a * row[lead] - prow[lead] * b
-                                                for a, b in zip(prow, row)])
-                pivots[lead] = row
+            row = {}
+            for sign, m in ((1, mono), (-1, monos[0])):
+                for base, _ in m:
+                    row[base] = row.get(base, 0) + sign
+            ech.insert({b: v for b, v in row.items() if v})
     basis = []
-    for free in (b for b in range(n) if b not in pivots):
-        scale = math.lcm(*(prow[p] for p, prow in pivots.items()
-                           if prow[free]))
-        basis.append(_primitive([
-            -pivots[b][free] * scale // pivots[b][b] if b in pivots
-            else scale * (b == free) for b in range(n)]))
+    for free in (b for b in range(n) if b not in ech.pivots):
+        q = [0] * n
+        q[free] = 1
+        for p in sorted(ech.pivots, reverse=True):
+            prow = ech.pivots[p]
+            s = sum(v * q[b] for b, v in prow.items())
+            if s:
+                g = math.gcd(s, prow[p])
+                q = [v * (prow[p] // g) for v in q]
+                q[p] = -s // g
+        basis.append(_primitive(q))
     return basis
 
 
@@ -170,19 +165,22 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
 
 
 class Echelon:
-    """Sparse integer row echelon with deterministic pivoting.
+    """Sparse integer row echelon with deterministic pivoting, the one
+    integer elimination here.
 
     Rows are dicts ``{column: int}`` whose entries are all nonzero (a zero
     entry would be taken for a column of the row); ``columns`` maps each
-    packed standard monomial of the slice to its column.  ``insert``
-    reduces a row against the current pivots (always eliminating the
-    smallest column first) and, if a nonzero remainder survives, installs
-    it as a new pivot after dividing by its content.  ``reduce`` performs
-    the same elimination without installing, so membership tests do not
-    grow the basis.
+    packed standard monomial of the slice to its column, if the caller
+    needs one.  ``insert`` reduces a row against the current pivots
+    (always eliminating the smallest column first) and, if a nonzero
+    remainder survives, installs it as a new pivot after dividing by its
+    content, pivot entry positive: the one place content is taken out, so
+    a row scaled by a nonzero integer gives the same pivots.  ``reduce``
+    performs the same elimination without installing, so membership tests
+    do not grow the basis.
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns=None):
         self.columns = columns
         self.pivots = {}
 
@@ -542,24 +540,15 @@ class _TPowers:
 
 def _product_row(columns, m, m_odd, terms):
     """The row of ``m * T^j(g)`` on the standard ``columns``, where
-    ``m_odd`` is ``m & odd_bits``: ``_int_row`` of the product with the
-    entries off the columns (a shared odd atom among them) dropped, divided
-    by its content.
+    ``m_odd`` is ``m & odd_bits``: the power's signed coefficients at the
+    columns its products land on (a shared odd atom lands on none), left
+    with their content, which :meth:`Echelon.insert` takes out.
     """
     row = {}
-    partial = False
     for t, c, flip in terms:
         k = columns.get(m + t)
-        if k is None:
-            partial = True
-        else:
+        if k is not None:
             row[k] = -c if (m_odd & flip).bit_count() & 1 else c
-    # distinct terms give distinct products, so only a vanished or dropped
-    # term can leave a common factor behind
-    if partial and row:
-        g = math.gcd(*row.values())
-        if g > 1:
-            row = {k: v // g for k, v in row.items()}
     return row
 
 

@@ -537,19 +537,19 @@ def load_registry_file(path):
             elif field == "character":
                 current["character_key"] = None if rest == "none" else rest
             elif field == "expect":
-                verdict, _, deg = rest.partition("@")
+                verdict, at, deg = rest.partition("@")
                 if verdict not in ("ISO_CONSISTENT", "MISMATCH"):
                     raise ValueError("%s:%d: bad verdict %r"
                                      % (path, lineno, verdict))
+                if at and verdict != "MISMATCH":
+                    raise ValueError("%s:%d: only MISMATCH takes a degree2, "
+                                     "got %r" % (path, lineno, rest))
                 current["expected"] = verdict
-                current["expected_mismatch_degree2"] = _int_field(
-                    path, lineno, "expect degree2", deg) if deg else None
+                current["expected_mismatch_degree2"] = _degree2_field(
+                    path, lineno, "expect degree2", deg) if at else None
             elif field == "maxdeg2":
-                maxdeg2 = _int_field(path, lineno, "maxdeg2", rest)
-                if maxdeg2 < 0:
-                    raise ValueError("%s:%d: maxdeg2 must be >= 0, got %d"
-                                     % (path, lineno, maxdeg2))
-                current["default_maxdeg2"] = maxdeg2
+                current["default_maxdeg2"] = _degree2_field(
+                    path, lineno, "maxdeg2", rest)
             else:
                 raise ValueError("%s:%d: unknown field %r"
                                  % (path, lineno, field))
@@ -565,6 +565,14 @@ def _int_field(path, lineno, field, text):
     except ValueError:
         raise ValueError("%s:%d: %s must be an integer, got %r"
                          % (path, lineno, field, text)) from None
+
+
+def _degree2_field(path, lineno, field, text):
+    value = _int_field(path, lineno, field, text)
+    if value < 0:
+        raise ValueError("%s:%d: %s must be >= 0, got %d"
+                         % (path, lineno, field, value))
+    return value
 
 
 def _record_to_model(path, rec):

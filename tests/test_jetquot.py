@@ -11,6 +11,7 @@ import math
 import random
 import sys
 import threading
+import types
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -22,8 +23,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, jetquot, models, qseries)
-from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _int_row,
-                             _product_row, ideal_basis, ideal_rows)
+from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _charge_lattice,
+                             _int_row, _product_row, ideal_basis, ideal_rows)
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -401,21 +402,27 @@ _ROWS = st.lists(st.dictionaries(st.integers(0, 7), _NONZERO, max_size=4),
 
 @settings(max_examples=300, deadline=None)
 @given(_ROWS, st.lists(st.lists(st.integers(-3, 3), min_size=10,
-                                max_size=10), max_size=3), _ROWS)
-def test_echelon_matches_a_fraction_elimination(rows, combos, others):
+                                max_size=10), max_size=3), _ROWS,
+       st.lists(st.integers(-40, 40).filter(bool), min_size=10, max_size=10))
+def test_echelon_matches_a_fraction_elimination(rows, combos, others, scales):
     """On random sparse rows with nonzero entries, the echelon's rank is
     the ``Fraction`` rank; ``reduce`` leaves nothing exactly of the rows in
     their span (combinations of the inserted rows and random rows); every
     pivot is primitive and positive at its own, smallest column; and
-    ``insert`` changes no row that it is given."""
+    ``insert`` changes no row that it is given.  Each row scaled by its
+    own nonzero integer gives the same answers and the same pivots, so
+    callers need not take out a row's content."""
     ech = Echelon(dict.fromkeys(range(8)))
-    for k, row in enumerate(rows):
+    scaled = Echelon()
+    for k, (row, f) in enumerate(zip(rows, scales)):
         given, rank = dict(row), ech.rank
         grew = ech.insert(row)
         assert row == given
         assert ech.rank == _fraction_rank(rows[:k + 1], 8)
         assert grew == (ech.rank > rank)
+        assert scaled.insert({c: f * v for c, v in row.items()}) == grew
     assert ech.rank == _fraction_rank(rows, 8)
+    assert scaled.pivots == ech.pivots
     for c, piv in ech.pivots.items():
         assert min(piv) == c and piv[c] > 0
         assert math.gcd(*piv.values()) == 1
@@ -436,8 +443,9 @@ def test_echelon_matches_a_fraction_elimination(rows, combos, others):
                                           ("lattice:3", 12)])
 def test_ideal_rows_match_fraction_rows(key, maxdeg2):
     """The columns are the monomials that no single-term product covers,
-    each product row is the Fraction reference restricted to them, and the
-    slice spans the reference slice modulo the dead columns."""
+    each product row is the Fraction reference restricted to them, up to
+    its content, and the slice spans the reference slice modulo the dead
+    columns."""
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
     for d in range(maxdeg2 + 1):
@@ -457,8 +465,8 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
             got = _product_row(columns, e, e & tpowers.odd_bits,
                                tpowers.get(i, j))
             restricted = {new_of[k]: v for k, v in ref.items() if k in new_of}
-            g = math.gcd(*restricted.values())
-            assert got == {k: v // g for k, v in restricted.items()}, \
+            # rows go in as built: the echelon takes out their content
+            assert _primitive_row(got) == _primitive_row(restricted), \
                 f"{key} product row differs at degree2={d}"
             if ref:
                 want.append(ref)
@@ -470,6 +478,12 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
                                    if k in new_of}) for r in want)
         assert not any(ref_ech.reduce({live[k]: v for k, v in r.items()})
                        for r in rows)
+
+
+def _primitive_row(row):
+    """A sparse integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()}
 
 
 def _multiset_divides(t, m):
@@ -826,6 +840,52 @@ def test_charge_lattice_ranks(key, rank):
     tpowers = _TPowers(models.get_model(key).ring(), 10,
                        DEFAULT_MONOMIAL_LIMIT)
     assert len(tpowers.charges) == rank
+
+
+_GENERATOR_SETS = st.tuples(
+    st.integers(1, 7),
+    st.lists(st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1,
+                      max_size=4), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GENERATOR_SETS)
+@example((3, [[[0, 1], [2, 2]]]))  # lattice:2's x y against z^2
+@example((2, [[[1], [0, 0]]]))  # y against x^2: back-substitution scales
+def test_charge_lattice_is_the_primitive_kernel_of_the_count_differences(
+        drawn):
+    """On random generators (lists of monomials over 1 to 7 bases), with
+    the ``Fraction`` rank as oracle: every basis vector annihilates every
+    count difference between a generator's terms, and there are ``n -
+    rank`` of them.  The free bases are the columns that add nothing to
+    the rank of the differences cut to the columns up to them; the k-th
+    vector is primitive, positive at the k-th free base and zero at the
+    others."""
+    n, drawn = drawn
+    gens = [{tuple(sorted((b % n, 0) for b in mono)): 1 for mono in g}
+            for g in drawn]
+    spec = types.SimpleNamespace(variables=[None] * n,
+                                 relations=gens[::2], extras=gens[1::2])
+    basis = _charge_lattice(spec)
+    diffs = []
+    for g in gens:
+        first, *rest = g
+        for mono in rest:
+            count = Counter(b for b, _ in mono)
+            count.subtract(b for b, _ in first)
+            diffs.append(dict(count))
+    assert len(basis) == n - _fraction_rank(diffs, n)
+    for q in basis:
+        assert all(sum(q[b] * v for b, v in d.items()) == 0 for d in diffs)
+        assert math.gcd(*q) == 1
+    free = [c for c in range(n) if _fraction_rank(
+        [{b: v for b, v in d.items() if b <= c} for d in diffs], n)
+        == _fraction_rank([{b: v for b, v in d.items() if b < c}
+                           for d in diffs], n)]
+    assert len(free) == len(basis)
+    for k, q in enumerate(basis):
+        assert [q[c] > 0 if i == k else q[c] == 0
+                for i, c in enumerate(free)] == [True] * len(free)
 
 
 def _full_slice_contains(spec, poly):

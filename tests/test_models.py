@@ -325,6 +325,13 @@ expect MISMATCH@3
     ("variable x even 2\n", "content before"),
     ("[model a]\nvariable x sideways 2\n", "bad variable"),
     ("[model a]\nvariable x even 2\nexpect MAYBE\n", "bad verdict"),
+    # a degree belongs to MISMATCH only, and must be a degree2 that can occur
+    ("[model a]\nvariable x even 2\nexpect ISO_CONSISTENT@5\n",
+     ":3: only MISMATCH takes a degree2, got 'ISO_CONSISTENT@5'"),
+    ("[model a]\nvariable x even 2\nexpect MISMATCH@\n",
+     ":3: expect degree2 must be an integer, got ''"),
+    ("[model a]\nvariable x even 2\nexpect MISMATCH@-3\n",
+     ":3: expect degree2 must be >= 0, got -3"),
     ("[model a]\nvariable x even 2\nfrobnicate yes\n", "unknown field"),
     ("[model ]\nvariable x even 2\n", "missing model key"),
     ("[modelfoo]\nvariable x even 2\n", "bad header '[modelfoo]'"),
