@@ -50,8 +50,7 @@ def _build_parser():
                    help="text file of additional models")
     v.add_argument("--limit", type=int,
                    default=jetquot.DEFAULT_MONOMIAL_LIMIT,
-                   help="resource cap: jet monomials per degree, counting "
-                        "those the slice leaves out")
+                   help="resource cap: standard monomials per degree table")
 
     e = sub.add_parser("expand", help="expand a formula key to coefficients")
     e.add_argument("formula", help="formula key, e.g. theta:3 or jm:A4")

@@ -39,8 +39,7 @@ gives a digit 2, which no column has, so that product falls off the
 columns), and its Koszul sign is one masked bit count
 (:meth:`_TPowers.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
 also on the charges), never on the atom count: the table still grows
-lazily, and each degree's monomial budget is checked before it is
-enumerated.  Each ``T^j(g)`` is computed once per context and stored packed
+lazily.  Each ``T^j(g)`` is computed once per context and stored packed
 as a primitive integer polynomial: ``T^0`` is the generator
 with its denominators cleared, and each higher power applies the scaled
 derivation ``2T`` on the packed form (one digit moves to the next shift
@@ -70,19 +69,21 @@ the few repeats.
 The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  One slice context, :class:`_TPowers`,
 holds all of the above for a ring: the atom table and its packing, the
-powers, the standard tables, the monomial budget, and one index of the
-cuts by smallest atom.  A cut enters the index when it is found: a
-single-term power when it is made, a learned monomial when it is given
-to :meth:`_TPowers.cut`.  :func:`hilbert_series` builds one context per
+powers, the standard tables (a degree whose table would hold more than the
+monomial budget is refused as it is built), and one index of the cuts by
+smallest atom.  A cut enters the index when it is found: a single-term
+power when it is made, a learned monomial when it is given to
+:meth:`_TPowers.cut`.  :func:`hilbert_series` builds one context per
 call: it is the one per-degree loop, and the only caller that learns
 cuts.  :func:`contains` keeps one per ring (weakly, so a dropped ring
 frees it) and reuses it for the ring's next query under the same budget,
 up to its packed top.  That is exact: a context that learns nothing holds
 the tables and powers a fresh one would build, in the same order, so the
-columns, rows and pivots are the same.  Of the query's slice it builds
-only the columns and rows in the query's grades: every row ``m *
-T^j(g)`` lies in one grade, and rows of different grades share no
-column, so the other blocks cannot change the answer.
+columns, rows and pivots are the same, and it refuses where a fresh one
+does.  Of the query's slice it builds only the columns and rows in the
+query's grades: every row ``m * T^j(g)`` lies in one grade, and rows of
+different grades share no column, so the other blocks cannot change the
+answer.
 :func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
@@ -92,7 +93,6 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 
-from .qseries import free_product
 from .superring import RingSpec
 
 DEFAULT_MONOMIAL_LIMIT = 200_000
@@ -156,7 +156,8 @@ def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
     each monomial tuple is already canonical.  These are the standard
     monomials of the free ring on ``spec``'s variables, and the columns of
     a slice built by :func:`ideal_rows` are the standard monomials of this
-    list, in its order.
+    list, in its order.  Every table up to ``degree2`` is built, and the
+    first with more than ``limit`` monomials is refused.
     """
     if degree2 < 0:
         return []
@@ -280,8 +281,7 @@ class _TPowers:
     :meth:`cut`.  ``_cuts`` is the one index of them: the pairs (packed
     cut, its doubled degree) under the id of the cut's smallest atom, and
     the unit under ``-1``.  ``standard(d)`` lists the monomials of degree
-    ``d`` that no cut divides, within the monomial budget ``limit`` of
-    each degree.
+    ``d`` that no cut divides, at most ``limit`` of them (:meth:`_table`).
     """
 
     def __init__(self, spec, top, limit):
@@ -289,8 +289,6 @@ class _TPowers:
         # the variables, not spec: a context that contains keeps must not
         # keep its ring alive
         self.variables = spec.variables
-        self._weights = [(v.weight2, v.parity) for v in spec.variables]
-        self._free = free_product(self._weights, 0)
         # odd squares normalise to zero
         gens = [g for g in spec.relations + spec.extras if g]
         self.base_degree2 = [spec.degree2(g) for g in gens]
@@ -409,9 +407,8 @@ class _TPowers:
 
         The atom table is grown to the degree first, and then every power
         of degree at most ``degree2`` is made before its table, so no cut
-        that could divide one of them comes later.  A table is built only
-        within the budget (:meth:`check`); one that exists is not checked
-        again.
+        that could divide one of them comes later.  Each table is built
+        within the budget, those below ``degree2`` first.
         """
         tables = self._tables
         if degree2 >= len(tables):
@@ -419,7 +416,6 @@ class _TPowers:
             for i, d0 in enumerate(self.base_degree2):
                 if d0 <= degree2:
                     self.get(i, (degree2 - d0) // 2)
-            self.check(degree2)
             while len(tables) <= degree2:
                 tables.append(self._table(len(tables)))
         return tables[degree2][0]
@@ -443,13 +439,17 @@ class _TPowers:
         that prefix.  Every cut of degree at most ``d`` must be filed when
         the table of ``d`` is built.  An atom whose lower prefix is empty
         starts no monomial, so its block is skipped and only its prefix
-        length is set.
+        length is set.  The budget is kept here, the one place: once the
+        table, unit included, holds more than ``limit`` monomials, no more
+        blocks are made and the degree is refused.
         """
         deg, odd, unit = self.atom_degree2, self.odd, self.unit
         fits = bisect_right(deg, d)
         out = [] if d or -1 in self._cuts else [0]  # -1: the unit is cut
         starts = [len(out)] * (fits + 1)
         for i in range(fits - 1, -1, -1):
+            if len(out) > self.limit:
+                break
             start = i + odd[i]
             lower = self._prefix(d - deg[i], start)
             if lower:
@@ -461,6 +461,9 @@ class _TPowers:
                     new = [m for m in new if m not in multiples]
                 out += new
             starts[i] = len(out)
+        if len(out) > self.limit:
+            raise ResourceLimitError("more than %d monomials at degree2=%d"
+                                     % (self.limit, d))
         return out, starts
 
     def _prefix(self, degree2, i):
@@ -468,20 +471,6 @@ class _TPowers:
         or above."""
         monomials, starts = self._tables[degree2]
         return monomials[:starts[min(i, len(starts) - 1)]]
-
-    def check(self, degree2):
-        """Refuse a degree with more than ``limit`` monomials, cut or not.
-
-        The count is read off the free jet character, which is kept to the
-        highest degree asked for so far and doubled when a higher one is
-        asked for.
-        """
-        if degree2 > self._free.maxdeg2:
-            self._free = free_product(self._weights, min(
-                self.top, max(degree2, 2 * self._free.maxdeg2)))
-        if self._free[degree2] > self.limit:
-            raise ResourceLimitError("more than %d monomials at degree2=%d"
-                                     % (self.limit, degree2))
 
     def cut(self, degree2, monomials):
         """Learn that the packed ``monomials`` of the degree lie in the
@@ -637,7 +626,9 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     Every ideal row lies in one grade (see :class:`_TPowers`), and rows of
     different grades share no column, so the slice is a direct sum of
     blocks, one per grade.  Only the columns and rows of the query's grades
-    are built; the answer is the one the whole slice gives.
+    are built; the answer is the one the whole slice gives.  Every table
+    up to the query's degree is built, and the first with more than
+    ``limit`` standard monomials is refused.
 
     The slice context of a ring is kept for the next query of the same
     ring and ``limit`` up to its packed top, so a ring is taken as fixed
@@ -659,7 +650,6 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
         # built at most twice, with tops 15 and 31
         top = (1 << degree2.bit_length()) - 1
         tpowers = _TPowers(spec, top, limit)
-    tpowers.check(degree2)  # its table may have been built for a higher query
     tpowers.grow(degree2)
     packed = {m: tpowers.encode(m) for m in poly}
     grades = {p & tpowers.grade_mask for p in packed.values()}

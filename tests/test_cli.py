@@ -135,15 +135,27 @@ def test_verify_limit_below_one_is_a_usage_error(limit):
 
 def test_verify_huge_maxdeg2_stops_at_the_first_capped_slice():
     """Only the digit and grade widths depend on the truncation: the atom
-    table grows one degree at a time, so the cap stops the run at
-    degree2=10."""
+    table grows one degree at a time, so the cap stops the run at the
+    first table of more than 100 standard monomials, the 103 of
+    degree2=14."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "verify", "--model",
          "lattice:2", "--maxdeg2", "10000000", "--limit", "100"],
         capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: resource cap exceeded for lattice:2: "
-                           "more than 100 monomials at degree2=10\n")
+                           "more than 100 monomials at degree2=14\n")
+
+
+def test_verify_goes_as_deep_as_the_standard_tables_allow():
+    """The default cap counts the standard monomials each slice builds,
+    not the 203,984 free ones of degree2=30, so graph:A4 verifies at 30."""
+    code, out = run_cli("verify", "--model", "graph:A4", "--maxdeg2", "30",
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "ISO_CONSISTENT"
+    assert len(payload["rows"]) == 31
 
 
 def test_verify_resource_cap_gives_diagnostic_exit():

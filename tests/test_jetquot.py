@@ -11,6 +11,7 @@ import math
 import random
 import sys
 import threading
+import time
 import types
 import weakref
 from collections import Counter
@@ -161,47 +162,94 @@ def test_resource_limit_raises():
         hilbert_series(spec, 12, limit=5)
 
 
-def test_limit_counts_every_monomial_of_the_degree():
-    """The cap counts all monomials of a degree, not only the standard
-    columns: lattice:2 has 51 monomials at degree2=8 and 108 at 10, of
-    which 43 are standard."""
+def test_limit_counts_the_standard_monomials_of_the_degree():
+    """The cap counts the standard monomials a table holds, not every
+    monomial of the degree: lattice:2 has 108 monomials at degree2=10, of
+    which 43 are standard, and hilbert_series, which learns cuts, builds
+    39 of them at 10 and 64 at 12.  So a cap of 51 answers through 10 and
+    refuses 12, and a cap of 60 gives the uncapped series through 10."""
     spec = models.get_model("lattice:2").ring()
-    assert [len(enumerate_monomials(spec, d)) for d in (8, 10)] == [51, 108]
-    assert len(ideal_rows(_TPowers(spec, 10, 108), 10)[0]) == 43
-    assert len(hilbert_series(spec, 8, limit=51)) == 9
+    assert len(enumerate_monomials(spec, 10)) == 108
+    assert len(ideal_rows(_TPowers(spec, 10, 43), 10)[0]) == 43
+    assert len(hilbert_series(spec, 10, limit=51)) == 11
     with pytest.raises(ResourceLimitError,
-                       match="^more than 51 monomials at degree2=10$"):
+                       match="^more than 51 monomials at degree2=12$"):
         hilbert_series(spec, 12, limit=51)
+    assert hilbert_series(spec, 10, limit=60) == hilbert_series(spec, 10)
+
+
+def test_limit_counts_the_unit_at_degree_zero():
+    """The unit is the one monomial of degree 0, so a cap of 0 refuses
+    it, although its table has no blocks."""
+    spec = models.get_model("lattice:2").ring()
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 0 monomials at degree2=0$"):
+        hilbert_series(spec, 0, limit=0)
+    assert hilbert_series(spec, 0, limit=1) == [1]
+
+
+@pytest.mark.parametrize("weight2", [91, 111])
+def test_limit_bounds_the_tables_below_the_degree(weight2):
+    """x of weight2 2 and y of a large odd weight2 have one monomial at
+    y's degree, but every table below it is built first, and x alone has
+    11 monomials at degree2=12: a cap of 10 refuses there at once, in
+    contains as in enumerate_monomials, instead of building every table
+    below y."""
+    spec = RingSpec((VariableSpec("x", "even", 2),
+                     VariableSpec("y", "even", weight2)))
+    y = spec.parse_poly("y(-%d/2)" % weight2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 10 monomials at degree2=12$"):
+        contains(spec, y, limit=10)
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 10 monomials at degree2=12$"):
+        enumerate_monomials(spec, weight2, limit=10)
+    assert time.perf_counter() - start < 1
 
 
 def test_limit_reaches_contains():
-    """contains builds its slice under the same budget: lattice:2 has 51
-    monomials at degree2=8 and 108 at 10, so a cap of 107 refuses a query
-    at 10, also from the context that a query at 8 left, and a cap of 108
-    answers it.  After a refusal the ring still answers at 8."""
+    """contains builds its tables under the same budget: without learned
+    cuts lattice:2 has 23 standard monomials at degree2=8 and 43 at 10,
+    so a cap of 42 refuses a query at 10, also from the context that a
+    query at 8 left, and a cap of 43 answers it.  After a refusal the ring
+    still answers at 8."""
     spec = models.get_model("lattice:2").ring()
     member, other = spec.parse_poly("x(-1)^2*z(-3)"), spec.parse_poly("z(-5)")
     lower = [spec.parse_poly("x(-1)^2*z(-2)"), spec.parse_poly("z(-4)")]
     for q in (member, other):
-        assert [contains(spec, p, limit=107) for p in lower] == [True, False]
+        assert [contains(spec, p, limit=42) for p in lower] == [True, False]
         with pytest.raises(ResourceLimitError,
-                           match="^more than 107 monomials at degree2=10$"):
-            contains(spec, q, limit=107)
-        assert [contains(spec, p, limit=107) for p in lower] == [True, False]
-    assert [contains(spec, q, limit=108) for q in (member, other)] == [
+                           match="^more than 42 monomials at degree2=10$"):
+            contains(spec, q, limit=42)
+        assert [contains(spec, p, limit=42) for p in lower] == [True, False]
+    assert [contains(spec, q, limit=43) for q in (member, other)] == [
         True, False]
 
 
-def test_contains_checks_the_budget_of_a_table_already_built():
-    """x of weight2 2 and y of 7 have 3 monomials at degree2=6 and 1 at 7:
-    a cap of 2 answers at 7, and after that query has built the table of
-    6 it still refuses a query at 6, as a first query there does."""
-    spec = RingSpec((VariableSpec("x", "even", 2),
-                     VariableSpec("y", "even", 7)))
-    assert not contains(spec, spec.parse_poly("y(-7/2)"), limit=2)
-    with pytest.raises(ResourceLimitError,
-                       match="^more than 2 monomials at degree2=6$"):
-        contains(spec, spec.parse_poly("x(-3)"), limit=2)
+def test_a_kept_context_refuses_where_a_fresh_one_does():
+    """x of weight2 2 and y of 7 have 5 monomials at degree2=8, 2 at 9
+    and 7 at 10: a cap of 5 answers queries at 8 and 9 and refuses those
+    at 10 and 11 at 10.  Every table a kept context holds was built under
+    the same cap, so each query, after a lower one or a higher one, gets
+    the answer or the refusal that it gets from a fresh context."""
+    variables = (VariableSpec("x", "even", 2), VariableSpec("y", "even", 7))
+    texts = ["x(-3)", "x(-4)", "x(-1)*y(-7/2)", "x(-5)", "y(-11/2)"]
+
+    def ask(spec, text):
+        try:
+            return contains(spec, spec.parse_poly(text), limit=5)
+        except ResourceLimitError as exc:
+            return str(exc)
+
+    refused = "more than 5 monomials at degree2=10"
+    fresh = [ask(RingSpec(variables), t) for t in texts]
+    assert fresh == [False, False, False, refused, refused]
+    for first in texts:
+        for k, then in enumerate(texts):
+            spec = RingSpec(variables)
+            ask(spec, first)
+            assert ask(spec, then) == fresh[k], (first, then)
 
 
 def test_a_dropped_ring_frees_its_context():
@@ -277,21 +325,22 @@ def test_an_interrupted_query_keeps_no_context(monkeypatch):
 
 
 def test_budget_stops_an_odd_degree_in_verify_and_contains(capsys):
-    """n1_minimal:2 (l even of weight2 4, g odd of weight2 3) has 81
-    monomials at degree2=26 and 101 at the odd degree 27: a cap of 100
-    stops verify there, and refuses a query there that a cap of 101
-    answers."""
+    """n1_minimal:2 (l even of weight2 4, g odd of weight2 3): verify,
+    which learns cuts, builds 90 standard monomials at degree2=31 and 105
+    at 32, so a cap of 100 stops it at 32.  Without learned cuts there
+    are at most 49 below the odd degree 27 and 60 at 27, so contains
+    refuses a query there under a cap of 59 and a cap of 60 answers it."""
     assert cli.main(["verify", "--model", "n1_minimal:2", "--maxdeg2",
                      "100000", "--limit", "100"], out=io.StringIO()) == 2
     assert capsys.readouterr().err == (
         "error: resource cap exceeded for n1_minimal:2: "
-        "more than 100 monomials at degree2=27\n")
+        "more than 100 monomials at degree2=32\n")
     spec = models.get_model("n1_minimal:2").ring()
     query = spec.parse_poly("l(-3)*l(-2)^4*g(-5/2)")
     with pytest.raises(ResourceLimitError,
-                       match="^more than 100 monomials at degree2=27$"):
-        contains(spec, query, limit=100)
-    assert contains(spec, query, limit=101)
+                       match="^more than 59 monomials at degree2=27$"):
+        contains(spec, query, limit=59)
+    assert contains(spec, query, limit=60)
 
 
 # ------------------------------------------------- integer slice builder
