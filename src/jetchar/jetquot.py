@@ -24,8 +24,8 @@ changes once given.  A monomial with multiplicity ``k_a`` of atom ``a`` is
 the *packed* integer ``sum(k_a << (s + w * a)) + grade`` (packed exponent
 vectors: Monagan and Pearce, CASC 2007).  A slice context packs degrees
 up to ``top`` (the ``maxdeg2`` of a :func:`hilbert_series` call, or for
-:func:`contains` the largest number with the query degree's bit length;
-at least the generators' degrees) with ``w = top.bit_length() + 1``.
+:func:`contains` the largest number with the query degree's bit length)
+with ``w = top.bit_length() + 1``.
 Every atom has doubled degree at least 1, so no digit of a monomial or
 product of degree at most ``top`` exceeds ``top``: bit ``w - 1`` of every
 digit is a free guard bit, digits never carry, and a degree above ``top``
@@ -49,9 +49,9 @@ off the slice path.
 Most relations are monomials, so many powers have a single term, and every
 monomial that such a power divides lies in the ideal.  So does every
 monomial ``c`` that a slice's echelon pivots on alone (a pivot row
-``{c: 1}``): :func:`hilbert_series` *learns* these as cuts, after the
-echelon of their degree, and no slice above spends columns, factors or
-rows on their multiples again.  The columns of a slice are therefore only
+``{c: 1}``): :func:`_learn` *learns* these as cuts, after the echelon of
+their degree, and no slice above spends columns, factors or rows on
+their multiples again.  The columns of a slice are therefore only
 the *standard* monomials, those that no cut divides.  Their table for
 each degree is built from the tables below it (:meth:`_TPowers._table`):
 a standard monomial less its smallest atom is a standard monomial of
@@ -71,19 +71,14 @@ and ``Fraction`` coefficients.  One slice context, :class:`_TPowers`,
 holds all of the above for a ring: the atom table and its packing, the
 powers, the standard tables (a degree whose table would hold more than the
 monomial budget is refused as it is built), and one index of the cuts by
-smallest atom.  A cut enters the index when it is found: a single-term
-power when it is made, a learned monomial when it is given to
-:meth:`_TPowers.cut`.  :func:`hilbert_series` builds one context per
-call: it is the one per-degree loop, and the only caller that learns
-cuts.  :func:`contains` keeps one per ring (weakly, so a dropped ring
-frees it) and reuses it for the ring's next query under the same budget,
-up to its packed top.  That is exact: a context that learns nothing holds
-the tables and powers a fresh one would build, in the same order, so the
-columns, rows and pivots are the same, and it refuses where a fresh one
-does.  Of the query's slice it builds only the columns and rows in the
-query's grades: every row ``m * T^j(g)`` lies in one grade, and rows of
-different grades share no column, so the other blocks cannot change the
-answer.
+smallest atom, filed as they are found: a single-term power when it is
+made, a learned monomial when it is given to :meth:`_TPowers.cut`.  Every
+degree is learned, by one step (:func:`_learn`), before the table above
+it is built, so a standard table depends only on the ring and its
+degree, whichever entry point built it, and one ``limit`` bounds one set
+of tables.  :func:`hilbert_series` builds one context per call;
+:func:`contains` keeps one per ring (weakly, so a dropped ring frees it)
+for the ring's next query under the same budget, up to its packed top.
 :func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
@@ -138,14 +133,9 @@ def _charge_lattice(spec):
                 g = math.gcd(s, prow[p])
                 q = [v * (prow[p] // g) for v in q]
                 q[p] = -s // g
-        basis.append(_primitive(q))
+        g = math.gcd(*q)
+        basis.append([v // g for v in q])
     return basis
-
-
-def _primitive(v):
-    """A nonzero integer vector divided by the gcd of its entries."""
-    g = math.gcd(*v)
-    return [x // g for x in v]
 
 
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -252,8 +242,8 @@ class _TPowers:
     ``odd[i]`` its parity, ``next[i]`` the id of the atom one shift up
     (``None`` past the table), and ``ids`` maps an atom to its id.  The
     table holds every atom of doubled degree at most ``grown``, and grows
-    up to ``top``: the ``top`` asked for, or the generators' degrees if
-    higher.
+    up to ``top``.  A generator of degree above ``top`` reaches no slice,
+    so it is left out, and ``top`` stays as asked.
 
     A packed monomial has two parts.  The atom digits sit above the lowest
     ``grade_bits`` bits: ``bit[i] = 1 << (grade_bits + width * i)`` is one
@@ -289,10 +279,11 @@ class _TPowers:
         # the variables, not spec: a context that contains keeps must not
         # keep its ring alive
         self.variables = spec.variables
+        self.top = top = max(top, 0)
         # odd squares normalise to zero
-        gens = [g for g in spec.relations + spec.extras if g]
+        gens = [g for g in spec.relations + spec.extras
+                if g and spec.degree2(g) <= top]
         self.base_degree2 = [spec.degree2(g) for g in gens]
-        self.top = top = max([top, 0] + self.base_degree2)
         self.width = top.bit_length() + 1
         self.charges = _charge_lattice(spec)
         self.lift = [-min(0, *q) for q in self.charges]
@@ -601,34 +592,34 @@ def ideal_basis(tpowers, degree2, grades=None):
     return ech, len(columns)
 
 
-def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2.
+def _learn(tpowers, degree2):
+    """The quotient dimension of a degree whose table is the newest or not
+    yet built; then the monomials that its echelon pivots on alone are cut
+    (:meth:`_TPowers.cut`), and leave every slice above as columns and as
+    factors."""
+    ech, n = ideal_basis(tpowers, degree2)
+    table = tpowers.standard(degree2)
+    tpowers.cut(degree2, [table[c] for c, row in ech.pivots.items()
+                          if len(row) == 1])
+    return n - ech.rank
 
-    A pivot with a single column ``{c: 1}`` shows that the monomial ``c``
-    lies in the ideal, so after each degree's echelon those monomials are
-    cut (:meth:`_TPowers.cut`): the slices above leave out their multiples,
-    as columns and as factors, and do not spend rows on them again.
-    """
+
+def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
+    """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2."""
     tpowers = _TPowers(spec, maxdeg2, limit)
-    dims = []
-    for d in range(maxdeg2 + 1):
-        ech, n = ideal_basis(tpowers, d)
-        dims.append(n - ech.rank)
-        table = tpowers.standard(d)
-        tpowers.cut(d, [table[c] for c, row in ech.pivots.items()
-                        if len(row) == 1])
-    return dims
+    return [_learn(tpowers, d) for d in range(maxdeg2 + 1)]
 
 
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     """Is the homogeneous polynomial in the differential ideal's slice?
 
-    Every ideal row lies in one grade (see :class:`_TPowers`), and rows of
-    different grades share no column, so the slice is a direct sum of
-    blocks, one per grade.  Only the columns and rows of the query's grades
-    are built; the answer is the one the whole slice gives.  Every table
-    up to the query's degree is built, and the first with more than
-    ``limit`` standard monomials is refused.
+    Every degree below the query's is learned first, as in
+    :func:`hilbert_series`, so the query is refused under ``limit``
+    exactly where ``hilbert_series(spec, degree2, limit)`` is, and a first
+    query on a ring costs about a ``hilbert_series`` to the degree below
+    it.  Of the query's slice only the columns and rows of its grades are
+    built (:func:`ideal_rows`): rows of different grades share no column,
+    so the answer is the one the whole slice gives.
 
     The slice context of a ring is kept for the next query of the same
     ring and ``limit`` up to its packed top, so a ring is taken as fixed
@@ -644,12 +635,14 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     # taken out while in use, so that no other call shares it, and a call
     # cut short (an error, an interrupt) leaves none half grown behind
     tpowers = _CONTEXTS.pop(spec, None)
-    if (tpowers is None or tpowers.limit != limit
-            or degree2 > tpowers.top):
+    if tpowers is None or tpowers.limit != limit or degree2 > tpowers.top:
         # the same digit width as degree2: a ring asked at 13 to 23 is
         # built at most twice, with tops 15 and 31
         top = (1 << degree2.bit_length()) - 1
         tpowers = _TPowers(spec, top, limit)
+    # every table but the newest is learned
+    for d in range(max(len(tpowers._tables) - 1, 0), degree2):
+        _learn(tpowers, d)
     tpowers.grow(degree2)
     packed = {m: tpowers.encode(m) for m in poly}
     grades = {p & tpowers.grade_mask for p in packed.values()}

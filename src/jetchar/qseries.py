@@ -42,6 +42,8 @@ class QSeries:
 
     @classmethod
     def monomial(cls, deg2, maxdeg2, coeff=1):
+        if deg2 < 0:
+            raise ValueError("deg2 must be >= 0, got %d" % deg2)
         s = cls(maxdeg2)
         if deg2 <= maxdeg2:
             s.c[deg2] = coeff
@@ -99,6 +101,8 @@ class QSeries:
 
     def shift_up(self, deg2):
         """Multiply by q^(deg2/2)."""
+        if deg2 < 0:
+            raise ValueError("deg2 must be >= 0, got %d" % deg2)
         out = [0] * (self.maxdeg2 + 1)
         for d in range(self.maxdeg2 + 1 - deg2):
             out[d + deg2] = self.c[d]
@@ -106,6 +110,8 @@ class QSeries:
 
     def shift_down(self, deg2):
         """Divide by q^(deg2/2); the low coefficients must vanish."""
+        if deg2 < 0:
+            raise ValueError("deg2 must be >= 0, got %d" % deg2)
         if any(self.c[:deg2]):
             raise ValueError("series is not divisible by q^%s" % _halves(deg2))
         return QSeries(self.maxdeg2 - deg2, self.c[deg2:])

@@ -208,23 +208,40 @@ def test_limit_bounds_the_tables_below_the_degree(weight2):
     assert time.perf_counter() - start < 1
 
 
+def _outcome(call):
+    """What a call returns, or the message of the budget that refuses it."""
+    try:
+        return call()
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
 def test_limit_reaches_contains():
-    """contains builds its tables under the same budget: without learned
-    cuts lattice:2 has 23 standard monomials at degree2=8 and 43 at 10,
-    so a cap of 42 refuses a query at 10, also from the context that a
-    query at 8 left, and a cap of 43 answers it.  After a refusal the ring
-    still answers at 8."""
-    spec = models.get_model("lattice:2").ring()
-    member, other = spec.parse_poly("x(-1)^2*z(-3)"), spec.parse_poly("z(-5)")
-    lower = [spec.parse_poly("x(-1)^2*z(-2)"), spec.parse_poly("z(-4)")]
-    for q in (member, other):
-        assert [contains(spec, p, limit=42) for p in lower] == [True, False]
-        with pytest.raises(ResourceLimitError,
-                           match="^more than 42 monomials at degree2=10$"):
-            contains(spec, q, limit=42)
-        assert [contains(spec, p, limit=42) for p in lower] == [True, False]
-    assert [contains(spec, q, limit=43) for q in (member, other)] == [
-        True, False]
+    """One budget, one set of tables: contains learns every degree below
+    its query as hilbert_series does, so under each cap a query of
+    degree2 D is refused, with the same message, exactly when
+    hilbert_series(spec, D, cap) is, and otherwise gets the uncapped
+    answer.  On four registered rings, one ring per cap, the degrees 0 to
+    14 are asked in a seeded order, so a kept context serves queries above
+    and below the ones it has answered or refused."""
+    rng = random.Random(25)
+    seen = set()
+    for key in ("lattice:2", "n1_minimal:2", "n2_c1:abc", "graph:A4"):
+        base = models.get_model(key).ring()
+        queries = {d: {monos[-1]: Fraction(1)} for d in range(15)
+                   if (monos := enumerate_monomials(base, d))}
+        want = {d: contains(base, q) for d, q in queries.items()}
+        for cap in (4, 10, 22, 39, 70):
+            spec = RingSpec(base.variables, base.relations, base.extras)
+            order = sorted(queries)
+            rng.shuffle(order)
+            for d in order:
+                series = _outcome(lambda: hilbert_series(spec, d, cap))
+                got = _outcome(lambda: contains(spec, queries[d], limit=cap))
+                assert got == (series if isinstance(series, str)
+                               else want[d]), (key, cap, d)
+                seen.add(got if isinstance(got, bool) else "refused")
+    assert seen == {True, False, "refused"}
 
 
 def test_a_kept_context_refuses_where_a_fresh_one_does():
@@ -327,9 +344,10 @@ def test_an_interrupted_query_keeps_no_context(monkeypatch):
 def test_budget_stops_an_odd_degree_in_verify_and_contains(capsys):
     """n1_minimal:2 (l even of weight2 4, g odd of weight2 3): verify,
     which learns cuts, builds 90 standard monomials at degree2=31 and 105
-    at 32, so a cap of 100 stops it at 32.  Without learned cuts there
-    are at most 49 below the odd degree 27 and 60 at 27, so contains
-    refuses a query there under a cap of 59 and a cap of 60 answers it."""
+    at 32, so a cap of 100 stops it at 32.  At the odd degree 27 its table
+    holds 51, the most of any degree up to 27, and contains, which builds
+    the same tables, refuses a query there under a cap of 50, as
+    hilbert_series to 27 does, and answers it under a cap of 51."""
     assert cli.main(["verify", "--model", "n1_minimal:2", "--maxdeg2",
                      "100000", "--limit", "100"], out=io.StringIO()) == 2
     assert capsys.readouterr().err == (
@@ -337,10 +355,28 @@ def test_budget_stops_an_odd_degree_in_verify_and_contains(capsys):
         "more than 100 monomials at degree2=32\n")
     spec = models.get_model("n1_minimal:2").ring()
     query = spec.parse_poly("l(-3)*l(-2)^4*g(-5/2)")
-    with pytest.raises(ResourceLimitError,
-                       match="^more than 59 monomials at degree2=27$"):
-        contains(spec, query, limit=59)
-    assert contains(spec, query, limit=60)
+    for call in (lambda: hilbert_series(spec, 27, limit=50),
+                 lambda: contains(spec, query, limit=50)):
+        with pytest.raises(ResourceLimitError,
+                           match="^more than 50 monomials at degree2=27$"):
+            call()
+    assert contains(spec, query, limit=51)
+
+
+def test_a_generator_above_the_top_reaches_no_slice():
+    """x of weight2 2 with the relation x(-1)^2 and the extra x(-200), of
+    doubled degree 400: at truncation 10 the extra reaches no slice, so a
+    context leaves it out and numbers atoms only up to the relation's
+    degree 4, not up to 400, and the series is that of the ring without
+    the extra."""
+    variables = (VariableSpec("x", "even", 2),)
+    base = RingSpec(variables)
+    square = RingSpec(variables, (base.parse_poly("x(-1)^2"),))
+    spec = RingSpec(variables, square.relations,
+                    (base.parse_poly("x(-200)"),))
+    tpowers = _TPowers(spec, 10, DEFAULT_MONOMIAL_LIMIT)
+    assert (tpowers.top, tpowers.base_degree2, tpowers.grown) == (10, [4], 4)
+    assert hilbert_series(spec, 10) == hilbert_series(square, 10)
 
 
 # ------------------------------------------------- integer slice builder
@@ -1025,6 +1061,39 @@ def test_kept_contexts_keep_every_answer(presentation, data):
             [d for d in live if d < above]))]:
         ask(degree2)
     assert _CONTEXTS[spec] is not first
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PRESENTATIONS, st.lists(st.integers(0, 12), min_size=1, max_size=4))
+@example(([("even", 1), ("even", 2), ("odd", 3)],  # learns b(-1)c(-3/2)
+          [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]]), [5, 8])  # at 5
+def test_a_kept_context_holds_the_tables_of_hilbert_series(presentation,
+                                                           degrees):
+    """After queries at drawn degrees in any order, the tables of the
+    ring's kept context, decoded, are those of hilbert_series' context at
+    every degree below its newest table: a standard table depends only on
+    the ring and its degree, whichever entry point built it."""
+    spec = _random_ring(presentation)
+    for d in degrees:
+        monos = enumerate_monomials(spec, d)
+        if monos:
+            contains(spec, {monos[0]: Fraction(1)})
+    kept = _CONTEXTS.get(spec)
+    assume(kept is not None)
+    newest = len(kept._tables) - 1
+    made = []
+
+    class Recorded(_TPowers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jetquot, "_TPowers", Recorded)
+        hilbert_series(spec, newest)
+    for d in range(newest):
+        assert list(map(kept.decode, kept.standard(d))) == list(
+            map(made[0].decode, made[0].standard(d))), f"degree2={d}"
 
 
 @pytest.mark.parametrize("key", models.model_keys())

@@ -64,6 +64,18 @@ def test_shift_updown():
         s.shift_down(2)  # theta has a nonzero constant term
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: QSeries.monomial(-2, 6),  # an index of -2 would wrap round
+    lambda s: s.shift_up(-1),
+    lambda s: s.shift_down(-1),
+], ids=["monomial", "shift_up", "shift_down"])
+def test_a_negative_degree_is_refused(call):
+    """A series holds no negative power of q, so a negative ``deg2`` is a
+    ValueError that names it, not a coefficient put at the wrong power."""
+    with pytest.raises(ValueError, match="^deg2 must be >= 0, got -[12]$"):
+        call(QSeries.one(6))
+
+
 def test_one_minus_roundtrip():
     s = qseries.inv_pochhammer("inf", 24)
     t = s.copy()
