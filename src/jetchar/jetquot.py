@@ -79,6 +79,10 @@ degree, whichever entry point built it, and one ``limit`` bounds one set
 of tables.  :func:`hilbert_series` builds one context per call;
 :func:`contains` keeps one per ring (weakly, so a dropped ring frees it)
 for the ring's next query under the same budget, up to its packed top.
+The kept context also keeps the echelon of each (degree, grade) block of
+a slice that a query has built, for as long as the ring lives: the slice
+is the direct sum of its grade blocks, so a later query of that degree
+and grade only reduces against the block.
 :func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
@@ -272,6 +276,10 @@ class _TPowers:
     cut, its doubled degree) under the id of the cut's smallest atom, and
     the unit under ``-1``.  ``standard(d)`` lists the monomials of degree
     ``d`` that no cut divides, at most ``limit`` of them (:meth:`_table`).
+
+    ``blocks`` maps ``(degree2, grade)`` to the :class:`Echelon` of that
+    grade block of the slice, for the blocks that :func:`contains` has
+    built; :func:`hilbert_series` builds none.
     """
 
     def __init__(self, spec, top, limit):
@@ -300,6 +308,7 @@ class _TPowers:
         self.grow(max(self.base_degree2, default=0))
         self._tables = []  # by degree: (monomials, prefix length by atom)
         self._cuts = {}
+        self.blocks = {}
         self._terms = [[] for _ in gens]
         for i, g in enumerate(gens):
             row = _int_row({m: self.encode(m) for m in g}, g)
@@ -532,7 +541,7 @@ def _product_row(columns, m, m_odd, terms):
     return row
 
 
-def ideal_rows(tpowers, degree2, grades=None):
+def ideal_rows(tpowers, degree2, grade=None):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
@@ -544,17 +553,17 @@ def ideal_rows(tpowers, degree2, grades=None):
     Only the powers with several terms give rows, and only with standard
     factors ``m``: the other products lie in the span of the left-out
     monomials.  A row left empty is skipped; a repeated row is kept, and
-    :meth:`Echelon.insert` reduces it to zero.  Given a set of ``grades``,
-    only the columns and rows of those grades are built: a factor is kept
-    when its grade plus the power's is one of them.  A slice with no
+    :meth:`Echelon.insert` reduces it to zero.  Given a ``grade``, only
+    the columns and rows of that grade are built: a factor is kept when
+    its grade plus the power's is that grade.  A slice with no
     columns (every odd degree of a ring of integer weights) has no rows
     either, since every product lands off the columns, so it is returned
     at once as ``({}, [])``.
     """
     table = tpowers.standard(degree2)
     odd_bits, mask = tpowers.odd_bits, tpowers.grade_mask
-    if grades is not None:
-        table = [m for m in table if m & mask in grades]
+    if grade is not None:
+        table = [m for m in table if m & mask == grade]
     if not table:
         return {}, []
     columns = {m: k for k, m in enumerate(table)}
@@ -565,10 +574,9 @@ def ideal_rows(tpowers, degree2, grades=None):
             if len(terms) < 2:
                 continue
             factors = tpowers.standard(degree2 - d0 - 2 * j)
-            if grades is not None:
-                power = terms[0][0] & mask
-                keep = {g - power for g in grades}
-                factors = [m for m in factors if m & mask in keep]
+            if grade is not None:
+                rest = grade - (terms[0][0] & mask)
+                factors = [m for m in factors if m & mask == rest]
             for m in factors:
                 row = _product_row(columns, m, m & odd_bits, terms)
                 if row:
@@ -578,14 +586,14 @@ def ideal_rows(tpowers, degree2, grades=None):
     return columns, rows
 
 
-def ideal_basis(tpowers, degree2, grades=None):
+def ideal_basis(tpowers, degree2, grade=None):
     """Echelon basis of the degree slice of the differential ideal, or of
-    its blocks of the given ``grades`` (see :func:`ideal_rows`).
+    its block of the given ``grade`` (see :func:`ideal_rows`).
 
     Returns ``(echelon, n_columns)``; the quotient dimension of the slice,
-    or of its blocks of those grades, is ``n_columns - echelon.rank``.
+    or of its block of that grade, is ``n_columns - echelon.rank``.
     """
-    columns, rows = ideal_rows(tpowers, degree2, grades)
+    columns, rows = ideal_rows(tpowers, degree2, grade)
     ech = Echelon(columns)
     for row in rows:
         ech.insert(row)
@@ -617,16 +625,21 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     :func:`hilbert_series`, so the query is refused under ``limit``
     exactly where ``hilbert_series(spec, degree2, limit)`` is, and a first
     query on a ring costs about a ``hilbert_series`` to the degree below
-    it.  Of the query's slice only the columns and rows of its grades are
-    built (:func:`ideal_rows`): rows of different grades share no column,
-    so the answer is the one the whole slice gives.
+    it.  Rows of different grades share no column, so the slice is the
+    direct sum of its grade blocks, and the query is a member exactly when
+    the part of each grade reduces to zero against that grade's block.
+    Each block is built once (:func:`ideal_basis` of one grade) and kept in
+    the context, so a later query of the same degree and grade only
+    reduces.  A block stays exact after a higher query learns its degree:
+    the monomials cut then are single-column pivots of the block.
 
-    The slice context of a ring is kept for the next query of the same
-    ring and ``limit`` up to its packed top, so a ring is taken as fixed
-    once it has been queried: changing its variables, relations or extras
-    in place afterwards gives wrong answers.  Terms with a zero coefficient
-    are dropped first, so they neither make a member a non-member nor
-    count towards the degree.
+    The slice context of a ring, blocks included, is kept for the next
+    query of the same ring and ``limit`` up to its packed top, for as long
+    as the ring lives, so a ring is taken as fixed once it has been
+    queried: changing its variables, relations or extras in place
+    afterwards gives wrong answers.  Terms with a zero coefficient are
+    dropped first, so they neither make a member a non-member nor count
+    towards the degree.
     """
     poly = {m: c for m, c in poly.items() if c}
     if not poly:
@@ -645,10 +658,19 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
         _learn(tpowers, d)
     tpowers.grow(degree2)
     packed = {m: tpowers.encode(m) for m in poly}
-    grades = {p & tpowers.grade_mask for p in packed.values()}
-    ech, _ = ideal_basis(tpowers, degree2, grades)
+    blocks = []
+    for grade in {p & tpowers.grade_mask for p in packed.values()}:
+        key = degree2, grade
+        if key not in tpowers.blocks:
+            tpowers.blocks[key] = ideal_basis(tpowers, degree2, grade)[0]
+        blocks.append(tpowers.blocks[key])
+    # put back only now: another call may then grow and cut its tables
     _CONTEXTS[spec] = tpowers
-    index = {m: ech.columns.get(p) for m, p in packed.items()}
-    # a monomial off the columns is in the ideal already
-    live = {m: c for m, c in poly.items() if index[m] is not None}
-    return not ech.reduce(_int_row(index, live))
+    for ech in blocks:
+        # a monomial off the block's columns is in the ideal already, or of
+        # another grade, which its own block reduces
+        index = {m: ech.columns.get(p) for m, p in packed.items()}
+        live = {m: c for m, c in poly.items() if index[m] is not None}
+        if ech.reduce(_int_row(index, live)):
+            return False
+    return True

@@ -120,17 +120,24 @@ class QSeries:
 
     def imul_one_minus(self, deg2):
         """Multiply in place by (1 - q^(deg2/2))."""
+        if deg2 < 1:
+            raise ValueError("deg2 must be >= 1, got %d" % deg2)
         for d in range(self.maxdeg2, deg2 - 1, -1):
             self.c[d] -= self.c[d - deg2]
         return self
 
     def imul_one_plus(self, deg2):
+        """Multiply in place by (1 + q^(deg2/2))."""
+        if deg2 < 1:
+            raise ValueError("deg2 must be >= 1, got %d" % deg2)
         for d in range(self.maxdeg2, deg2 - 1, -1):
             self.c[d] += self.c[d - deg2]
         return self
 
     def idiv_one_minus(self, deg2):
         """Multiply in place by 1/(1 - q^(deg2/2)) = 1 + q^(d/2) + ..."""
+        if deg2 < 1:
+            raise ValueError("deg2 must be >= 1, got %d" % deg2)
         for d in range(deg2, self.maxdeg2 + 1):
             self.c[d] += self.c[d - deg2]
         return self

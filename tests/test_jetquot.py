@@ -785,11 +785,15 @@ _PRESENTATIONS = st.tuples(
                       min_size=1, max_size=2),
              min_size=1, max_size=2))
 
+# a = v0, b = v1, c = v2 with a^2 - b and c a: degree2 5 has the grades of
+# a(-5/2) and of b(-1)c(-3/2), and the slice of 5 learns the cut b(-1)c(-3/2)
+_LEARNING = ([("even", 1), ("even", 2), ("odd", 3)],
+             [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]])
+
 
 @settings(max_examples=100, deadline=None)
 @given(_PRESENTATIONS)
-@example(([("even", 1), ("even", 2), ("odd", 3)],  # a^2 - b and c a:
-          [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]]))  # learns b(-1)c(-3/2)
+@example(_LEARNING)
 def test_learned_cuts_keep_random_series(presentation):
     """Monomial and binomial relations on one to three variables, odd
     ones included, through degree2 10."""
@@ -1040,23 +1044,31 @@ def test_restricted_contains_matches_the_full_slice(presentation, degree2,
 def test_kept_contexts_keep_every_answer(presentation, data):
     """contains keeps one context per ring and builds a new one for a
     query above its packed top.  A run of queries at shuffled degrees, one
-    of them above the first context's top and a lower one after it, gets
-    the answers of a fresh full slice per query."""
+    of them above the first context's top, one degree drawn twice and a
+    lower one after them, gets the answers of a fresh full slice per
+    query.  The first degree is asked again at once, the first query plus
+    a new one, so every run reads a kept grade block."""
     spec = _random_ring(presentation)
     live = [d for d in range(1, 12) if enumerate_monomials(spec, d)]
     assume(any(d <= 7 for d in live))
 
-    def ask(degree2):
+    def ask(degree2, base=None):
         poly = _draw_query(data, spec, degree2, _products(spec, degree2))
+        if base is not None:
+            poly = spec.add(base, poly) or base
         assert contains(spec, poly) == _full_slice_contains(spec, poly)
+        return poly
 
-    ask(data.draw(st.sampled_from([d for d in live if d <= 7])))
+    low = data.draw(st.sampled_from([d for d in live if d <= 7]))
+    ask(low, ask(low))
     first = _CONTEXTS[spec]
     higher = [d for d in live if d > first.top]
     assume(higher)
     above = data.draw(st.sampled_from(higher))
+    twice = data.draw(st.sampled_from(live))
     degrees = data.draw(st.permutations(
-        [above] + data.draw(st.lists(st.sampled_from(live), max_size=2))))
+        [above, twice, twice] + data.draw(st.lists(st.sampled_from(live),
+                                                   max_size=2))))
     for degree2 in degrees + [data.draw(st.sampled_from(
             [d for d in live if d < above]))]:
         ask(degree2)
@@ -1064,9 +1076,92 @@ def test_kept_contexts_keep_every_answer(presentation, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_PRESENTATIONS, st.integers(4, 6), st.data())
+@example(_LEARNING, 5, None)
+def test_kept_blocks_give_the_answers_of_fresh_slices(presentation, degree2,
+                                                      data):
+    """A query with one monomial of each grade of a degree, then drawn
+    queries there; a higher query in the same context, which learns the
+    degree and cuts its table; then the first degree again, with every
+    monomial that the cut removed, alone and added to each earlier query.
+    Each answer, from a block built or kept, is that of a fresh full
+    slice.  The explicit example draws nothing (``data`` is None): it asks
+    at 7 and must cut b(-1)c(-3/2)."""
+    spec = _random_ring(presentation)
+    monomials = enumerate_monomials(spec, degree2)
+    assume(monomials)
+    charges = _charge_lattice(spec)
+    grades = {tuple(_charge(charges, m)): m for m in monomials}
+    queries = [{m: Fraction(1) for m in grades.values()}]
+    if data is not None:
+        products = _products(spec, degree2)
+        queries += [_draw_query(data, spec, degree2, products)
+                    for _ in range(2)]
+
+    def ask(poly):
+        assert contains(spec, poly) == _full_slice_contains(spec, poly)
+
+    for poly in queries:
+        ask(poly)
+    kept = _CONTEXTS[spec]
+    before = kept.standard(degree2)
+    higher = [d for d in range(degree2 + 1, kept.top + 1)
+              if enumerate_monomials(spec, d)]
+    assume(higher)
+    above = higher[-1] if data is None else data.draw(st.sampled_from(higher))
+    ask({enumerate_monomials(spec, above)[0]: Fraction(1)})
+    assert _CONTEXTS[spec] is kept
+    cut = [{kept.decode(m): Fraction(1)}
+           for m in set(before) - set(kept.standard(degree2))]
+    if data is None:
+        assert cut == [spec.parse_poly("v1(-1)*v2(-3/2)")]
+    for poly in queries + cut + [spec.add(q, c) or q
+                                 for q in queries for c in cut]:
+        ask(poly)
+
+
+def test_a_kept_block_builds_no_rows_again(monkeypatch):
+    """The ring of _LEARNING at degree2 5: a second query of a grade
+    builds no rows, a query that adds a new grade builds that grade's
+    block alone, and after a query at 7 learns 5 and cuts b(-1)c(-3/2)
+    from its table, the kept block still answers b(-1)c(-3/2) without
+    building a row."""
+    variables = (VariableSpec("a", "even", 1), VariableSpec("b", "even", 2),
+                 VariableSpec("c", "odd", 3))
+    base = RingSpec(variables)
+    spec = RingSpec(variables, (base.parse_poly("a(-1/2)^2 - b(-1)"),
+                                base.parse_poly("c(-3/2)*a(-1/2)")))
+    built = []
+    rows = ideal_rows
+
+    def counted(tpowers, degree2, grade=None):
+        built.append((degree2, grade))
+        return rows(tpowers, degree2, grade)
+
+    monkeypatch.setattr(jetquot, "ideal_rows", counted)
+
+    def ask(text):
+        del built[:]
+        answer = contains(spec, spec.parse_poly(text))
+        return answer, [g for d, g in built if d == 5]
+
+    member = "b(-1)*c(-3/2)"
+    first, grades = ask(member)
+    assert first and len(grades) == 1 and None not in grades
+    assert ask("a(-1/2)^2*c(-3/2)") == (True, [])
+    answer, new = ask(member + " + a(-5/2)")
+    assert not answer and len(new) == 1 and new != grades
+    # learning 5 builds its whole slice, of no one grade
+    assert ask("c(-7/2)") == (False, [None])
+    kept = _CONTEXTS[spec]
+    assert kept.encode(spec.parse_poly(member).popitem()[0]) not in (
+        kept.standard(5))
+    assert ask(member) == (True, [])
+
+
+@settings(max_examples=60, deadline=None)
 @given(_PRESENTATIONS, st.lists(st.integers(0, 12), min_size=1, max_size=4))
-@example(([("even", 1), ("even", 2), ("odd", 3)],  # learns b(-1)c(-3/2)
-          [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]]), [5, 8])  # at 5
+@example(_LEARNING, [5, 8])
 def test_a_kept_context_holds_the_tables_of_hilbert_series(presentation,
                                                            degrees):
     """After queries at drawn degrees in any order, the tables of the

@@ -76,6 +76,20 @@ def test_a_negative_degree_is_refused(call):
         call(QSeries.one(6))
 
 
+@pytest.mark.parametrize("deg2", [0, -1, -2])
+@pytest.mark.parametrize("name", ["imul_one_minus", "imul_one_plus",
+                                  "idiv_one_minus"])
+def test_an_in_place_multiplier_refuses_a_degree_below_one(name, deg2):
+    """1 - q^0 is zero, so idiv_one_minus(0) has no answer (it used to
+    double every coefficient), and a negative ``deg2`` used to raise an
+    IndexError; each multiplier refuses both with a ValueError that names
+    the degree, and leaves the series as it was."""
+    s = QSeries.one(4)
+    with pytest.raises(ValueError, match="^deg2 must be >= 1, got %d$" % deg2):
+        getattr(s, name)(deg2)
+    assert s.c == [1, 0, 0, 0, 0]
+
+
 def test_one_minus_roundtrip():
     s = qseries.inv_pochhammer("inf", 24)
     t = s.copy()
