@@ -229,7 +229,8 @@ class Echelon:
 def _int_row(columns, poly):
     """Clear denominators of a polynomial supported on ``columns``."""
     denom = math.lcm(*(c.denominator for c in poly.values()))
-    row = {columns[mono]: int(c * denom) for mono, c in poly.items()}
+    row = {columns[mono]: c.numerator * (denom // c.denominator)
+           for mono, c in poly.items()}
     g = math.gcd(*row.values())
     if g > 1:
         for k in row:
@@ -349,7 +350,8 @@ class _TPowers:
 
     def encode(self, mono):
         """The packed form of a canonical atom-tuple monomial in the table."""
-        return sum(self.unit[self.ids[a]] for a in mono)
+        return sum(map(self.unit.__getitem__,
+                       map(self.ids.__getitem__, mono)))
 
     def lowest(self, p):
         """The smallest atom id in a packed monomial, or -1 for the unit."""
@@ -633,6 +635,16 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     reduces.  A block stays exact after a higher query learns its degree:
     the monomials cut then are single-column pivots of the block.
 
+    The query is read once: each term's monomial is packed from its atom
+    ids, its coefficient scaled to an integer by the query's common
+    denominator, and the term filed under its grade; each grade part is
+    then one row on its block's columns.  A monomial off those columns is
+    in the ideal already.  Keys must be canonical monomials, atoms in the
+    canonical order of :meth:`RingSpec.normalize`: another key is refused
+    with ``ValueError``, since two orders of one monomial would pack to
+    one column.  Coefficients must be exact, ``int`` or ``Fraction``: any
+    other, a ``float`` included, is refused with ``TypeError``.
+
     The slice context of a ring, blocks included, is kept for the next
     query of the same ring and ``limit`` up to its packed top, for as long
     as the ring lives, so a ring is taken as fixed once it has been
@@ -645,6 +657,12 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     if not poly:
         return True
     degree2 = spec.degree2(poly)
+    try:
+        denom = math.lcm(*(c.denominator for c in poly.values()))
+    except AttributeError:
+        bad = next(c for c in poly.values() if not hasattr(c, "denominator"))
+        raise TypeError("coefficients must be int or Fraction, not %s: %r"
+                        % (type(bad).__name__, bad)) from None
     # taken out while in use, so that no other call shares it, and a call
     # cut short (an error, an interrupt) leaves none half grown behind
     tpowers = _CONTEXTS.pop(spec, None)
@@ -657,20 +675,29 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     for d in range(max(len(tpowers._tables) - 1, 0), degree2):
         _learn(tpowers, d)
     tpowers.grow(degree2)
-    packed = {m: tpowers.encode(m) for m in poly}
+    ids, unit, mask = tpowers.ids, tpowers.unit, tpowers.grade_mask
+    parts = {}  # grade -> {packed monomial: integer coefficient}
+    for mono, c in poly.items():
+        atoms = list(map(ids.__getitem__, mono))
+        if atoms != sorted(atoms):
+            raise ValueError("monomial %r is not in canonical atom order"
+                             % (mono,))
+        p = sum(map(unit.__getitem__, atoms))
+        parts.setdefault(p & mask, {})[p] = c.numerator * (
+            denom // c.denominator)
     blocks = []
-    for grade in {p & tpowers.grade_mask for p in packed.values()}:
-        key = degree2, grade
-        if key not in tpowers.blocks:
-            tpowers.blocks[key] = ideal_basis(tpowers, degree2, grade)[0]
-        blocks.append(tpowers.blocks[key])
+    for grade, part in parts.items():
+        ech = tpowers.blocks.get((degree2, grade))
+        if ech is None:
+            ech = tpowers.blocks[degree2, grade] = ideal_basis(
+                tpowers, degree2, grade)[0]
+        blocks.append((ech, part))
     # put back only now: another call may then grow and cut its tables
     _CONTEXTS[spec] = tpowers
-    for ech in blocks:
-        # a monomial off the block's columns is in the ideal already, or of
-        # another grade, which its own block reduces
-        index = {m: ech.columns.get(p) for m, p in packed.items()}
-        live = {m: c for m, c in poly.items() if index[m] is not None}
-        if ech.reduce(_int_row(index, live)):
+    for ech, part in blocks:
+        # a monomial off its block's columns is in the ideal already
+        columns = ech.columns
+        if ech.reduce({columns[p]: v for p, v in part.items()
+                       if p in columns}):
             return False
     return True

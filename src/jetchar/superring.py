@@ -133,7 +133,8 @@ class RingSpec:
                 tuple(sorted(atoms, key=self.atom_key)))
 
     def mono_degree2(self, mono):
-        return sum(self.atom_degree2(a) for a in mono)
+        variables = self.variables
+        return sum(variables[base].weight2 + 2 * shift for base, shift in mono)
 
     def mono_parity(self, mono):
         return sum(1 for a in mono if self.atom_odd(a)) % 2

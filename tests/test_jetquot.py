@@ -9,6 +9,7 @@ import gc
 import io
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -1009,12 +1010,13 @@ def _query(spec, picks, extras):
     return spec.add(poly, spec.poly(extras))
 
 
-def _draw_query(data, spec, degree2, products):
+def _draw_query(data, spec, degree2, products,
+                coeff=st.integers(-2, 2).filter(bool)):
     """A drawn query of the degree, which must have a monomial: a member
     summing one to four products (when the degree has any), plus up to two
-    monomials of any grade; a first monomial when the sum is zero."""
+    monomials of any grade, each with a drawn ``coeff``; a first monomial
+    when the sum is zero."""
     monomials = enumerate_monomials(spec, degree2)
-    coeff = st.integers(-2, 2).filter(bool)
     picks = []
     for _ in range(data.draw(st.integers(1, 4)) if products else 0):
         power, factors = data.draw(st.sampled_from(products))
@@ -1224,3 +1226,76 @@ def test_restricted_contains_matches_the_full_slice_on_every_model(key):
     got = [contains(spec, q) for q in queries]
     assert got == [_full_slice_contains(spec, q) for q in queries]
     assert got[0] is True
+
+
+_MIXED = (Fraction(1, 3), Fraction(-5, 4), Fraction(7, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PRESENTATIONS, st.integers(4, 10), st.data())
+def test_fraction_queries_asked_twice_match_the_full_slice(presentation,
+                                                           degree2, data):
+    """contains scales a query to integers by its common denominator.  A
+    drawn query with coefficients of mixed denominators, one monomial of
+    each of up to three drawn grades with such coefficients, and the two
+    added, each asked twice in one kept context, get the answers of a
+    fresh full slice; the second round only reads kept blocks."""
+    spec = _random_ring(presentation)
+    products = _products(spec, degree2)
+    monomials = enumerate_monomials(spec, degree2)
+    assume(products and monomials)
+    charges = _charge_lattice(spec)
+    by_grade = {tuple(_charge(charges, m)): m for m in monomials}
+    coeff = st.sampled_from(_MIXED)
+    drawn = _draw_query(data, spec, degree2, products, coeff)
+    spread = spec.poly((data.draw(coeff), by_grade[g]) for g in data.draw(
+        st.lists(st.sampled_from(sorted(by_grade)), min_size=1, max_size=3,
+                 unique=True)))
+    queries = [drawn, spread, spec.add(drawn, spread) or drawn]
+    want = [_full_slice_contains(spec, q) for q in queries]
+    assert [contains(spec, q) for q in queries] == want
+    kept = _CONTEXTS[spec]
+    assert [contains(spec, q) for q in queries] == want
+    assert _CONTEXTS[spec] is kept
+
+
+def test_contains_refuses_a_key_out_of_canonical_order():
+    """Two orders of one monomial would pack to one column, so a query
+    written with both would lose a term: a key whose atoms are not in
+    canonical order is refused, and the canonical key is still read."""
+    spec = models.get_model("lattice:2").ring()
+    (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
+    flipped = tuple(reversed(m))
+    assert spec.normalize(flipped) == (1, m) and flipped != m
+    with pytest.raises(ValueError, match="canonical"):
+        contains(spec, {m: 1, flipped: -1})
+    with pytest.raises(ValueError, match=re.escape(str(flipped))):
+        contains(spec, {flipped: 1})
+    assert not contains(spec, {m: 1})
+
+
+def test_contains_refuses_a_float_coefficient():
+    """Coefficients are exact: a float is refused with a TypeError that
+    names it, before any slice is built; a zero float is dropped like any
+    zero coefficient."""
+    spec = models.get_model("lattice:2").ring()
+    (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
+    _CONTEXTS.pop(spec, None)
+    with pytest.raises(TypeError, match="float: 0.5"):
+        contains(spec, {m: 0.5})
+    assert spec not in _CONTEXTS
+    assert contains(spec, {m: 0.0})
+    assert not contains(spec, {m: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.data())
+def test_mono_degree2_is_the_sum_of_its_atom_degrees(weights, data):
+    """RingSpec.mono_degree2 reads the weights directly; it agrees with
+    the per-atom atom_degree2 on drawn atom tuples, in any order."""
+    spec = RingSpec([VariableSpec("v%d" % i, "even", w)
+                     for i, w in enumerate(weights)])
+    mono = data.draw(st.lists(st.tuples(st.integers(0, len(weights) - 1),
+                                        st.integers(0, 4)), max_size=5))
+    assert spec.mono_degree2(tuple(mono)) == sum(
+        spec.atom_degree2(a) for a in mono)
