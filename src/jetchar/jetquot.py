@@ -62,9 +62,12 @@ the powers with several terms by standard factors, restricted to the
 standard columns.  A monomial left out is in the ideal, and a product
 with a factor left out lands on monomials left out only, so the rank is
 smaller by exactly the number of monomials left out and ``#columns -
-rank`` is unchanged.  Rows that repeat are not filtered: the echelon
+rank`` is unchanged.  Each row is built in one loop over its power's
+terms and filed by its length, and the rows go in shortest first
+(:func:`ideal_rows`).  Rows that repeat are not filtered: the echelon
 reduces a repeat to zero, which costs less than hashing every row to find
-the few repeats.
+the few repeats.  A slice's columns are its table's positions, so the
+single-column pivots are cut by position (:meth:`_TPowers.cut`).
 
 The public functions still take and return ``(base, shift)`` atom tuples
 and ``Fraction`` coefficients.  One slice context, :class:`_TPowers`,
@@ -72,12 +75,13 @@ holds all of the above for a ring: the atom table and its packing, the
 powers, the standard tables (a degree whose table would hold more than the
 monomial budget is refused as it is built), and one index of the cuts by
 smallest atom, filed as they are found: a single-term power when it is
-made, a learned monomial when it is given to :meth:`_TPowers.cut`.  Every
-degree is learned, by one step (:func:`_learn`), before the table above
-it is built, so a standard table depends only on the ring and its
-degree, whichever entry point built it, and one ``limit`` bounds one set
-of tables.  :func:`hilbert_series` builds one context per call;
-:func:`contains` keeps one per ring (weakly, so a dropped ring frees it)
+made, a learned monomial when its position is given to
+:meth:`_TPowers.cut`.  Every degree is learned, by one step
+(:func:`_learn`), before the table above it is built, so a standard
+table depends only on the ring and its degree, whichever entry point
+built it, and one ``limit`` bounds one set of tables.
+:func:`hilbert_series` builds one context per call; :func:`contains`
+keeps one per ring (weakly, so a dropped ring frees it)
 for the ring's next query under the same budget, up to its packed top.
 The kept context also keeps the echelon of each (degree, grade) block of
 a slice that a query has built, for as long as the ring lives: the slice
@@ -272,11 +276,12 @@ class _TPowers:
     (:meth:`_derive`).
 
     A cut is a monomial known to lie in the ideal: a power with a single
-    term, filed when the power is made, or a monomial given to
-    :meth:`cut`.  ``_cuts`` is the one index of them: the pairs (packed
-    cut, its doubled degree) under the id of the cut's smallest atom, and
-    the unit under ``-1``.  ``standard(d)`` lists the monomials of degree
-    ``d`` that no cut divides, at most ``limit`` of them (:meth:`_table`).
+    term, filed when the power is made, or a monomial whose position in
+    its table is given to :meth:`cut`.  ``_cuts`` is the one index of
+    them: the pairs (packed cut, its doubled degree) under the id of the
+    cut's smallest atom, and the unit under ``-1``.  ``standard(d)``
+    lists the monomials of degree ``d`` that no cut divides, at most
+    ``limit`` of them (:meth:`_table`).
 
     ``blocks`` maps ``(degree2, grade)`` to the :class:`Echelon` of that
     grade block of the slice, for the blocks that :func:`contains` has
@@ -474,29 +479,36 @@ class _TPowers:
         monomials, starts = self._tables[degree2]
         return monomials[:starts[min(i, len(starts) - 1)]]
 
-    def cut(self, degree2, monomials):
-        """Learn that the packed ``monomials`` of the degree lie in the
-        ideal: drop them from the table of the degree, and file them, so
-        that every table built after it leaves out their multiples.
+    def cut(self, degree2, positions):
+        """Learn that the monomials at the ascending ``positions`` of the
+        table of the degree lie in the ideal: drop them from the table,
+        and file them, so that every table built after it leaves out their
+        multiples.
 
-        A product with a multiple of a cut is a multiple too, so it leaves
+        A position is the monomial's column in the degree's whole slice,
+        so :func:`_learn` passes its pivots' columns as they are.  The
+        table is rebuilt from the slices between the positions, and each
+        prefix length drops by the number of positions below it.  A
+        product with a multiple of a cut is a multiple too, so it leaves
         the factors as well as the columns, and ``#columns - rank`` stays
         the quotient dimension.  Only the newest table can be cut, because
         the tables above it would still hold the multiples.  A cut of no
-        monomials learns nothing and leaves the table as it is.
+        positions learns nothing and leaves the table as it is.
         """
         if degree2 != len(self._tables) - 1:
             raise ValueError("cannot cut degree2=%d: the newest table is %d"
                              % (degree2, len(self._tables) - 1))
-        if not monomials:
+        if not positions:
             return
-        drop = set(monomials)
         table, starts = self._tables[degree2]
-        gone = [k for k, m in enumerate(table) if m in drop]
-        self._tables[degree2] = ([m for m in table if m not in drop],
-                                 [s - bisect_left(gone, s) for s in starts])
-        for m in drop:
-            self._file(m, degree2)
+        kept, last = [], 0
+        for k in positions:
+            kept += table[last:k]
+            self._file(table[k], degree2)
+            last = k + 1
+        kept += table[last:]
+        self._tables[degree2] = (kept, [s - bisect_left(positions, s)
+                                        for s in starts])
 
     def _derive(self, terms):
         """``2T`` of a list of terms, divided by its positive content.
@@ -529,20 +541,6 @@ class _TPowers:
         return [(t, c // g, self.flips(t)) for t, c in out.items()]
 
 
-def _product_row(columns, m, m_odd, terms):
-    """The row of ``m * T^j(g)`` on the standard ``columns``, where
-    ``m_odd`` is ``m & odd_bits``: the power's signed coefficients at the
-    columns its products land on (a shared odd atom lands on none), left
-    with their content, which :meth:`Echelon.insert` takes out.
-    """
-    row = {}
-    for t, c, flip in terms:
-        k = columns.get(m + t)
-        if k is not None:
-            row[k] = -c if (m_odd & flip).bit_count() & 1 else c
-    return row
-
-
 def ideal_rows(tpowers, degree2, grade=None):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
@@ -554,13 +552,21 @@ def ideal_rows(tpowers, degree2, grade=None):
 
     Only the powers with several terms give rows, and only with standard
     factors ``m``: the other products lie in the span of the left-out
-    monomials.  A row left empty is skipped; a repeated row is kept, and
-    :meth:`Echelon.insert` reduces it to zero.  Given a ``grade``, only
-    the columns and rows of that grade are built: a factor is kept when
-    its grade plus the power's is that grade.  A slice with no
-    columns (every odd degree of a ring of integer weights) has no rows
-    either, since every product lands off the columns, so it is returned
-    at once as ``({}, [])``.
+    monomials.  The row of ``m * T^j(g)`` is one loop over the power's
+    terms ``(t, c, flips)``: each ``m + t`` is looked up in the columns
+    and, where it lands (a shared odd atom lands on none), gets ``c`` with
+    the sign of ``(m & odd_bits & flips).bit_count()``; the content is
+    left for :meth:`Echelon.insert` to take out.  Short structured rows go
+    first, as they pin pivots cheaply and keep fill low: each row goes
+    into the bucket of its length as it is built (an empty one into bucket
+    0, which is dropped), and the buckets, each sorted by smallest column,
+    are joined by increasing length, the stable ``(len(row), min(row))``
+    order.  A repeated row is kept, and :meth:`Echelon.insert` reduces it
+    to zero.  Given a ``grade``, only the columns and rows of that grade
+    are built: a factor is kept when its grade plus the power's is that
+    grade.  A slice with no columns (every odd degree of a ring of integer
+    weights) has no rows either, since every product lands off the
+    columns, so it is returned at once as ``({}, [])``.
     """
     table = tpowers.standard(degree2)
     odd_bits, mask = tpowers.odd_bits, tpowers.grade_mask
@@ -568,23 +574,31 @@ def ideal_rows(tpowers, degree2, grade=None):
         table = [m for m in table if m & mask == grade]
     if not table:
         return {}, []
-    columns = {m: k for k, m in enumerate(table)}
-    rows = []
+    columns = dict(zip(table, range(len(table))))
+    column = columns.get
+    buckets = [[]]  # by row length
     for i, d0 in enumerate(tpowers.base_degree2):
         for j in range((degree2 - d0) // 2 + 1):
             terms = tpowers.get(i, j)
             if len(terms) < 2:
                 continue
+            buckets += [[] for _ in range(len(terms) + 1 - len(buckets))]
             factors = tpowers.standard(degree2 - d0 - 2 * j)
             if grade is not None:
                 rest = grade - (terms[0][0] & mask)
                 factors = [m for m in factors if m & mask == rest]
             for m in factors:
-                row = _product_row(columns, m, m & odd_bits, terms)
-                if row:
-                    rows.append(row)
-    # Short structured rows first: they pin pivots cheaply and keep fill low.
-    rows.sort(key=lambda r: (len(r), min(r)))
+                m_odd = m & odd_bits
+                row = {}
+                for t, c, flip in terms:
+                    k = column(m + t)
+                    if k is not None:
+                        row[k] = -c if (m_odd & flip).bit_count() & 1 else c
+                buckets[len(row)].append(row)
+    rows = []
+    for bucket in buckets[1:]:
+        bucket.sort(key=min)
+        rows += bucket
     return columns, rows
 
 
@@ -605,12 +619,11 @@ def ideal_basis(tpowers, degree2, grade=None):
 def _learn(tpowers, degree2):
     """The quotient dimension of a degree whose table is the newest or not
     yet built; then the monomials that its echelon pivots on alone are cut
-    (:meth:`_TPowers.cut`), and leave every slice above as columns and as
-    factors."""
+    by position (:meth:`_TPowers.cut`), and leave every slice above as
+    columns and as factors."""
     ech, n = ideal_basis(tpowers, degree2)
-    table = tpowers.standard(degree2)
-    tpowers.cut(degree2, [table[c] for c, row in ech.pivots.items()
-                          if len(row) == 1])
+    tpowers.cut(degree2, sorted(c for c, row in ech.pivots.items()
+                                if len(row) == 1))
     return n - ech.rank
 
 
@@ -642,8 +655,9 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     in the ideal already.  Keys must be canonical monomials, atoms in the
     canonical order of :meth:`RingSpec.normalize`: another key is refused
     with ``ValueError``, since two orders of one monomial would pack to
-    one column.  Coefficients must be exact, ``int`` or ``Fraction``: any
-    other, a ``float`` included, is refused with ``TypeError``.
+    one column, and the ring's context is kept as any query leaves it.
+    Coefficients must be exact, ``int`` or ``Fraction``: any other, a
+    ``float`` included, is refused with ``TypeError``.
 
     The slice context of a ring, blocks included, is kept for the next
     query of the same ring and ``limit`` up to its packed top, for as long
@@ -674,12 +688,14 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     # every table but the newest is learned
     for d in range(max(len(tpowers._tables) - 1, 0), degree2):
         _learn(tpowers, d)
-    tpowers.grow(degree2)
+    # the query's table is the newest, not learned, as any query leaves it
+    tpowers.standard(degree2)
     ids, unit, mask = tpowers.ids, tpowers.unit, tpowers.grade_mask
     parts = {}  # grade -> {packed monomial: integer coefficient}
     for mono, c in poly.items():
         atoms = list(map(ids.__getitem__, mono))
         if atoms != sorted(atoms):
+            _CONTEXTS[spec] = tpowers  # whole: nothing of the query is in it
             raise ValueError("monomial %r is not in canonical atom order"
                              % (mono,))
         p = sum(map(unit.__getitem__, atoms))

@@ -7,6 +7,7 @@ two-supercurrent numbers from the registered model battery.
 """
 import gc
 import io
+import json
 import math
 import random
 import re
@@ -18,6 +19,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +28,7 @@ from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, jetquot, models, qseries)
 from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _charge_lattice,
-                             _int_row, _product_row, ideal_basis, ideal_rows)
+                             _int_row, ideal_basis, ideal_rows)
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -95,6 +97,34 @@ def test_two_supercurrent_bare_series():
     exact elimination values, double-checked by hand via mode bases."""
     spec = models.get_model("n2_c1:bare").ring()
     assert hilbert_series(spec, 10) == [1, 0, 1, 2, 2, 2, 3, 4, 7, 6, 9]
+
+
+# the frozen answers of the benchmark, read here as an oracle
+_REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_hilbert_series_matches_the_frozen_registry_reference(key):
+    """Every registered model at its default truncation gives the jet_dim
+    column of the frozen reference."""
+    frozen = _REFERENCE["registry"][key]
+    model = models.get_model(key)
+    assert frozen["maxdeg2"] == model.default_maxdeg2
+    assert hilbert_series(model.ring(), model.default_maxdeg2) == [
+        jet for _, _, jet, _ in frozen["rows"]]
+
+
+@pytest.mark.parametrize("key, depth", [("sln_principal:4", 16),
+                                        ("graph:A4", 18), ("lattice:2", 20),
+                                        ("n2_c1:abc", 24)])
+def test_hilbert_series_matches_the_frozen_deep_reference(key, depth):
+    """The heavy tier at the benchmark's depths gives the prefix of the
+    jet_dim column of the frozen deep reference."""
+    rows = _REFERENCE["jets"][key]["rows"]
+    assert len(rows) > depth
+    assert hilbert_series(models.get_model(key).ring(), depth) == [
+        jet for _, _, jet, _ in rows[:depth + 1]]
 
 
 def test_contains_detects_ideal_membership():
@@ -529,9 +559,10 @@ def test_echelon_matches_a_fraction_elimination(rows, combos, others, scales):
                                           ("lattice:3", 12)])
 def test_ideal_rows_match_fraction_rows(key, maxdeg2):
     """The columns are the monomials that no single-term product covers,
-    each product row is the Fraction reference restricted to them, up to
-    its content, and the slice spans the reference slice modulo the dead
-    columns."""
+    the rows are, up to content and as a multiset, the Fraction reference
+    rows of the products by powers with several terms, restricted to them
+    and left nonempty, and the slice spans the reference slice modulo the
+    dead columns."""
     spec = models.get_model(key).ring()
     tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
     for d in range(maxdeg2 + 1):
@@ -545,17 +576,17 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
         live = [k for k in range(len(full)) if k not in dead]
         assert [tpowers.decode(m) for m in columns] == [full[k] for k in live]
         new_of = {k: n for n, k in enumerate(live)}  # full column -> column
-        want = []
-        for i, j, m, _, ref in products:
-            e = tpowers.encode(m)
-            got = _product_row(columns, e, e & tpowers.odd_bits,
-                               tpowers.get(i, j))
-            restricted = {new_of[k]: v for k, v in ref.items() if k in new_of}
-            # rows go in as built: the echelon takes out their content
-            assert _primitive_row(got) == _primitive_row(restricted), \
-                f"{key} product row differs at degree2={d}"
+        want, restricted = [], Counter()
+        for _, _, _, nterms, ref in products:
+            row = {new_of[k]: v for k, v in ref.items() if k in new_of}
+            # a factor that a cut divides lands on dead columns only
+            if nterms > 1 and row:
+                restricted[_row_key(row)] += 1
             if ref:
                 want.append(ref)
+        # rows go in as built: the echelon takes out their content
+        assert Counter(map(_row_key, rows)) == restricted, \
+            f"{key} product rows differ at degree2={d}"
         ech = _echelon(columns, rows)
         ref_ech = _echelon({m: k for k, m in enumerate(full)}, want)
         assert len(dead) + ech.rank == ref_ech.rank, \
@@ -566,14 +597,21 @@ def test_ideal_rows_match_fraction_rows(key, maxdeg2):
                        for r in rows)
 
 
-def _primitive_row(row):
-    """A sparse integer row divided by the gcd of its entries."""
+def _row_key(row):
+    """A sparse integer row divided by the gcd of its entries, hashable."""
     g = math.gcd(*row.values())
-    return {k: v // g for k, v in row.items()}
+    return frozenset((k, v // g) for k, v in row.items())
 
 
 def _multiset_divides(t, m):
     return not Counter(t) - Counter(m)
+
+
+def _positions(tpowers, degree2, monomials):
+    """The ascending positions in the table of the degree of those of the
+    packed ``monomials`` that it holds, as cut() takes them."""
+    drop = set(monomials)
+    return [k for k, m in enumerate(tpowers.standard(degree2)) if m in drop]
 
 
 _CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -589,7 +627,8 @@ _CUTS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 def test_pruned_monomials_are_the_undivided_ones(cuts):
     """Building each table from the cut tables below keeps, in order,
     exactly the monomials that no cut divides as a multiset; each cut is
-    given to cut() when the table of its degree is the newest."""
+    given to cut(), by its position, when the table of its degree is the
+    newest (a cut that a lower one divides is no longer in it)."""
     spec = RingSpec((VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
                      VariableSpec("f", "odd", 1)))
     plain = _TPowers(spec, 15, DEFAULT_MONOMIAL_LIMIT)
@@ -598,9 +637,8 @@ def test_pruned_monomials_are_the_undivided_ones(cuts):
     canons = [spec.normalize(cut) for cut in cuts]
     canons = [c[1] for c in canons if c is not None]  # no odd atom twice
     for d in range(16):
-        pruned.standard(d)
-        pruned.cut(d, [pruned.encode(c) for c in canons
-                       if spec.mono_degree2(c) == d])
+        pruned.cut(d, _positions(pruned, d, [
+            pruned.encode(c) for c in canons if spec.mono_degree2(c) == d]))
         assert pruned.standard(d) == [
             m for m in plain.standard(d)
             if not any(_multiset_divides(t, plain.decode(m)) for t in canons)]
@@ -609,8 +647,9 @@ def test_pruned_monomials_are_the_undivided_ones(cuts):
 @pytest.mark.parametrize("text", ["x(-1)*y(-1)", "x(-2)*g(-3/2)"])
 def test_a_learned_cut_leaves_the_tables_of_a_single_term_power(text):
     """A monomial given as a single-term extra, and the same monomial
-    given to cut() when the table of its degree is the newest, enter the
-    same index of cuts and leave the same tables, prefix lengths included.
+    given to cut(), by its position, when the table of its degree is the
+    newest, enter the same index of cuts and leave the same tables, prefix
+    lengths included.
     No higher power of these extras has a single term."""
     variables = (VariableSpec("x", "even", 2), VariableSpec("y", "even", 2),
                  VariableSpec("g", "odd", 3))
@@ -624,7 +663,7 @@ def test_a_learned_cut_leaves_the_tables_of_a_single_term_power(text):
         extra.standard(d)
         learned.standard(d)
         if d == degree2:
-            learned.cut(d, [learned.encode(m) for m in mono])
+            learned.cut(d, _positions(learned, d, map(learned.encode, mono)))
         assert learned._tables[d] == extra._tables[d], f"degree2={d}"
     assert all(len(extra.get(0, j)) > 1
                for j in range(1, (14 - degree2) // 2 + 1))
@@ -676,7 +715,8 @@ def test_standard_tables_match_a_brute_force_enumeration(key):
 
 def test_only_the_newest_table_can_be_cut():
     """A cut below the newest table would leave its multiples in the
-    tables above it, so it is refused; the newest table loses the cut."""
+    tables above it, so it is refused; the newest table loses the monomial
+    at the position cut."""
     spec = xring(weight2=1)
     tpowers = _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT)
     tpowers.standard(4)
@@ -685,7 +725,7 @@ def test_only_the_newest_table_can_be_cut():
         with pytest.raises(ValueError, match="the newest table is 4$"):
             tpowers.cut(degree2, [])
     assert 4 * x in tpowers.standard(4)
-    tpowers.cut(4, [4 * x])
+    tpowers.cut(4, [tpowers.standard(4).index(4 * x)])
     assert 4 * x not in tpowers.standard(4)
     assert 5 * x not in tpowers.standard(5)
     assert 5 * x in _TPowers(spec, 6, DEFAULT_MONOMIAL_LIMIT).standard(5)
@@ -705,21 +745,23 @@ def test_a_slice_without_columns_builds_no_rows(monkeypatch):
     """Every atom of ``a`` is cut, so no monomial of odd degree is
     standard, though the factors of the two-term power of degree 3 are
     (``b`` alone).  A slice with no columns is returned as ``({}, [])``
-    without building a product; so is every odd slice of ``graph:A4``."""
+    without reading a power, so without building a product; so is every
+    odd slice of ``graph:A4``."""
     calls = []
-    product_row = _product_row
+    get = _TPowers.get
 
-    def counted(*args):
-        calls.append(args)
-        return product_row(*args)
+    def counted(self, i, j):
+        calls.append((i, j))
+        return get(self, i, j)
 
-    monkeypatch.setattr(jetquot, "_product_row", counted)
+    monkeypatch.setattr(_TPowers, "get", counted)
     variables = (VariableSpec("a", "even", 1), VariableSpec("b", "even", 2))
     base = RingSpec(variables)
     spec = RingSpec(variables, (base.parse_poly("a(-1/2)"), base.parse_poly(
         "a(-1/2)*b(-1) + a(-1/2)^3")))
     tpowers = _TPowers(spec, 9, DEFAULT_MONOMIAL_LIMIT)
     for d in range(10):
+        tpowers.standard(d)  # which makes the powers of the degree
         del calls[:]
         columns, rows = ideal_rows(tpowers, d)
         if d % 2:
@@ -731,13 +773,14 @@ def test_a_slice_without_columns_builds_no_rows(monkeypatch):
                      DEFAULT_MONOMIAL_LIMIT)
     built = 0
     for d in range(12):
+        graph.standard(d)
         del calls[:]
         columns, rows = ideal_rows(graph, d)
         if d % 2:
             assert (columns, rows, calls) == ({}, [], [])
         else:
-            assert columns and len(calls) >= len(rows)
-            built += len(calls)
+            assert columns and (calls or not rows)
+            built += len(rows)
     assert built  # the even slices do build products
     assert hilbert_series(spec, 9) == [1, 0, 1, 0, 2, 0, 3, 0, 5, 0]
 
@@ -750,10 +793,11 @@ def _learning_check(spec, maxdeg2):
     learned, called = [], []
     cut = _TPowers.cut
 
-    def record(self, degree2, monomials):
+    def record(self, degree2, positions):
         called.append(self)
-        learned.extend(self.decode(m) for m in monomials)
-        cut(self, degree2, monomials)
+        table = self.standard(degree2)
+        learned.extend(self.decode(table[k]) for k in positions)
+        cut(self, degree2, positions)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_TPowers, "cut", record)
@@ -799,6 +843,62 @@ def test_learned_cuts_keep_random_series(presentation):
     """Monomial and binomial relations on one to three variables, odd
     ones included, through degree2 10."""
     _learning_check(_random_ring(presentation), 10)
+
+
+def _kernel_check(spec, maxdeg2):
+    """In hilbert_series, every slice's rows are nonempty and in
+    nondecreasing ``(len(row), min(row))`` order, and each degree cuts
+    exactly the positions of its echelon's single-entry pivots ``{c: 1}``,
+    ascending: they leave the table, and each prefix length counts the
+    monomials left whose atoms are all at or above its atom."""
+    pivots, cuts = [], []
+    rows_of, basis_of, cut_of = ideal_rows, ideal_basis, _TPowers.cut
+
+    def rows(tpowers, degree2, grade=None):
+        columns, built = rows_of(tpowers, degree2, grade)
+        assert all(built), f"an empty row at degree2={degree2}"
+        keys = [(len(row), min(row)) for row in built]
+        assert keys == sorted(keys), f"rows out of order at degree2={degree2}"
+        return columns, built
+
+    def basis(tpowers, degree2, grade=None):
+        ech, n = basis_of(tpowers, degree2, grade)
+        pivots.append(ech.pivots)
+        return ech, n
+
+    def cut(self, degree2, positions):
+        cuts.append(degree2)
+        table = self.standard(degree2)
+        assert positions == [c for c, row in sorted(pivots.pop().items())
+                             if row == {c: 1}], f"degree2={degree2}"
+        cut_of(self, degree2, positions)
+        kept, starts = self._tables[degree2]
+        assert kept == [m for k, m in enumerate(table) if k not in positions]
+        assert starts == [sum(1 for m in kept if not m or self.lowest(m) >= i)
+                          for i in range(len(starts))]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jetquot, "ideal_rows", rows)
+        mp.setattr(jetquot, "ideal_basis", basis)
+        mp.setattr(_TPowers, "cut", cut)
+        hilbert_series(spec, maxdeg2)
+    assert cuts == list(range(maxdeg2 + 1)) and not pivots
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_the_slice_kernel_keeps_its_invariants(key):
+    """Every registered model at min(its default truncation, 12)."""
+    model = models.get_model(key)
+    _kernel_check(model.ring(), min(model.default_maxdeg2, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PRESENTATIONS)
+@example(_LEARNING)
+def test_the_slice_kernel_keeps_its_invariants_on_random_rings(presentation):
+    """Monomial and binomial relations on one to three variables, odd
+    ones included, through degree2 10."""
+    _kernel_check(_random_ring(presentation), 10)
 
 
 def _random_ring(presentation):
@@ -1259,19 +1359,33 @@ def test_fraction_queries_asked_twice_match_the_full_slice(presentation,
     assert _CONTEXTS[spec] is kept
 
 
-def test_contains_refuses_a_key_out_of_canonical_order():
+def test_contains_refuses_a_key_out_of_canonical_order(monkeypatch):
     """Two orders of one monomial would pack to one column, so a query
     written with both would lose a term: a key whose atoms are not in
-    canonical order is refused, and the canonical key is still read."""
+    canonical order is refused, and the canonical key is still read.  The
+    refusal keeps the ring's context, learned as any query leaves it, so
+    the next query of the ring learns no degree again."""
     spec = models.get_model("lattice:2").ring()
     (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
     flipped = tuple(reversed(m))
     assert spec.normalize(flipped) == (1, m) and flipped != m
+    _CONTEXTS.pop(spec, None)
     with pytest.raises(ValueError, match="canonical"):
         contains(spec, {m: 1, flipped: -1})
+    kept = _CONTEXTS[spec]
     with pytest.raises(ValueError, match=re.escape(str(flipped))):
         contains(spec, {flipped: 1})
+    assert _CONTEXTS[spec] is kept
+    learned = []
+    learn = jetquot._learn
+
+    def counted(tpowers, degree2):
+        learned.append(degree2)
+        return learn(tpowers, degree2)
+
+    monkeypatch.setattr(jetquot, "_learn", counted)
     assert not contains(spec, {m: 1})
+    assert learned == [] and _CONTEXTS[spec] is kept
 
 
 def test_contains_refuses_a_float_coefficient():
