@@ -15,7 +15,7 @@ partition statistics used as oracles in tests.
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 from .superring import _halves, _signed_sum
 
@@ -198,9 +198,10 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
     """Sum over n in Z_{>=0}^nvars of q^{E(n)/2} / prod_i (q)_{n_i}.
 
     ``quad2[(i, j)]`` (i <= j) and ``lin2[i] >= 0`` give the DOUBLED
-    exponent ``E(n) = sum quad2[i,j] n_i n_j + sum lin2[i] n_i``.
+    exponent ``E(n) = sum quad2[i,j] n_i n_j + sum lin2[i] n_i``; every
+    index lies in ``range(nvars)`` and ``len(lin2) == nvars``.
 
-    A depth-first search fixes n_0, n_1, ... in turn and carries a lower
+    The sum fixes n_0, n_1, ... one level at a time and carries a lower
     bound ``low`` on E(n) over every completion of the prefix:
     - when every coefficient is nonnegative, the exponent of the prefix
       itself, since the variables still free can only add to it;
@@ -210,18 +211,36 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
       so far, plus their linear terms: the completed squares of the free
       variables are nonnegative.
     At the last variable ``low`` is E(n) itself.  A branch stops once
-    ``low`` exceeds maxdeg2 and can only grow with n_i.  The bounds are
-    kept multiplied by a common denominator, so no node sees a fraction.
+    ``low`` exceeds maxdeg2 and can only grow with n_t.  The bounds are
+    kept multiplied by a common denominator, so no branch sees a fraction.
 
-    Truncation invariant: the prefix series ``1/prod_{j<=i} (q)_{n_j}`` is
+    Levels: before n_t is fixed, a prefix n_0..n_{t-1} enters the rest of
+    the sum only through its state ``(low, (c_t, ..., c_{nvars-1}))``,
+    where ``c_u`` is the linear form of the fixed variables that step u of
+    :func:`_bound_steps` reads: fixing n_t adds ``h*c_t^2 + (a*n_t +
+    g*c_t + beta)*n_t`` to ``low`` and a multiple of n_t to each later
+    ``c_u``.  Prefixes with one state have the same completions with the
+    same exponents, so level t keeps one prefix series per state, the sum
+    of theirs, and walks the rest once for all of them; merging only
+    regroups integer additions, so it is exact.
+
+    Truncation invariant: the prefix series ``1/prod_{j<t} (q)_{n_j}`` is
     a plain list in whole powers of q, cut to the coefficients below
     ``q^{(maxdeg2 - low)/2 + 1}``, the only ones that can still reach the
-    result.  Stepping n_i divides it in place by ``(1 - q^{n_i})``; the
-    last variable's loop adds it at ``q^{E(n)/2}`` with one slice.
+    result (so prefixes with one state are cut alike).  Stepping n_t
+    divides it in place by ``(1 - q^{n_t})``; the last level adds it at
+    ``q^{E(n)/2}`` with one slice.
     """
     if nvars < 0:
         raise ValueError("nvars must be >= 0")
     lin2 = list(lin2)
+    if len(lin2) != nvars:
+        raise ValueError("lin2 has %d entries for %d variables"
+                         % (len(lin2), nvars))
+    for i, j in quad2:
+        if not (0 <= i < nvars and 0 <= j < nvars):
+            raise ValueError("quad2 index %r lies outside range(%d)"
+                             % ((i, j), nvars))
     if any(v < 0 for v in lin2):
         raise ValueError("a negative linear term %r would put a term below "
                          "q^0; lin2 must be >= 0" % min(lin2))
@@ -231,35 +250,37 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
     scale, steps = _bound_steps(nvars, quad2, lin2)
     top, width = scale * maxdeg2, 2 * scale
     out = [0] * (maxdeg2 + 1)
-    fixed = []
-
-    def rec(t, low, acc):
-        a, beta, g, h, coeffs = steps[t]
-        c = sum(map(mul, coeffs, fixed))
-        b = beta + g * c
-        acc = acc[:(top - low) // width + 1]
-        low += h * c * c
-        n = 0
-        while True:
-            e = low + (a * n + b) * n
-            if a * (2 * n + 1) + b >= 0:  # e no longer falls as n grows
-                if e > top:
-                    break
-                del acc[(top - e) // width + 1:]
-            if n:
-                for d in range(n, len(acc)):
-                    acc[d] += acc[d - n]
-            if e <= top:
-                if t == nvars - 1:
-                    e //= scale
-                    out[e::2] = map(add, out[e::2], acc)
-                else:
-                    fixed.append(n)
-                    rec(t + 1, e, acc)
-                    fixed.pop()
-            n += 1
-
-    rec(0, 0, [1] + [0] * (maxdeg2 // 2))
+    level = {(0, (0,) * nvars): [1] + [0] * (maxdeg2 // 2)}
+    for t, (a, beta, g, h, _) in enumerate(steps):
+        later = [s[4][t] for s in steps[t + 1:]]
+        states = {}
+        for (low, cs), acc in level.items():
+            c, cs = cs[0], cs[1:]
+            b = beta + g * c
+            low += h * c * c
+            n = 0
+            while True:
+                e = low + (a * n + b) * n
+                if a * (2 * n + 1) + b >= 0:  # e no longer falls as n grows
+                    if e > top:
+                        break
+                    del acc[(top - e) // width + 1:]
+                if n:
+                    for d in range(n, len(acc)):
+                        acc[d] += acc[d - n]
+                if e <= top:
+                    if not later:
+                        e //= scale
+                        out[e::2] = map(add, out[e::2], acc)
+                    else:
+                        prev = states.get((e, cs))
+                        if prev is None:
+                            states[e, cs] = acc[:(top - e) // width + 1]
+                        else:
+                            prev[:] = map(add, prev, acc)
+                n += 1
+                cs = tuple(map(add, cs, later))
+        level = states
     return QSeries(maxdeg2, out)
 
 

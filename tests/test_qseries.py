@@ -157,6 +157,18 @@ def test_fermionic_sum_refuses_a_negative_linear_term():
         qseries.fermionic_sum(1, {(0, 0): 2}, [-4], 8)
 
 
+@pytest.mark.parametrize("quad2, lin2, match", [
+    ({(0, 0): 2, (1, 1): 2, (0, 5): 2}, [0, 0], r"quad2 index \(0, 5\)"),
+    ({(0, 0): 2, (1, 1): 2}, [0, 0, 0], "lin2 has 3 entries for 2"),
+    ({(0, 0): 2, (1, 1): 2}, [0], "lin2 has 1 entries for 2"),
+])
+def test_fermionic_sum_refuses_terms_outside_its_variables(quad2, lin2, match):
+    """A term on a variable that is not summed over would be dropped, or
+    fail as a bare IndexError; both are refused."""
+    with pytest.raises(ValueError, match=match):
+        qseries.fermionic_sum(2, quad2, lin2, 10)
+
+
 def test_fermionic_sum_requires_growth():
     """A variable with no quadratic or linear contribution cannot be
     bounded, so the enumeration must refuse instead of looping."""
@@ -228,10 +240,17 @@ def direct_fermionic(nvars, quad2, lin2, maxdeg2):
     return out
 
 
+def cross_term(lo, hi):
+    """A cross coefficient, drawn as zero about half the time: uncoupled
+    variables let different prefixes share a future, which the levels of
+    fermionic_sum merge."""
+    return st.one_of(st.just(0), st.integers(lo, hi))
+
+
 @st.composite
-def monotone_forms(draw):
-    nvars = draw(st.integers(1, 3))
-    quad2 = {(i, j): draw(st.integers(0, 3))
+def monotone_forms(draw, sizes=st.integers(1, 3)):
+    nvars = draw(sizes)
+    quad2 = {(i, j): draw(st.integers(0, 3) if i == j else cross_term(0, 3))
              for i in range(nvars) for j in range(i, nvars)}
     # a positive square or a positive linear term keeps a variable growing
     lin2 = [draw(st.integers(0 if quad2[(i, i)] else 1, 3))
@@ -240,12 +259,12 @@ def monotone_forms(draw):
 
 
 @st.composite
-def dominant_forms(draw):
+def dominant_forms(draw, sizes=st.integers(2, 3)):
     """Diagonally dominant forms with cross terms of either sign: each
     diagonal exceeds half the absolute off-diagonal row sum by at least 1,
     so E(n) >= sum n_i^2 >= max(n), as direct_fermionic needs."""
-    nvars = draw(st.integers(2, 3))
-    off = {(i, j): draw(st.integers(-3, 3))
+    nvars = draw(sizes)
+    off = {(i, j): draw(cross_term(-3, 3))
            for i in range(nvars) for j in range(i + 1, nvars)}
     quad2 = dict(off)
     for i in range(nvars):
@@ -265,6 +284,17 @@ def test_fermionic_sum_matches_direct_products(form, maxdeg2):
         direct_fermionic(nvars, quad2, lin2, maxdeg2).c
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(monotone_forms(st.just(4)), dominant_forms(st.just(4))),
+       st.integers(0, 8))
+def test_fermionic_sum_matches_direct_products_in_four_variables(form, maxdeg2):
+    """Four variables give the levels room to merge: with some cross
+    terms zero, prefixes reach one state along different paths."""
+    nvars, quad2, lin2 = form
+    assert qseries.fermionic_sum(nvars, quad2, lin2, maxdeg2).c == \
+        direct_fermionic(nvars, quad2, lin2, maxdeg2).c
+
+
 def test_fermionic_sum_definite_forms_match_direct_products():
     """ml_rhs(3) has negative cross terms (the A_3 Cartan matrix, least
     eigenvalue 2 - sqrt 2) and ag_sum(3) couples its two variables."""
@@ -278,6 +308,14 @@ def test_ml_sl4_identity_at_benchmark_depth():
     """The monotone search (lhs) against the completed-square one (rhs)
     at the benchmark's depth."""
     assert qseries.ml_lhs(4, 80).c == qseries.ml_rhs(3, 80).c
+
+
+@pytest.mark.parametrize("n, maxdeg2", [(5, 40), (6, 30), (7, 24), (8, 20),
+                                        (12, 12)])
+def test_ml_identity_at_higher_rank(n, maxdeg2):
+    """The sums of many variables, where most branches share a future:
+    ml_lhs(12) sums over the 66 positive roots of sl_12."""
+    assert qseries.ml_lhs(n, maxdeg2).c == qseries.ml_rhs(n - 1, maxdeg2).c
 
 
 # ------------------------------------------------------ named characters
