@@ -55,6 +55,8 @@ def _build_parser():
     e = sub.add_parser("expand", help="expand a formula key to coefficients")
     e.add_argument("formula", help="formula key, e.g. theta:3 or jm:A4")
     e.add_argument("--maxdeg2", type=int, default=0)
+    e.add_argument("--limit", type=int, default=jetquot.DEFAULT_MONOMIAL_LIMIT,
+                   help="resource cap: states per level of a fermionic sum")
     e.add_argument("--format", choices=("human", "json", "csv"),
                    default="human")
 
@@ -168,10 +170,15 @@ def _human_report(model, rep, ok, out):
 def cmd_expand(args, out=sys.stdout):
     if args.maxdeg2 < 0:
         raise CliError("--maxdeg2 must be >= 0, got %d" % args.maxdeg2)
+    if args.limit < 1:
+        raise CliError("--limit must be >= 1, got %d" % args.limit)
     try:
-        series = models.qseries_formula(args.formula, args.maxdeg2)
+        series = models.qseries_formula(args.formula, args.maxdeg2, args.limit)
     except KeyError as exc:
         raise CliError(str(exc.args[0]) if exc.args else str(exc))
+    except jetquot.ResourceLimitError as exc:
+        raise CliError("resource cap exceeded for %s: %s"
+                       % (args.formula, exc))
     rows = [{"degree2": d, "coefficient": series[d]}
             for d in range(args.maxdeg2 + 1)]
     if args.format == "json":

@@ -12,10 +12,10 @@ rows are the ideal elements ``m * T^j(g)`` landing in that degree, columns
 are the jet monomials of that degree, and the quotient dimension is
 ``#columns - rank``.
 
-Integer rows go in as built to one sparse Gaussian echelon with
-deterministic smallest-column pivoting, :class:`Echelon`, the one place
-their content is taken out, so ranks do not depend on dict ordering,
-generator order, or scalar rescalings of the generators.
+Integer rows are handed over as built to one sparse Gaussian echelon,
+:class:`Echelon` (deterministic smallest-column pivoting), which reduces
+them in place and alone takes out their content, so ranks do not depend
+on dict ordering, generator order, or scalar rescalings of generators.
 
 Slices are built on integers only.  The jet atoms ``(base, shift)`` are
 numbered in the canonical atom order ``(degree2, base, shift)``; the table
@@ -102,7 +102,7 @@ DEFAULT_MONOMIAL_LIMIT = 200_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a graded piece exceeds the monomial budget."""
+    """Raised when a degree table or a fermionic level exceeds its budget."""
 
 
 # RingSpec -> the slice context that contains keeps for its next query
@@ -129,7 +129,7 @@ def _charge_lattice(spec):
             for sign, m in ((1, mono), (-1, monos[0])):
                 for base, _ in m:
                     row[base] = row.get(base, 0) + sign
-            ech.insert({b: v for b, v in row.items() if v})
+            ech.extend([{b: v for b, v in row.items() if v}])
     basis = []
     for free in (b for b in range(n) if b not in ech.pivots):
         q = [0] * n
@@ -170,13 +170,12 @@ class Echelon:
     Rows are dicts ``{column: int}`` whose entries are all nonzero (a zero
     entry would be taken for a column of the row); ``columns`` maps each
     packed standard monomial of the slice to its column, if the caller
-    needs one.  ``insert`` reduces a row against the current pivots
-    (always eliminating the smallest column first) and, if a nonzero
-    remainder survives, installs it as a new pivot after dividing by its
-    content, pivot entry positive: the one place content is taken out, so
-    a row scaled by a nonzero integer gives the same pivots.  ``reduce``
-    performs the same elimination without installing, so membership tests
-    do not grow the basis.
+    needs one.  ``extend`` takes over fresh rows and reduces each where it
+    stands against the current pivots, smallest column first, with no gcd
+    against a pivot entry of 1.  A nonzero remainder becomes a pivot, its
+    content taken out (one entry needs no gcd), pivot entry positive, so
+    a row scaled by a nonzero integer gives the same pivots.  ``insert``
+    and ``reduce`` work on a copy; ``reduce`` installs nothing.
     """
 
     def __init__(self, columns=None):
@@ -188,45 +187,55 @@ class Echelon:
         return len(self.pivots)
 
     def _eliminate(self, row):
+        """Reduce ``row`` in place; its smallest column left, or None."""
+        pivots = self.pivots
         while row:
             c = min(row)
-            piv = self.pivots.get(c)
+            piv = pivots.get(c)
             if piv is None:
-                return row, c
+                return c
             a = piv[c]
             b = row[c]
-            g = math.gcd(a, b)
-            fa = a // g
-            fb = b // g
-            if fa != 1:
-                for k in row:
-                    row[k] *= fa
+            if a != 1:
+                g = math.gcd(a, b)
+                b //= g
+                if g != a:
+                    a //= g
+                    for k in row:
+                        row[k] *= a
             for k, v in piv.items():
-                nv = row.get(k, 0) - fb * v
+                nv = row.get(k, 0) - b * v
                 if nv:
                     row[k] = nv
                 else:
-                    row.pop(k, None)
-        return row, None
+                    del row[k]
+        return None
+
+    def extend(self, rows):
+        """Insert rows that are not read again: they may become pivots."""
+        pivots, eliminate, gcd = self.pivots, self._eliminate, math.gcd
+        for row in rows:
+            c = eliminate(row)
+            if c is None:
+                continue
+            g = gcd(*row.values()) if len(row) > 1 else abs(row[c])
+            if row[c] < 0:
+                g = -g
+            if g != 1:
+                for k in row:
+                    row[k] //= g
+            pivots[c] = row
 
     def insert(self, row):
-        """Insert a row; returns True when it increased the rank.  The
-        caller's row is not changed: the elimination works on a copy."""
-        row, c = self._eliminate(dict(row))
-        if c is None:
-            return False
-        g = math.gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        if g != 1:
-            for k in row:
-                row[k] //= g
-        self.pivots[c] = row
-        return True
+        """Insert a copy of a row; True when it increased the rank."""
+        rank = len(self.pivots)
+        self.extend([dict(row)])
+        return len(self.pivots) > rank
 
     def reduce(self, row):
-        """Reduce a row without installing; returns the remainder dict."""
-        row, _ = self._eliminate(dict(row))
+        """The remainder of a copy of a row, which is not installed."""
+        row = dict(row)
+        self._eliminate(row)
         return row
 
 
@@ -556,12 +565,12 @@ def ideal_rows(tpowers, degree2, grade=None):
     terms ``(t, c, flips)``: each ``m + t`` is looked up in the columns
     and, where it lands (a shared odd atom lands on none), gets ``c`` with
     the sign of ``(m & odd_bits & flips).bit_count()``; the content is
-    left for :meth:`Echelon.insert` to take out.  Short structured rows go
+    left for :meth:`Echelon.extend` to take out.  Short structured rows go
     first, as they pin pivots cheaply and keep fill low: each row goes
     into the bucket of its length as it is built (an empty one into bucket
     0, which is dropped), and the buckets, each sorted by smallest column,
     are joined by increasing length, the stable ``(len(row), min(row))``
-    order.  A repeated row is kept, and :meth:`Echelon.insert` reduces it
+    order.  A repeated row is kept, and :meth:`Echelon.extend` reduces it
     to zero.  Given a ``grade``, only the columns and rows of that grade
     are built: a factor is kept when its grade plus the power's is that
     grade.  A slice with no columns (every odd degree of a ring of integer
@@ -611,8 +620,7 @@ def ideal_basis(tpowers, degree2, grade=None):
     """
     columns, rows = ideal_rows(tpowers, degree2, grade)
     ech = Echelon(columns)
-    for row in rows:
-        ech.insert(row)
+    ech.extend(rows)
     return ech, len(columns)
 
 
@@ -648,59 +656,67 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     reduces.  A block stays exact after a higher query learns its degree:
     the monomials cut then are single-column pivots of the block.
 
-    The query is read once: each term's monomial is packed from its atom
-    ids, its coefficient scaled to an integer by the query's common
-    denominator, and the term filed under its grade; each grade part is
-    then one row on its block's columns.  A monomial off those columns is
-    in the ideal already.  Keys must be canonical monomials, atoms in the
-    canonical order of :meth:`RingSpec.normalize`: another key is refused
-    with ``ValueError``, since two orders of one monomial would pack to
-    one column, and the ring's context is kept as any query leaves it.
-    Coefficients must be exact, ``int`` or ``Fraction``: any other, a
-    ``float`` included, is refused with ``TypeError``.
+    The query is read in one pass before any slice is built.  Zero terms
+    are skipped, so they change no answer and no degree; the first other
+    term gives the degree.  Each term's atom ids (an atom above the degree
+    has none yet) give its degree, packed monomial and grade.  A query
+    that is not homogeneous is refused there with ``ValueError``, and a
+    coefficient that is not ``int`` or ``Fraction`` with ``TypeError``.
+    Each grade part is one row on its block's columns, scaled to integers
+    by the common denominator and reduced where it stands; a monomial off
+    those columns is in the ideal already.  A key out of the canonical
+    atom order of :meth:`RingSpec.normalize`, which would share a column
+    with its reordering, is refused with ``ValueError`` after the degrees
+    below are learned, and the ring's context is kept.
 
     The slice context of a ring, blocks included, is kept for the next
     query of the same ring and ``limit`` up to its packed top, for as long
     as the ring lives, so a ring is taken as fixed once it has been
     queried: changing its variables, relations or extras in place
-    afterwards gives wrong answers.  Terms with a zero coefficient are
-    dropped first, so they neither make a member a non-member nor count
-    towards the degree.
+    afterwards gives wrong answers.
     """
-    poly = {m: c for m, c in poly.items() if c}
-    if not poly:
+    degree2 = next((spec.mono_degree2(m) for m, c in poly.items() if c), None)
+    if degree2 is None:
         return True
-    degree2 = spec.degree2(poly)
-    try:
-        denom = math.lcm(*(c.denominator for c in poly.values()))
-    except AttributeError:
-        bad = next(c for c in poly.values() if not hasattr(c, "denominator"))
-        raise TypeError("coefficients must be int or Fraction, not %s: %r"
-                        % (type(bad).__name__, bad)) from None
     # taken out while in use, so that no other call shares it, and a call
     # cut short (an error, an interrupt) leaves none half grown behind
-    tpowers = _CONTEXTS.pop(spec, None)
+    kept = tpowers = _CONTEXTS.pop(spec, None)
     if tpowers is None or tpowers.limit != limit or degree2 > tpowers.top:
         # the same digit width as degree2: a ring asked at 13 to 23 is
         # built at most twice, with tops 15 and 31
-        top = (1 << degree2.bit_length()) - 1
-        tpowers = _TPowers(spec, top, limit)
+        tpowers = _TPowers(spec, (1 << degree2.bit_length()) - 1, limit)
+    tpowers.grow(degree2)
+    ids, unit, deg = tpowers.ids, tpowers.unit, tpowers.atom_degree2
+    mask, parts, denom, unordered = tpowers.grade_mask, {}, 1, None
+    try:
+        for mono, c in poly.items():
+            if not c:
+                continue
+            atoms = list(map(ids.__getitem__, mono))
+            if sum(map(deg.__getitem__, atoms)) != degree2:
+                raise KeyError(mono)
+            if atoms != sorted(atoms):
+                unordered = unordered or mono
+            denom = math.lcm(denom, c.denominator)
+            p = sum(map(unit.__getitem__, atoms))
+            parts.setdefault(p & mask, {})[p] = c
+    except (KeyError, AttributeError) as exc:
+        if kept is not None:  # nothing of the query is in it yet
+            _CONTEXTS[spec] = kept
+        spec.degree2({m: c for m, c in poly.items() if c})  # inhomogeneous
+        if isinstance(exc, KeyError):
+            raise
+        raise TypeError("coefficients must be int or Fraction, not %s: %r"
+                        % (type(c).__name__, c)) from None
     # every table but the newest is learned
     for d in range(max(len(tpowers._tables) - 1, 0), degree2):
         _learn(tpowers, d)
     # the query's table is the newest, not learned, as any query leaves it
     tpowers.standard(degree2)
-    ids, unit, mask = tpowers.ids, tpowers.unit, tpowers.grade_mask
-    parts = {}  # grade -> {packed monomial: integer coefficient}
-    for mono, c in poly.items():
-        atoms = list(map(ids.__getitem__, mono))
-        if atoms != sorted(atoms):
-            _CONTEXTS[spec] = tpowers  # whole: nothing of the query is in it
-            raise ValueError("monomial %r is not in canonical atom order"
-                             % (mono,))
-        p = sum(map(unit.__getitem__, atoms))
-        parts.setdefault(p & mask, {})[p] = c.numerator * (
-            denom // c.denominator)
+    if unordered is not None:
+        _CONTEXTS[spec] = tpowers  # whole: nothing of the query is in it
+        raise ValueError("monomial %r is not in canonical atom order"
+                         % (unordered,))
     blocks = []
     for grade, part in parts.items():
         ech = tpowers.blocks.get((degree2, grade))
@@ -711,9 +727,9 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     # put back only now: another call may then grow and cut its tables
     _CONTEXTS[spec] = tpowers
     for ech, part in blocks:
-        # a monomial off its block's columns is in the ideal already
         columns = ech.columns
-        if ech.reduce({columns[p]: v for p, v in part.items()
-                       if p in columns}):
+        row = {columns[p]: c.numerator * (denom // c.denominator)
+               for p, c in part.items() if p in columns}
+        if ech._eliminate(row) is not None:
             return False
     return True

@@ -233,8 +233,9 @@ _GRAPH_SHAPES = {
 }
 
 
-def qseries_formula(key, maxdeg2):
-    """Resolve a formula key like "theta:3" or "jm:A4" to a QSeries."""
+def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
+    """Resolve a formula key like "theta:3" or "jm:A4" to a QSeries; a
+    fermionic sum holds at most ``limit`` states per level."""
     parts = key.split(":")
     head, args = parts[0], parts[1:]
     try:
@@ -254,29 +255,29 @@ def qseries_formula(key, maxdeg2):
             variables, edges = _graph_vertices(args[0])
             return qseries.graph_sum(
                 [(i - 1, j - 1) for i, j in edges if i != j],
-                [parity == "odd" for _, parity, _ in variables], maxdeg2)
+                [p == "odd" for _, p, _ in variables], maxdeg2, limit)
         if head == "ml" and len(args) == 2 and args[0].startswith("sl"):
             n = int(args[0][2:])  # "sl3" -> 3
             if args[1] == "lhs":
-                return qseries.ml_lhs(n, maxdeg2)
+                return qseries.ml_lhs(n, maxdeg2, limit)
             if args[1] == "rhs":
-                return qseries.ml_rhs(n - 1, maxdeg2)
+                return qseries.ml_rhs(n - 1, maxdeg2, limit)
         if head == "n1product" and len(args) == 1:
             return qseries.n1_product(int(args[0]), maxdeg2)
         if head == "n1char" and len(args) == 2:
             return qseries.n1_character(int(args[0]), int(args[1]), maxdeg2)
         if head == "singlelattice" and len(args) == 1:
-            return qseries.single_lattice_sum(int(args[0]), maxdeg2)
+            return qseries.single_lattice_sum(int(args[0]), maxdeg2, limit)
         if head == "rr" and not args:
-            return qseries.rr_sum(maxdeg2)
+            return qseries.rr_sum(maxdeg2, limit)
         if head == "ag" and len(args) == 1:
-            return qseries.ag_sum(int(args[0]), maxdeg2)
+            return qseries.ag_sum(int(args[0]), maxdeg2, limit)
         if head == "fs" and len(args) == 1:
-            return qseries.fs_sum(int(args[0]), maxdeg2)
+            return qseries.fs_sum(int(args[0]), maxdeg2, limit)
         if head == "extvir" and args == ["pair"]:
-            return qseries.ext_vir_pair_sum(maxdeg2)
+            return qseries.ext_vir_pair_sum(maxdeg2, limit)
         if head == "extvir" and args == ["triple"]:
-            return qseries.ext_vir_triple_sum(maxdeg2)
+            return qseries.ext_vir_triple_sum(maxdeg2, limit)
         if head == "fermion" and not args:
             return qseries.free_product([(1, "odd")], maxdeg2)
     except (KeyError, ValueError) as exc:

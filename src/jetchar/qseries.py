@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 from operator import add
 
+from .jetquot import DEFAULT_MONOMIAL_LIMIT, ResourceLimitError
 from .superring import _halves, _signed_sum
 
 
@@ -194,7 +195,7 @@ def _pochhammer(n, maxdeg2, step):
 # Fermionic sums over quadratic forms
 # ---------------------------------------------------------------------
 
-def fermionic_sum(nvars, quad2, lin2, maxdeg2):
+def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Sum over n in Z_{>=0}^nvars of q^{E(n)/2} / prod_i (q)_{n_i}.
 
     ``quad2[(i, j)]`` (i <= j) and ``lin2[i] >= 0`` give the DOUBLED
@@ -222,7 +223,8 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
     ``c_u``.  Prefixes with one state have the same completions with the
     same exponents, so level t keeps one prefix series per state, the sum
     of theirs, and walks the rest once for all of them; merging only
-    regroups integer additions, so it is exact.
+    regroups integer additions, so it is exact.  A level that would hold
+    more than ``limit`` states is refused with ``ResourceLimitError``.
 
     Truncation invariant: the prefix series ``1/prod_{j<t} (q)_{n_j}`` is
     a plain list in whole powers of q, cut to the coefficients below
@@ -275,6 +277,10 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2):
                     else:
                         prev = states.get((e, cs))
                         if prev is None:
+                            if len(states) == limit:
+                                raise ResourceLimitError(
+                                    "more than %d states at level %d of a "
+                                    "fermionic sum" % (limit, t + 1))
                             states[e, cs] = acc[:(top - e) // width + 1]
                         else:
                             prev[:] = map(add, prev, acc)
@@ -346,17 +352,17 @@ def theta_over_eta(p, maxdeg2):
     return num * inv_pochhammer("inf", maxdeg2)
 
 
-def rr_sum(maxdeg2):
+def rr_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Rogers-Ramanujan sum  sum_n q^{n^2}/(q)_n (doubled exponent 2n^2)."""
-    return fermionic_sum(1, {(0, 0): 2}, [0], maxdeg2)
+    return fermionic_sum(1, {(0, 0): 2}, [0], maxdeg2, limit)
 
 
-def single_lattice_sum(p, maxdeg2):
+def single_lattice_sum(p, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum_n q^{p n^2/2}/(q)_n for one extremal vector of norm p."""
-    return fermionic_sum(1, {(0, 0): p}, [0], maxdeg2)
+    return fermionic_sum(1, {(0, 0): p}, [0], maxdeg2, limit)
 
 
-def ag_sum(k, maxdeg2):
+def ag_sum(k, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Nested sum  sum q^{N_1^2+..+N_{k-1}^2+N_1+..+N_{k-1}} / prod (q)_{n_i}
     with N_i = n_i + ... + n_{k-1}; the (2, 2k+1) vacuum character."""
     if k < 2:
@@ -369,7 +375,7 @@ def ag_sum(k, maxdeg2):
         lin2.append(2 * (i + 1))
         for j in range(i + 1, nv):
             quad2[(i, j)] = 4 * (i + 1)
-    return fermionic_sum(nv, quad2, lin2, maxdeg2)
+    return fermionic_sum(nv, quad2, lin2, maxdeg2, limit)
 
 
 def n1_product(k, maxdeg2):
@@ -421,7 +427,7 @@ def n1_character(p, pp, maxdeg2):
 
 # -- path and cycle graph series (two-variable master formula) ---------
 
-def graph_sum(adjacency, loops, maxdeg2):
+def graph_sum(adjacency, loops, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Fermionic sum for a simple graph with optional loops.
 
     Doubled exponent: 2*sum n_i + 2*sum_{edges} n_i n_j + sum_{loops} n_i^2.
@@ -433,7 +439,7 @@ def graph_sum(adjacency, loops, maxdeg2):
             quad2[(i, i)] = 1
     for (i, j) in adjacency:
         quad2[(min(i, j), max(i, j))] = 2
-    return fermionic_sum(k, quad2, [2] * k, maxdeg2)
+    return fermionic_sum(k, quad2, [2] * k, maxdeg2, limit)
 
 
 def jm_closed(key, maxdeg2):
@@ -519,7 +525,7 @@ def sln_root_pairs(n):
             if r[0] <= s[0] < r[1] <= s[1]]
 
 
-def ml_lhs(n, maxdeg2):
+def ml_lhs(n, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Nested sum over exponent tuples of the upper-triangular positions.
 
     Variables are indexed by pairs (i, j) with 1 <= i < j <= n; the doubled
@@ -532,10 +538,10 @@ def ml_lhs(n, maxdeg2):
     roots = [r for r, s in pairs if r == s]
     index = {r: k for k, r in enumerate(roots)}
     quad2 = {(index[r], index[s]): 2 for r, s in pairs}
-    return fermionic_sum(len(roots), quad2, [0] * len(roots), maxdeg2)
+    return fermionic_sum(len(roots), quad2, [0] * len(roots), maxdeg2, limit)
 
 
-def ml_rhs(rank, maxdeg2):
+def ml_rhs(rank, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum_k q^{k A k^T / 2} / prod (q)_{k_i} for the Cartan matrix A of
     type A_rank, rank >= 1; the doubled exponent is exactly k A k^T."""
     if rank < 1:
@@ -545,10 +551,10 @@ def ml_rhs(rank, maxdeg2):
         quad2[(i, i)] = 2
         if i + 1 < rank:
             quad2[(i, i + 1)] = -2
-    return fermionic_sum(rank, quad2, [0] * rank, maxdeg2)
+    return fermionic_sum(rank, quad2, [0] * rank, maxdeg2, limit)
 
 
-def fs_sum(n, maxdeg2):
+def fs_sum(n, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum over l in Z_{>=0}^n of q^{sum l_i^2 + sum_{i<j} l_i l_j}/prod (q)_{l_i}."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -557,19 +563,19 @@ def fs_sum(n, maxdeg2):
         quad2[(i, i)] = 2
         for j in range(i + 1, n):
             quad2[(i, j)] = 2
-    return fermionic_sum(n, quad2, [0] * n, maxdeg2)
+    return fermionic_sum(n, quad2, [0] * n, maxdeg2, limit)
 
 
-def ext_vir_pair_sum(maxdeg2):
+def ext_vir_pair_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum q^{n1^2 + n2^2 + n1 + n2} / ((q)_{n1} (q)_{n2})."""
-    return fermionic_sum(2, {(0, 0): 2, (1, 1): 2}, [2, 2], maxdeg2)
+    return fermionic_sum(2, {(0, 0): 2, (1, 1): 2}, [2, 2], maxdeg2, limit)
 
 
-def ext_vir_triple_sum(maxdeg2):
+def ext_vir_triple_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Three-variable companion sum with doubled exponent
     2(n1^2 + 2 n2^2 + m1^2 + 2 n1 n2 + n1 m1 + 2 n2 m1 + n1 + 2 n2 + m1)."""
     quad2 = {(0, 0): 2, (1, 1): 4, (2, 2): 2, (0, 1): 4, (0, 2): 2, (1, 2): 4}
-    return fermionic_sum(3, quad2, [2, 4, 2], maxdeg2)
+    return fermionic_sum(3, quad2, [2, 4, 2], maxdeg2, limit)
 
 
 def free_product(weights2, maxdeg2):

@@ -353,6 +353,8 @@ def test_expand_degenerate_formula_arguments_are_usage_errors(formula):
     (["graphsum:A9"], "bad formula key 'graphsum:A9': unknown graph shape "
      "'A9' (known: A1, A2, A3, A4, A5, A6, C3, C5, L1)"),
     (["jm:A9"], "bad formula key 'jm:A9': unknown path-graph key 'A9'"),
+    (["rr", "--limit", "0"], "--limit must be >= 1, got 0"),
+    (["rr", "--limit", "-3"], "--limit must be >= 1, got -3"),
 ])
 def test_expand_usage_errors_name_the_fault(argv, message):
     """A bad option is not blamed on a valid key, and an unknown shape is
@@ -362,6 +364,25 @@ def test_expand_usage_errors_name_the_fault(argv, message):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: %s\n" % message
+
+
+def test_expand_limit_refuses_a_level_of_too_many_states():
+    """The states of a fermionic sum's level are capped like the monomials
+    of a verify table: ml:sl4:lhs at 80 is refused in one line once a
+    level would hold more than 50 states, and a cap of 1,000, above its
+    largest level, prints what the default prints."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetchar.cli", "expand", "ml:sl4:lhs",
+         "--maxdeg2", "80", "--limit", "50"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: resource cap exceeded for ml:sl4:lhs: more than 50 states")
+    assert len(proc.stderr.splitlines()) == 1
+    capped = run_cli("expand", "ml:sl4:lhs", "--maxdeg2", "80",
+                     "--limit", "1000")
+    assert capped == run_cli("expand", "ml:sl4:lhs", "--maxdeg2", "80")
+    assert capped[0] == 0
 
 
 # --------------------------------------------------------------- list

@@ -554,6 +554,55 @@ def test_echelon_matches_a_fraction_elimination(rows, combos, others, scales):
         assert probe == given
 
 
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, _ROWS)
+def test_rows_handed_over_give_the_pivots_of_inserted_copies(rows, probes):
+    """``extend`` reduces the rows it is given where they stand, against
+    pivot entries other than 1 too (entries are 1 to 6 in size), and
+    gives the pivots and rank that ``insert`` gives on copies, and the
+    ``Fraction`` rank.  ``insert`` and ``reduce`` change no row that they
+    are given."""
+    inserted = Echelon()
+    for row in rows:
+        given = dict(row)
+        inserted.insert(row)
+        assert row == given
+    handed = Echelon()
+    handed.extend([dict(row) for row in rows])
+    assert handed.pivots == inserted.pivots
+    assert handed.rank == inserted.rank == _fraction_rank(rows, 8)
+    for c, piv in handed.pivots.items():
+        assert min(piv) == c and piv[c] > 0
+        assert math.gcd(*piv.values()) == 1
+    for probe in probes:
+        given = dict(probe)
+        inside = _fraction_rank(rows + [probe], 8) == handed.rank
+        assert (not handed.reduce(probe)) == inside
+        assert probe == given
+
+
+@pytest.mark.parametrize("key", models.model_keys())
+def test_ideal_basis_hands_over_the_rows_of_inserted_copies(key):
+    """At every degree up to min(default truncation, 12), learned as
+    hilbert_series learns it, the echelon that ideal_basis builds from the
+    rows it hands over has the pivots of an echelon fed copies of the
+    same ideal_rows by insert."""
+    model = models.get_model(key)
+    top = min(model.default_maxdeg2, 12)
+    spec = model.ring()
+    tpowers = _TPowers(spec, top, DEFAULT_MONOMIAL_LIMIT)
+    dims = []
+    for d in range(top + 1):
+        columns, rows = ideal_rows(tpowers, d)
+        copies = _echelon(columns, rows)
+        ech, n = ideal_basis(tpowers, d)
+        assert ech.pivots == copies.pivots, f"degree2={d}"
+        dims.append(n - ech.rank)
+        tpowers.cut(d, sorted(c for c, row in ech.pivots.items()
+                              if len(row) == 1))
+    assert dims == hilbert_series(spec, top)
+
+
 @pytest.mark.parametrize("key, maxdeg2", [("n2_c1:abc", 16),
                                           ("sln_principal:4", 12),
                                           ("lattice:3", 12)])
@@ -1357,6 +1406,33 @@ def test_fraction_queries_asked_twice_match_the_full_slice(presentation,
     kept = _CONTEXTS[spec]
     assert [contains(spec, q) for q in queries] == want
     assert _CONTEXTS[spec] is kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PRESENTATIONS, st.integers(4, 10), st.data())
+def test_zero_terms_and_mixed_coefficients_match_the_full_slice(
+        presentation, degree2, data):
+    """contains reads a query in one pass: a drawn query whose whole
+    coefficients are drawn as ``int`` or ``Fraction``, with zero terms
+    (``0``, ``Fraction(0)`` or ``0.0``) mixed in at its degree and at
+    others, gets the answer of a fresh full slice on its nonzero terms."""
+    spec = _random_ring(presentation)
+    products = _products(spec, degree2)
+    assume(products and enumerate_monomials(spec, degree2))
+    coeff = st.sampled_from((1, -2, 3) + _MIXED)
+    drawn = _draw_query(data, spec, degree2, products, coeff)
+    poly = {}
+    for m, c in drawn.items():
+        whole = c.denominator == 1 and data.draw(st.booleans())
+        poly[m] = int(c) if whole else c
+    zeros = [m for d in (degree2 - 1, degree2, degree2 + 1)
+             for m in enumerate_monomials(spec, d) if m not in poly]
+    for m in data.draw(st.lists(st.sampled_from(zeros), max_size=4)
+                       if zeros else st.just([])):
+        poly[m] = data.draw(st.sampled_from((0, Fraction(0), 0.0)))
+    order = data.draw(st.permutations(list(poly)))
+    poly = {m: poly[m] for m in order}
+    assert contains(spec, poly) == _full_slice_contains(spec, drawn)
 
 
 def test_contains_refuses_a_key_out_of_canonical_order(monkeypatch):

@@ -419,3 +419,26 @@ def test_partition_stats_total_parts_brute():
 def test_partition_stats_unknown_kind():
     with pytest.raises(KeyError):
         qseries.partition_stats("nope", 3)
+
+
+@pytest.mark.parametrize("key, maxdeg2", [("ml:sl4:lhs", 40),
+                                          ("graphsum:C5", 30),
+                                          ("ml:sl4:rhs", 40)])
+def test_fermionic_sum_caps_the_states_of_a_level(key, maxdeg2):
+    """A level that would hold more than ``limit`` states is refused with
+    ResourceLimitError; the smallest cap that is not refused, and any
+    larger one, give the series of the default cap."""
+    from jetchar import ResourceLimitError
+
+    def capped(limit):
+        try:
+            return qseries_formula(key, maxdeg2, limit).c
+        except ResourceLimitError as exc:
+            assert str(exc).startswith("more than %d states at level "
+                                       % limit)
+            return None
+
+    full = qseries_formula(key, maxdeg2).c
+    smallest = next(k for k in itertools.count(1) if capped(k) is not None)
+    assert smallest > 1
+    assert capped(smallest) == capped(smallest + 7) == full
