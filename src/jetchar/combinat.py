@@ -17,11 +17,11 @@ Two jobs live here:
 Colored partitions are counted for every degree up to the truncation in
 one pass: each color's part lists are tabulated once, keeping only the
 features some boundary reads (the part count of a boundary's t, the
-smallest part of its s), and the colors are folded left to right over
-states (degree, features still needed), each boundary checked as soon
-as both of its colors are placed.  GhRules and Dk1Rules are counted in
-one pass too: one enumeration up to the truncation records each
-configuration once, at its own degree.
+smallest part of its s), and the colors are folded, in an order that
+carries few features, over states (degree, features still needed), each
+boundary checked as soon as both of its colors are placed.  GhRules and
+Dk1Rules are counted in one pass too: one enumeration up to the
+truncation records each configuration once, at its own degree.
 
 All degrees are doubled integers, matching the rest of the package.
 """
@@ -163,79 +163,94 @@ def _color_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
     """All part lists of one color up to maxdeg2, aggregated as a map
     (deg2, n_parts, min_part2) -> count.  n_parts is kept only when
     keep_n (else 0) and min_part2 only when keep_min (else None);
-    min_part2 is None for the empty list."""
-    diffs = tuple(diffs)
-    if odd:
-        diffs = diffs + ((1, 2),)
+    min_part2 is None for the empty list.  Built by degree levels over
+    states (n_parts as kept, last `span` parts), span being as far as a
+    difference looks back (at least 1): each condition caps the next
+    part, so the lists of one state extend alike."""
+    diffs = tuple(diffs) + (((1, 2),) if odd else ())
+    span = max([1] + [dist for dist, _ in diffs])
+    levels = [{} for _ in range(maxdeg2 + 1)]
+    levels[0][0, ()] = 1
     profiles = {}
-
-    def record(deg2, parts):
-        key = (deg2, len(parts) if keep_n else 0,
-               parts[-1] if keep_min and parts else None)
-        profiles[key] = profiles.get(key, 0) + 1
-
-    def rec(parts, deg2):
-        record(deg2, parts)
-        cap = parts[-1] if parts else None
-        p = weight2
-        while deg2 + p <= maxdeg2:
-            if cap is None or p <= cap:
-                ok = True
-                for dist, gap2 in diffs:
-                    if len(parts) >= dist and parts[len(parts) - dist] - p < gap2:
-                        ok = False
-                        break
-                if ok:
-                    rec(parts + [p], deg2 + p)
-            p += 2
-
-    rec([], 0)
+    for deg2, level in enumerate(levels):
+        for (n, tail), count in level.items():
+            key = (deg2, n, tail[-1] if keep_min and tail else None)
+            profiles[key] = profiles.get(key, 0) + count
+            top = min((maxdeg2 - deg2, *tail[-1:]))
+            for dist, gap2 in diffs:
+                if dist <= len(tail):
+                    top = min(top, tail[-dist] - gap2)
+            head = tail[1 - span:] if span > 1 else ()
+            for p in range(weight2, top + 1, 2):
+                nxt, state = levels[deg2 + p], (n + keep_n, head + (p,))
+                nxt[state] = nxt.get(state, 0) + count
     return profiles
 
 
+def _fold_order(n_colors, bounds):
+    """(color, features carried after it) in folding order, read off the
+    boundaries alone: greedily the color that leaves the fewest features
+    carried, fewer smallest parts among equals, ties in the given order."""
+    def carried(placed):
+        return {("min", s) if s in placed else ("n", t) for s, t in bounds
+                if (s in placed) != (t in placed)}
+    order, done = [], set()
+    while len(done) < n_colors:
+        left = {c: carried(done | {c}) for c in range(n_colors)
+                if c not in done}
+        i = min(left, key=lambda c: (len(left[c]),
+                                     sum(k == "min" for k, _ in left[c])))
+        done.add(i)
+        order.append((i, left[i]))
+    return order
+
+
 def _count_colored(rules, maxdeg2):
-    """Fold the colors left to right, carrying states
+    """Fold the colors in :func:`_fold_order`, carrying states
     (deg2, features still read by unchecked boundaries) -> count.
 
     A feature is ("n", i), the part count of color i, or ("min", i), its
-    smallest part (None when it has no parts).  A boundary (s, t) is
-    checked as soon as both of its colors are placed; afterwards a
-    feature no unchecked boundary reads is dropped, which merges states.
-    """
+    smallest part (None when it has no parts).  A boundary is checked as
+    soon as both of its colors are placed: against a state, one cap on
+    the new color's part count and one floor on its smallest part; its
+    self-boundary filters its entries once.  A feature no unchecked
+    boundary reads is dropped, which merges states."""
     idx = {c[0]: i for i, c in enumerate(rules.colors)}
-    bounds = [(idx[s], idx[t], rules.colors[idx[s]][1])
-              for s, t in rules.boundaries]
-
+    bounds = [(idx[s], idx[t]) for s, t in rules.boundaries]
     states = {(0, ()): 1}
     live = []
-    for i, (name, w2, odd) in enumerate(rules.colors):
+    for i, read in _fold_order(len(rules.colors), bounds):
+        name, w2, odd = rules.colors[i]
+        pos = {f: j for j, f in enumerate(live)}
+        caps = [(pos["min", s], rules.colors[s][1]) for s, t in bounds
+                if t == i and ("min", s) in pos]
+        floors = [pos["n", t] for s, t in bounds if s == i and ("n", t) in pos]
+        keep = [pos[f] for f in live if f in read]
+        own = [f for f in (("n", i), ("min", i)) if f in read]
+        live = [f for f in live if f in read] + own
         table = _color_profiles(
             w2, odd, rules.differences.get(name, ()), maxdeg2,
-            any(t == i for _, t, _ in bounds),
-            any(s == i for s, _, _ in bounds))
-        # features of the new color sit after the carried ones
-        pos = {f: j for j, f in enumerate(live)}
-        pos[("n", i)] = len(live)
-        pos[("min", i)] = len(live) + 1
-        checks = [(pos[("min", s)], w, pos[("n", t)])
-                  for s, t, w in bounds if max(s, t) == i]
-        live = sorted({f for s, t, _ in bounds if max(s, t) > i
-                       for f in (("min", s), ("n", t)) if f[1] <= i})
-        keep = [pos[f] for f in live]
-
-        entries = sorted(table.items(), key=lambda kv: kv[0][0])
+            any(t == i for _, t in bounds), any(s == i for s, _ in bounds))
+        entries = []
+        for (d, n, m), count in sorted(table.items(), key=lambda kv: kv[0][0]):
+            if (i, i) not in bounds or m is None or m >= w2 + 2 * n:
+                entries.append((d, n, float("inf") if m is None else m, count,
+                                tuple(n if k == "n" else m for k, _ in own)))
         folded = {}
         for (deg2, carried), mult in states.items():
-            room = maxdeg2 - deg2
-            for (d, n, m), count in entries:
+            room, cap, floor = maxdeg2 - deg2, maxdeg2, w2
+            for j, w in caps:
+                if carried[j] is not None and (carried[j] - w) // 2 < cap:
+                    cap = (carried[j] - w) // 2
+            for j in floors:
+                if w2 + 2 * carried[j] > floor:
+                    floor = w2 + 2 * carried[j]
+            kept = tuple(map(carried.__getitem__, keep))
+            for d, n, low, count, mine in entries:
                 if d > room:
                     break
-                full = carried + (n, m)
-                for ms, w, nt in checks:
-                    if full[ms] is not None and full[ms] < w + 2 * full[nt]:
-                        break
-                else:
-                    key = (deg2 + d, tuple(full[j] for j in keep))
+                if n <= cap and low >= floor:
+                    key = (deg2 + d, kept + mine)
                     folded[key] = folded.get(key, 0) + mult * count
         states = folded
 

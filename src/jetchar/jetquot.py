@@ -641,6 +641,16 @@ def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     return [_learn(tpowers, d) for d in range(maxdeg2 + 1)]
 
 
+def _refuse(spec, poly):
+    """ValueError for the nonzero terms of a query, if any: first an atom
+    that is not (variable index, shift >= 0), then inhomogeneity."""
+    nonzero = {m: c for m, c in poly.items() if c}
+    for atom in (a for m in nonzero for a in m):
+        if not (0 <= atom[0] < len(spec.variables) and atom[1] >= 0):
+            raise ValueError("%r is not an atom of the ring" % (atom,))
+    spec.degree2(nonzero)
+
+
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     """Is the homogeneous polynomial in the differential ideal's slice?
 
@@ -659,9 +669,10 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     The query is read in one pass before any slice is built.  Zero terms
     are skipped, so they change no answer and no degree; the first other
     term gives the degree.  Each term's atom ids (an atom above the degree
-    has none yet) give its degree, packed monomial and grade.  A query
-    that is not homogeneous is refused there with ``ValueError``, and a
-    coefficient that is not ``int`` or ``Fraction`` with ``TypeError``.
+    has none yet) give its degree, packed monomial and grade.  A key with
+    an atom not of the ring, named, or a query that is not homogeneous is
+    refused there with ``ValueError``, and a coefficient that is not
+    ``int`` or ``Fraction`` with ``TypeError``; the context is kept.
     Each grade part is one row on its block's columns, scaled to integers
     by the common denominator and reduced where it stands; a monomial off
     those columns is in the ideal already.  A key out of the canonical
@@ -675,7 +686,11 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     queried: changing its variables, relations or extras in place
     afterwards gives wrong answers.
     """
-    degree2 = next((spec.mono_degree2(m) for m, c in poly.items() if c), None)
+    try:
+        degree2 = next((spec.mono_degree2(m) for m, c in poly.items() if c),
+                       None)
+    except IndexError:  # a base past the ring's variables
+        _refuse(spec, poly)
     if degree2 is None:
         return True
     # taken out while in use, so that no other call shares it, and a call
@@ -703,7 +718,7 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     except (KeyError, AttributeError) as exc:
         if kept is not None:  # nothing of the query is in it yet
             _CONTEXTS[spec] = kept
-        spec.degree2({m: c for m, c in poly.items() if c})  # inhomogeneous
+        _refuse(spec, poly)
         if isinstance(exc, KeyError):
             raise
         raise TypeError("coefficients must be int or Fraction, not %s: %r"

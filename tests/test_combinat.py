@@ -321,6 +321,69 @@ def test_registered_colored_rules_match_brute_force():
     assert checked >= 18
 
 
+@settings(max_examples=60, deadline=None)
+@given(colored_rules(), st.integers(0, 14), st.data())
+def test_colored_count_ignores_the_color_order(rules, maxdeg2, data):
+    """The fold order is read off the boundaries, with ties in the given
+    order: listing the colors in any other order gives the same series."""
+    colors = data.draw(st.permutations(rules.colors))
+    shuffled = ColoredRules(colors, rules.differences, rules.boundaries)
+    assert (count_constrained(shuffled, maxdeg2).c
+            == count_constrained(rules, maxdeg2).c)
+
+
+def test_registered_colored_rules_ignore_the_color_order():
+    checked = 0
+    for key in models.model_keys():
+        model = get_model(key)
+        rules = model.spanning
+        if isinstance(rules, ColoredRules):
+            reversed_rules = ColoredRules(rules.colors[::-1],
+                                          rules.differences, rules.boundaries)
+            d = min(model.default_maxdeg2, 14)
+            assert (count_constrained(reversed_rules, d).c
+                    == count_constrained(rules, d).c), key
+            checked += 1
+    assert checked >= 18
+
+
+def per_list_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
+    """Oracle for combinat._color_profiles: one recursion per part list,
+    each descending list extended by every part the conditions allow."""
+    diffs = tuple(diffs) + (((1, 2),) if odd else ())
+    profiles = {}
+
+    def rec(parts, deg2):
+        key = (deg2, len(parts) if keep_n else 0,
+               parts[-1] if keep_min and parts else None)
+        profiles[key] = profiles.get(key, 0) + 1
+        p = weight2
+        while deg2 + p <= maxdeg2:
+            if ((not parts or p <= parts[-1])
+                    and all(len(parts) < dist
+                            or parts[len(parts) - dist] - p >= gap2
+                            for dist, gap2 in diffs)):
+                rec(parts + [p], deg2 + p)
+            p += 2
+
+    rec([], 0)
+    return profiles
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.booleans(),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 6)),
+                max_size=3),
+       st.integers(0, 16), st.booleans(), st.booleans())
+def test_color_profiles_match_the_per_list_recursion(weight2, odd, diffs,
+                                                     maxdeg2, keep_n,
+                                                     keep_min):
+    """The level-by-level tables equal the per-list recursion entry by
+    entry, not just in total, for every kept feature."""
+    args = (weight2, odd, diffs, maxdeg2, keep_n, keep_min)
+    assert combinat._color_profiles(*args) == per_list_profiles(*args)
+
+
 def test_colored_count_builds_each_color_table_once(monkeypatch):
     """Guard against rebuilding the per-colour tables once per degree."""
     calls = []

@@ -1464,6 +1464,29 @@ def test_contains_refuses_a_key_out_of_canonical_order(monkeypatch):
     assert learned == [] and _CONTEXTS[spec] is kept
 
 
+@pytest.mark.parametrize("atom", [(0, -1), (7, 0)])
+def test_contains_refuses_an_atom_not_of_the_ring(monkeypatch, atom):
+    """A key whose atom has a negative shift or a base past the ring's
+    variables is refused with a ValueError that names the atom, before
+    any slice is built, and the ring's kept context is put back."""
+    spec = models.get_model("lattice:2").ring()
+    (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
+    assert not contains(spec, {m: 1})
+    kept = _CONTEXTS[spec]
+    learned = []
+    learn = jetquot._learn
+    monkeypatch.setattr(jetquot, "_learn",
+                        lambda tpowers, d: learned.append(d) or learn(tpowers, d))
+    for query in ({(atom,): 1}, {m: 1, (atom,): 2}):
+        with pytest.raises(ValueError, match=re.escape(str(atom))):
+            contains(spec, query)
+        assert _CONTEXTS[spec] is kept and learned == []
+    _CONTEXTS.pop(spec)
+    with pytest.raises(ValueError, match=re.escape(str(atom))):
+        contains(spec, {(atom,): 1})
+    assert spec not in _CONTEXTS
+
+
 def test_contains_refuses_a_float_coefficient():
     """Coefficients are exact: a float is refused with a TypeError that
     names it, before any slice is built; a zero float is dropped like any
