@@ -218,7 +218,7 @@ def _count_colored(rules, maxdeg2):
     idx = {c[0]: i for i, c in enumerate(rules.colors)}
     bounds = [(idx[s], idx[t]) for s, t in rules.boundaries]
     states = {(0, ()): 1}
-    live = []
+    live, tables = [], {}  # tables by (weight2, odd, differences, keeps)
     for i, read in _fold_order(len(rules.colors), bounds):
         name, w2, odd = rules.colors[i]
         pos = {f: j for j, f in enumerate(live)}
@@ -228,9 +228,11 @@ def _count_colored(rules, maxdeg2):
         keep = [pos[f] for f in live if f in read]
         own = [f for f in (("n", i), ("min", i)) if f in read]
         live = [f for f in live if f in read] + own
-        table = _color_profiles(
-            w2, odd, rules.differences.get(name, ()), maxdeg2,
-            any(t == i for _, t in bounds), any(s == i for s, _ in bounds))
+        sig = (w2, odd, tuple(map(tuple, rules.differences.get(name, ()))),
+               any(t == i for _, t in bounds), any(s == i for s, _ in bounds))
+        if sig not in tables:
+            tables[sig] = _color_profiles(*sig[:3], maxdeg2, *sig[3:])
+        table = tables[sig]
         entries = []
         for (d, n, m), count in sorted(table.items(), key=lambda kv: kv[0][0]):
             if (i, i) not in bounds or m is None or m >= w2 + 2 * n:

@@ -216,22 +216,19 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     kept multiplied by a common denominator, so no branch sees a fraction.
 
     Levels: before n_t is fixed, a prefix n_0..n_{t-1} enters the rest of
-    the sum only through its state ``(low, (c_t, ..., c_{nvars-1}))``,
-    where ``c_u`` is the linear form of the fixed variables that step u of
-    :func:`_bound_steps` reads: fixing n_t adds ``h*c_t^2 + (a*n_t +
-    g*c_t + beta)*n_t`` to ``low`` and a multiple of n_t to each later
-    ``c_u``.  Prefixes with one state have the same completions with the
-    same exponents, so level t keeps one prefix series per state, the sum
-    of theirs, and walks the rest once for all of them; merging only
-    regroups integer additions, so it is exact.  A level that would hold
-    more than ``limit`` states is refused with ``ResourceLimitError``.
+    the sum only through ``low`` and the forms ``cs = (c_t, ...)`` read by
+    :func:`_bound_steps`: fixing n_t adds ``h*c_t^2 + (a*n_t + g*c_t +
+    beta)*n_t`` to ``low`` and a multiple of n_t to each later ``c_u``.
+    So prefixes with equal forms have the same completions, their exponents
+    shifted by the difference of their bounds.  Level t keeps one state per
+    ``(low mod 2*scale, cs)``, where that shift is a whole power of q: its
+    least ``low`` and the sum of its prefixes' series, each moved up by its
+    shift.  A level of more than ``limit`` states raises ResourceLimitError.
 
-    Truncation invariant: the prefix series ``1/prod_{j<t} (q)_{n_j}`` is
-    a plain list in whole powers of q, cut to the coefficients below
-    ``q^{(maxdeg2 - low)/2 + 1}``, the only ones that can still reach the
-    result (so prefixes with one state are cut alike).  Stepping n_t
-    divides it in place by ``(1 - q^{n_t})``; the last level adds it at
-    ``q^{E(n)/2}`` with one slice.
+    Truncation invariant: a state's series is a plain list in whole powers
+    of q from its least ``low`` (a bound on all its prefixes), cut below
+    ``q^{(maxdeg2 - low)/2 + 1}``; stepping n_t divides it in place by
+    ``(1 - q^{n_t})`` and the last level adds it at ``q^{E(n)/2}``.
     """
     if nvars < 0:
         raise ValueError("nvars must be >= 0")
@@ -252,11 +249,11 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     scale, steps = _bound_steps(nvars, quad2, lin2)
     top, width = scale * maxdeg2, 2 * scale
     out = [0] * (maxdeg2 + 1)
-    level = {(0, (0,) * nvars): [1] + [0] * (maxdeg2 // 2)}
+    level = {(0, (0,) * nvars): (0, [1] + [0] * (maxdeg2 // 2))}
     for t, (a, beta, g, h, _) in enumerate(steps):
         later = [s[4][t] for s in steps[t + 1:]]
         states = {}
-        for (low, cs), acc in level.items():
+        for (_, cs), (low, acc) in level.items():
             c, cs = cs[0], cs[1:]
             b = beta + g * c
             low += h * c * c
@@ -275,15 +272,18 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
                         e //= scale
                         out[e::2] = map(add, out[e::2], acc)
                     else:
-                        prev = states.get((e, cs))
-                        if prev is None:
-                            if len(states) == limit:
-                                raise ResourceLimitError(
-                                    "more than %d states at level %d of a "
-                                    "fermionic sum" % (limit, t + 1))
-                            states[e, cs] = acc[:(top - e) // width + 1]
-                        else:
-                            prev[:] = map(add, prev, acc)
+                        key = e % width, cs
+                        base, prev = states.get(key, (e, None))
+                        if prev is None and len(states) == limit:
+                            raise ResourceLimitError(
+                                "more than %d states at level %d of a "
+                                "fermionic sum" % (limit, t + 1))
+                        part, k = acc, (e - base) // width
+                        if prev is None or e < base:  # e bounds the state
+                            part, prev = prev, acc[:(top - e) // width + 1]
+                            states[key], k = (e, prev), -k
+                        if part is not None:
+                            prev[k:] = map(add, prev[k:], part)
                 n += 1
                 cs = tuple(map(add, cs, later))
         level = states

@@ -369,15 +369,15 @@ def test_expand_usage_errors_name_the_fault(argv, message):
 def test_expand_limit_refuses_a_level_of_too_many_states():
     """The states of a fermionic sum's level are capped like the monomials
     of a verify table: ml:sl4:lhs at 80 is refused in one line once a
-    level would hold more than 50 states, and a cap of 1,000, above its
-    largest level, prints what the default prints."""
+    level would hold more than 30 states (its largest holds 40), and a cap
+    of 1,000, above its largest level, prints what the default prints."""
     proc = subprocess.run(
         [sys.executable, "-m", "jetchar.cli", "expand", "ml:sl4:lhs",
-         "--maxdeg2", "80", "--limit", "50"],
+         "--maxdeg2", "80", "--limit", "30"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(
-        "error: resource cap exceeded for ml:sl4:lhs: more than 50 states")
+        "error: resource cap exceeded for ml:sl4:lhs: more than 30 states")
     assert len(proc.stderr.splitlines()) == 1
     capped = run_cli("expand", "ml:sl4:lhs", "--maxdeg2", "80",
                      "--limit", "1000")

@@ -442,3 +442,17 @@ def test_fermionic_sum_caps_the_states_of_a_level(key, maxdeg2):
     smallest = next(k for k in itertools.count(1) if capped(k) is not None)
     assert smallest > 1
     assert capped(smallest) == capped(smallest + 7) == full
+
+
+@pytest.mark.parametrize("key, maxdeg2, largest", [("ml:sl4:lhs", 80, 40),
+                                                   ("graphsum:C5", 60, 496)])
+def test_fermionic_sum_merges_prefixes_up_to_a_shift(key, maxdeg2, largest):
+    """Prefixes with equal forms whose bounds differ by whole powers of q
+    share one state, so the largest level holds exactly ``largest``
+    states: the smallest cap that is not refused.  States keyed by the
+    bound itself would hold 332 and 794."""
+    from jetchar import ResourceLimitError
+    with pytest.raises(ResourceLimitError):
+        qseries_formula(key, maxdeg2, largest - 1)
+    assert qseries_formula(key, maxdeg2, largest).c == \
+        qseries_formula(key, maxdeg2).c
