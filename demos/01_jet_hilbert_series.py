@@ -51,8 +51,9 @@ hs = hilbert_series(rr, MAX2)
 print("quotient by <x^2>, jet dimensions at q^0..q^10:")
 print("   ", hs[0:22:2])
 
-# Independent count #1: the fermionic sum  sum q^(n^2)/(q;q)_n.
-fsum = qseries.rr_sum(MAX2)
+# Independent count #1: the fermionic sum  sum q^(n^2)/(q;q)_n, the
+# rank-one lattice sum for norm 2.
+fsum = qseries.single_lattice_sum(2, MAX2)
 assert hs == fsum.c, "jet Hilbert series disagrees with the fermionic sum"
 print("    equals sum_n q^(n^2)/(q)_n through q^%d" % (MAX2 // 2))
 

@@ -10,12 +10,10 @@ from .superring import VariableSpec, RingSpec
 from .jetquot import (DEFAULT_MONOMIAL_LIMIT, ResourceLimitError,
                       enumerate_monomials, hilbert_series, contains)
 from .qseries import QSeries
-from .combinat import (compare, leading_term, ColoredRules, GhRules,
-                       Dk1Rules, count_constrained)
+from .combinat import ColoredRules, GhRules, Dk1Rules, count_constrained
 from .models import (Model, VerificationReport, REGISTRY, get_model,
                      model_keys, verify, matches_expectation,
-                     adjoint_generators_sl2, qseries_formula, FORMULA_KEYS,
-                     load_registry_file)
+                     qseries_formula, FORMULA_KEYS, load_registry_file)
 from . import qseries
 
 __version__ = "1.0.0"
@@ -25,9 +23,8 @@ __all__ = [
     "DEFAULT_MONOMIAL_LIMIT", "ResourceLimitError", "enumerate_monomials",
     "hilbert_series", "contains",
     "QSeries", "qseries",
-    "compare", "leading_term", "ColoredRules", "GhRules", "Dk1Rules",
-    "count_constrained",
+    "ColoredRules", "GhRules", "Dk1Rules", "count_constrained",
     "Model", "VerificationReport", "REGISTRY", "get_model", "model_keys",
-    "verify", "matches_expectation", "adjoint_generators_sl2",
+    "verify", "matches_expectation",
     "qseries_formula", "FORMULA_KEYS", "load_registry_file",
 ]

@@ -1,18 +1,8 @@
-"""Monomial ordering and constrained-partition counting.
-
-Two jobs live here:
-
-* the complete lexicographic order on normalized monomials (compare /
-  leading_term) used to reason about spanning sets: monomials are compared
-  first by total exponent count, then by exponent vectors read along the
-  variable order (shift-major, base-minor), where at the first differing
-  slot the *smaller* exponent wins;
-
-* counting rules for the combinatorial spanning sets attached to the
-  models: colored partitions with difference and boundary conditions
-  (ColoredRules), the specific three-letter monomial clauses of the
-  two-supercurrent model (GhRules), and the D_{k,1} conditions of the
-  N=1 minimal models (Dk1Rules).
+"""Constrained-partition counting for the combinatorial spanning sets
+attached to the models: colored partitions with difference and boundary
+conditions (ColoredRules), the specific three-letter monomial clauses of
+the two-supercurrent model (GhRules), and the D_{k,1} conditions of the
+N=1 minimal models (Dk1Rules).
 
 Colored partitions are counted for every degree up to the truncation in
 one pass: each color's part lists are tabulated once, keeping only the
@@ -27,58 +17,6 @@ All degrees are doubled integers, matching the rest of the package.
 """
 
 from .qseries import QSeries
-
-
-# ---------------------------------------------------------------------
-# Complete lexicographic order
-# ---------------------------------------------------------------------
-
-def _slot_key(spec, atom):
-    """Position of a jet atom in the variable order: shift-major,
-    base-minor (declaration order breaks ties)."""
-    base, shift = atom
-    return (shift, base)
-
-
-def compare(spec, mono_a, mono_b):
-    """Total order on normalized monomials; returns -1, 0, or 1.
-
-    Lower total exponent count compares smaller.  On ties the exponent
-    vectors are read along the variable order and the first difference
-    decides, with the smaller exponent belonging to the *greater*
-    monomial.
-    """
-    if len(mono_a) != len(mono_b):
-        return -1 if len(mono_a) < len(mono_b) else 1
-    if mono_a == mono_b:
-        return 0
-    ea = _exponents(spec, mono_a)
-    eb = _exponents(spec, mono_b)
-    for slot in sorted(set(ea) | set(eb)):
-        va = ea.get(slot, 0)
-        vb = eb.get(slot, 0)
-        if va != vb:
-            return 1 if va < vb else -1
-    return 0
-
-
-def _exponents(spec, mono):
-    out = {}
-    for atom in mono:
-        slot = _slot_key(spec, atom)
-        out[slot] = out.get(slot, 0) + 1
-    return out
-
-
-def leading_term(spec, poly):
-    """(coefficient, monomial) of the greatest monomial; None for 0."""
-    best = None
-    for mono in poly:
-        if best is None or compare(spec, mono, best) > 0:
-            best = mono
-    if best is None:
-        return None
-    return (poly[best], best)
 
 
 # ---------------------------------------------------------------------

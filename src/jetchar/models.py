@@ -196,28 +196,6 @@ _N1_VARS = (("l", "even", 4), ("g", "odd", 3))
 _SL2_VARS = (("e", "even", 2), ("f", "even", 2), ("h", "even", 2))
 
 
-def adjoint_generators_sl2(k):
-    """The 2k+3 polynomials ad_f^i(e^{k+1}), i = 0..2k+2, in C[e,f,h].
-
-    ad_f acts as the derivation determined by the brackets
-    [h,e] = 2e, [h,f] = -2f, [e,f] = h, i.e. e -> -h, h -> 2f, f -> 0.
-    The relation texts of ``sl2_affine:1`` and ``sl2_affine:2`` are these
-    polynomials written out.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    spec = RingSpec(VariableSpec(*v) for v in _SL2_VARS)
-    image = {
-        spec.atom("e"): spec.poly([(-1, (spec.atom("h"),))]),
-        spec.atom("h"): spec.poly([(2, (spec.atom("f"),))]),
-        spec.atom("f"): {},
-    }
-    gens = [spec.poly([(1, (spec.atom("e"),) * (k + 1))])]
-    for _ in range(2 * k + 2):
-        gens.append(spec.derivation(gens[-1], image.__getitem__))
-    return gens
-
-
 # ---------------------------------------------------------------------
 # Formula key dispatch (characters and the expand command)
 # ---------------------------------------------------------------------
@@ -269,7 +247,7 @@ def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
         if head == "singlelattice" and len(args) == 1:
             return qseries.single_lattice_sum(int(args[0]), maxdeg2, limit)
         if head == "rr" and not args:
-            return qseries.rr_sum(maxdeg2, limit)
+            return qseries.single_lattice_sum(2, maxdeg2, limit)
         if head == "ag" and len(args) == 1:
             return qseries.ag_sum(int(args[0]), maxdeg2, limit)
         if head == "fs" and len(args) == 1:
@@ -440,14 +418,16 @@ def _build_registry():
     _register(Model(
         "sln_principal:4", "upper-triangular coordinates, symmetrized products",
         character_key="ml:sl4:rhs", default_maxdeg2=14, **_sln(4)))
-    # Relations: adjoint_generators_sl2(1), ad_f^i(e^2) for i = 0..4.
+    # Relations: ad_f^i(e^2) for i = 0..4, as derived by the test helper
+    # adjoint_generators_sl2(1) in tests/test_models.py.
     _register(Model(
         "sl2_affine:1", "adjoint-orbit generators of e^2 in C[e,f,h]",
         _SL2_VARS,
         ["e(-1)^2", "-2*e(-1)*h(-1)", "2*h(-1)^2 - 4*e(-1)*f(-1)",
          "12*f(-1)*h(-1)", "24*f(-1)^2"],
         character_key="theta:2", default_maxdeg2=14))
-    # Hilbert series only.  Relations: adjoint_generators_sl2(2).
+    # Hilbert series only.  Relations: ad_f^i(e^3) for i = 0..6, the test
+    # helper adjoint_generators_sl2(2) in tests/test_models.py.
     _register(Model(
         "sl2_affine:2", "adjoint-orbit generators of e^3 in C[e,f,h]",
         _SL2_VARS,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 
 from .jetquot import DEFAULT_MONOMIAL_LIMIT, ResourceLimitError
-from .superring import _halves, _signed_sum
+from .superring import _halves
 
 
 class QSeries:
@@ -57,12 +57,6 @@ class QSeries:
         if not 0 <= deg2 <= self.maxdeg2:
             raise IndexError("degree2 %d outside truncation 0..%d" % (deg2, self.maxdeg2))
         return self.c[deg2]
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.maxdeg2, other.maxdeg2)
-        return self.c[:n + 1] == other.c[:n + 1]
 
     def first_difference(self, other):
         """Smallest doubled degree where the two series differ, or None."""
@@ -142,25 +136,6 @@ class QSeries:
         for d in range(deg2, self.maxdeg2 + 1):
             self.c[d] += self.c[d - deg2]
         return self
-
-    def __str__(self):
-        terms = []
-        for d, v in enumerate(self.c):
-            if not v:
-                continue
-            if d == 0:
-                terms.append(str(v))
-                continue
-            q = "q" if d == 2 else "q^{%s}" % _halves(d)
-            if v == 1:
-                terms.append(q)
-            elif v == -1:
-                terms.append("-" + q)
-            else:
-                terms.append("%d%s" % (v, q))
-        if not terms:
-            return "0"
-        return _signed_sum(terms) + " + O(q^{%s})" % _halves(self.maxdeg2 + 1)
 
 
 # ---------------------------------------------------------------------
@@ -350,11 +325,6 @@ def theta_over_eta(p, maxdeg2):
         num.c[p * n * n] += 2
         n += 1
     return num * inv_pochhammer("inf", maxdeg2)
-
-
-def rr_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Rogers-Ramanujan sum  sum_n q^{n^2}/(q)_n (doubled exponent 2n^2)."""
-    return fermionic_sum(1, {(0, 0): 2}, [0], maxdeg2, limit)
 
 
 def single_lattice_sum(p, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):

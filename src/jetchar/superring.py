@@ -73,11 +73,11 @@ def _signed_sum(terms):
 class RingSpec:
     """A finitely presented graded super-polynomial ring plus jet structure.
 
-    ``variables`` fixes the generator order (it also drives the term order in
-    :mod:`jetchar.combinat`).  ``relations`` are homogeneous polynomials in
-    the shift-0 jet variables; ``extras`` are additional homogeneous jet
-    polynomials adjoined to the differential ideal (they need not be
-    T-images of anything).
+    ``variables`` fixes the generator order, which breaks degree ties in
+    the canonical atom order ``atom_key``.  ``relations`` are homogeneous
+    polynomials in the shift-0 jet variables; ``extras`` are additional
+    homogeneous jet polynomials adjoined to the differential ideal (they
+    need not be T-images of anything).
     """
 
     def __init__(self, variables, relations=(), extras=(), name=""):

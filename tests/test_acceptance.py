@@ -114,7 +114,7 @@ def test_criterion_03_rogers_ramanujan_chain():
     hs = hilbert_series(get_model("positive_lattice:2").ring(), 40)
     count = count_constrained(
         ColoredRules([("x", 2, False)], {"x": ((1, 4),)}), 40).c
-    fsum = qseries.rr_sum(40).c
+    fsum = qseries_formula("rr", 40).c
     if hs != count:
         problems.append("jet HS != difference-2 count (first diff at %d)"
                         % next(d for d in range(41) if hs[d] != count[d]))

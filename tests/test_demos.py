@@ -39,12 +39,19 @@ def test_every_exported_name_resolves():
     ("jetchar.qseries", "path_graph_sum"),
     ("jetchar.qseries", "cycle_graph_sum"),
     ("jetchar.combinat", "count_at"),
+    ("jetchar", "compare"), ("jetchar.combinat", "compare"),
+    ("jetchar", "leading_term"), ("jetchar.combinat", "leading_term"),
+    ("jetchar", "adjoint_generators_sl2"),
+    ("jetchar.models", "adjoint_generators_sl2"),
+    ("jetchar.qseries", "rr_sum"),
 ])
 def test_removed_duplicates_stay_gone(module, name):
     """Each job has one entry point: models.verify compares, graphsum:
-    formula keys build graph characters, and the rule classes are passed
+    formula keys build graph characters, the rule classes are passed
     to count_constrained directly, whose series gives the count at each
-    degree."""
+    degree, RingSpec.atom_key is the one monomial order, and
+    single_lattice_sum(2) is the Rogers-Ramanujan sum.  Code that only
+    tests call lives in the tests."""
     mod = sys.modules[module]
     assert not hasattr(mod, name)
     assert name not in getattr(mod, "__all__", ())

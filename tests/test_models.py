@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from jetchar import (REGISTRY, adjoint_generators_sl2, get_model, hilbert_series,
-                     load_registry_file, matches_expectation, model_keys,
-                     qseries_formula, verify, FORMULA_KEYS)
+from jetchar import (REGISTRY, RingSpec, VariableSpec, get_model,
+                     hilbert_series, load_registry_file, matches_expectation,
+                     model_keys, qseries_formula, verify, FORMULA_KEYS)
 from jetchar import jetquot
-from jetchar.models import sln_root_pairs
+from jetchar.models import _SL2_VARS, sln_root_pairs
 
 
 # ------------------------------------------------------------- registry
@@ -106,6 +106,28 @@ def test_sln_ring_relation_counts():
 
 
 # ---------------------------------------------- sl2 adjoint derivation
+
+def adjoint_generators_sl2(k):
+    """The 2k+3 polynomials ad_f^i(e^{k+1}), i = 0..2k+2, in C[e,f,h].
+
+    ad_f acts as the derivation determined by the brackets
+    [h,e] = 2e, [h,f] = -2f, [e,f] = h, i.e. e -> -h, h -> 2f, f -> 0.
+    The relation texts of ``sl2_affine:1`` and ``sl2_affine:2`` are these
+    polynomials written out.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    spec = RingSpec(VariableSpec(*v) for v in _SL2_VARS)
+    image = {
+        spec.atom("e"): spec.poly([(-1, (spec.atom("h"),))]),
+        spec.atom("h"): spec.poly([(2, (spec.atom("f"),))]),
+        spec.atom("f"): {},
+    }
+    gens = [spec.poly([(1, (spec.atom("e"),) * (k + 1))])]
+    for _ in range(2 * k + 2):
+        gens.append(spec.derivation(gens[-1], image.__getitem__))
+    return gens
+
 
 def test_adjoint_generators_chain_k1():
     spec = get_model("sl2_affine:1").ring()
