@@ -4,14 +4,13 @@ conditions (ColoredRules), the specific three-letter monomial clauses of
 the two-supercurrent model (GhRules), and the D_{k,1} conditions of the
 N=1 minimal models (Dk1Rules).
 
-Colored partitions are counted for every degree up to the truncation in
-one pass: each color's part lists are tabulated once, keeping only the
-features some boundary reads (the part count of a boundary's t, the
-smallest part of its s), and the colors are folded, in an order that
-carries few features, over states (degree, features still needed), each
-boundary checked as soon as both of its colors are placed.  GhRules and
-Dk1Rules are counted in one pass too: one enumeration up to the
-truncation records each configuration once, at its own degree.
+Every degree up to the truncation is counted in one walk over states
+that share a future, never one configuration at a time.  Each color's
+part lists are tabulated once, keeping only the features some boundary
+reads (the part count of a boundary's t, the smallest part of its s),
+and the colors are folded, in an order that carries few features, over
+states (degree, features still needed).  D_{k,1} lists are one such
+table; GhRules walks the indices over states (letters at i-1, i-2).
 
 All degrees are doubled integers, matching the rest of the package.
 """
@@ -27,11 +26,12 @@ class ColoredRules:
     """Colored partitions on jet grids.
 
     colors: sequence of (name, weight2, odd) — parts of a color live on
-        the grid {weight2 + 2 i : i >= 0}; odd colors get an implicit
-        all-parts-distinct condition.
+        the grid {weight2 + 2 i : i >= 0}, weight2 a positive int; odd
+        colors get an implicit all-parts-distinct condition.
     differences: {name: ((distance, gap2), ...)} — within a color, the
         descending part list must satisfy parts[j] - parts[j + distance]
-        >= gap2 for every valid j.
+        >= gap2 for every valid j; distance is a positive int, gap2 any
+        int.
     boundaries: ((s, t), ...) — the smallest part of color s must be at
         least weight2(s) + 2 * (number of parts of color t).
     """
@@ -43,10 +43,18 @@ class ColoredRules:
         names = [c[0] for c in self.colors]
         if len(set(names)) != len(names):
             raise ValueError("duplicate color names")
+        for name, weight2, _ in self.colors:
+            if not isinstance(weight2, int) or weight2 < 1:
+                raise ValueError("weight2 of %r is not a positive int" % name)
         known = set(names)
-        for name in self.differences:
+        for name, rules in self.differences.items():
             if name not in known:
                 raise ValueError("difference rule for unknown color %r" % name)
+            for dist, gap2 in rules:
+                if (not isinstance(dist, int) or dist < 1
+                        or not isinstance(gap2, int)):
+                    raise ValueError("bad difference %r of %r" % (
+                        (dist, gap2), name))
         for s, t in self.boundaries:
             if s not in known or t not in known:
                 raise ValueError("boundary rule for unknown color")
@@ -74,8 +82,8 @@ class Dk1Rules:
     """
 
     def __init__(self, k):
-        if k < 2:
-            raise ValueError("D_{k,1} conditions require k >= 2")
+        if not isinstance(k, int) or k < 2:
+            raise ValueError("D_{k,1} conditions require an int k >= 2")
         self.k = k
 
 
@@ -97,16 +105,18 @@ def count_constrained(rules, maxdeg2):
 
 # -- colored partitions -------------------------------------------------
 
-def _color_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
-    """All part lists of one color up to maxdeg2, aggregated as a map
-    (deg2, n_parts, min_part2) -> count.  n_parts is kept only when
-    keep_n (else 0) and min_part2 only when keep_min (else None);
-    min_part2 is None for the empty list.  Built by degree levels over
-    states (n_parts as kept, last `span` parts), span being as far as a
-    difference looks back (at least 1): each condition caps the next
-    part, so the lists of one state extend alike."""
-    diffs = tuple(diffs) + (((1, 2),) if odd else ())
-    span = max([1] + [dist for dist, _ in diffs])
+def _color_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min, step=2):
+    """Descending part lists on the grid {weight2 + step i} up to maxdeg2,
+    as a map (deg2, n_parts, min_part2) -> count; n_parts is kept only
+    when keep_n (else 0), min_part2 only when keep_min (else None, as for
+    the empty list).  diffs: ((distance, g0, g1), ...) — a part is at
+    most its anchor, the part `distance` places earlier, minus g0 for an
+    even anchor and g1 for an odd one; odd adds (1, 2, 2).  Built by
+    degree levels over states (n_parts as kept, last `span` parts), span
+    being as far as a difference looks back (at least 1): each condition
+    caps the next part, so the lists of one state extend alike."""
+    diffs = tuple(diffs) + (((1, 2, 2),) if odd else ())
+    span = max([1] + [dist for dist, _, _ in diffs])
     levels = [{} for _ in range(maxdeg2 + 1)]
     levels[0][0, ()] = 1
     profiles = {}
@@ -115,11 +125,12 @@ def _color_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
             key = (deg2, n, tail[-1] if keep_min and tail else None)
             profiles[key] = profiles.get(key, 0) + count
             top = min((maxdeg2 - deg2, *tail[-1:]))
-            for dist, gap2 in diffs:
+            for dist, g0, g1 in diffs:
                 if dist <= len(tail):
-                    top = min(top, tail[-dist] - gap2)
+                    anchor = tail[-dist]
+                    top = min(top, anchor - (g1 if anchor % 2 else g0))
             head = tail[1 - span:] if span > 1 else ()
-            for p in range(weight2, top + 1, 2):
+            for p in range(weight2, top + 1, step):
                 nxt, state = levels[deg2 + p], (n + keep_n, head + (p,))
                 nxt[state] = nxt.get(state, 0) + count
     return profiles
@@ -166,7 +177,8 @@ def _count_colored(rules, maxdeg2):
         keep = [pos[f] for f in live if f in read]
         own = [f for f in (("n", i), ("min", i)) if f in read]
         live = [f for f in live if f in read] + own
-        sig = (w2, odd, tuple(map(tuple, rules.differences.get(name, ()))),
+        sig = (w2, odd, tuple((d, g, g) for d, g in
+                              rules.differences.get(name, ())),
                any(t == i for _, t in bounds), any(s == i for s, _ in bounds))
         if sig not in tables:
             tables[sig] = _color_profiles(*sig[:3], maxdeg2, *sig[3:])
@@ -203,38 +215,33 @@ def _count_colored(rules, maxdeg2):
 # -- Gh monomials --------------------------------------------------------
 
 def _count_gh(maxdeg2):
-    # exponent state per index i: (a_i, b_i, c_i); enumerate indices
-    # ascending, remembering the previous two letters for the clauses, and
-    # record each monomial at the index of its last nonzero letter.
+    """Walk the indices i = 1, 2, ... over states (deg2, a, b > 0, c at
+    i-1, a, c at i-2) -> count, placing the letters at i; a monomial is
+    counted at its last nonzero index, where its (iii) window closes."""
     out = QSeries(maxdeg2)
     out.c[0] = 1  # the empty monomial
-
-    def rec(i, deg2, a1, b1, c1, a2, c2):
-        # a1/b1/c1 are the letters at i-1; a2/c2 at i-2.
-        rem = maxdeg2 - deg2
-        if 2 * i > rem:
-            return
-        da = dc = 2 * i + 1
-        db = 2 * i
-        for a in (0, 1):
-            if a and da > rem:
-                break
-            for c in (0, 1):
-                if c and da * a + dc > rem:
-                    break
-                bmax = (rem - a * da - c * dc) // db
-                if i == 1:
-                    bmax = min(bmax, 2)
-                for b in range(bmax + 1):
-                    if not _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
-                        continue
-                    used = a * da + b * db + c * dc
-                    # close the (iii) window at i, whose c_{i+1} entry is zero
-                    if used and (i < 2 or a + c <= 1):
-                        out.c[deg2 + used] += 1
-                    rec(i + 1, deg2 + used, a, b, c, a1, c1)
-
-    rec(1, 0, 0, 0, 0, 0, 0)
+    states = {(0, 0, False, 0, 0, 0): 1}
+    i = 1
+    while states:
+        walked, states = states, {}
+        for (deg2, a1, b1, c1, a2, c2), count in walked.items():
+            rem = maxdeg2 - deg2
+            if 2 * i > rem:  # no letter fits at i or later
+                continue
+            for a in (0, 1):
+                for c in (0, 1):  # no b fits when the odd letters do not
+                    odd2 = (a + c) * (2 * i + 1)
+                    bmax = (rem - odd2) // (2 * i)
+                    for b in range(min(bmax, 2) + 1 if i == 1 else bmax + 1):
+                        if not _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
+                            continue
+                        used = odd2 + 2 * i * b
+                        # close the (iii) window at i, whose c_{i+1} is zero
+                        if used and (i < 2 or a + c <= 1):
+                            out.c[deg2 + used] += count
+                        key = (deg2 + used, a, b > 0, c, a1, c1)
+                        states[key] = states.get(key, 0) + count
+        i += 1
     return out
 
 
@@ -262,26 +269,11 @@ def _gh_step_ok(i, a, b, c, a1, b1, c1, a2, c2):
 # -- D_{k,1} partitions ---------------------------------------------------
 
 def _count_dk1(k, maxdeg2):
-    # descending doubled parts; odd >= 3 distinct, even >= 4;
-    # window condition against the part k-1 positions earlier.
+    """Descending doubled parts >= 3 on a grid of step 1: (1, 0, 1) keeps
+    an odd part from repeating, (k - 1, 3, 2) is the window clause."""
     out = QSeries(maxdeg2)
-
-    def rec(deg2, window):
-        # window holds the most recent k-1 parts (newest last)
-        out.c[deg2] += 1
-        rem = maxdeg2 - deg2
-        start = window[-1] if window else rem
-        for p in range(min(start, rem), 2, -1):
-            if p % 2 == 0 and p < 4:
-                continue
-            if p % 2 == 1 and window and window[-1] == p:
-                continue  # odd parts distinct (adjacent equal is enough)
-            if len(window) == k - 1:
-                anchor = window[0]
-                need = 2 if anchor % 2 == 1 else 3
-                if anchor - p < need:
-                    continue
-            rec(deg2 + p, (window + (p,))[-(k - 1):])
-
-    rec(0, ())
+    for (deg2, _, _), count in _color_profiles(
+            3, False, ((1, 0, 1), (k - 1, 3, 2)), maxdeg2, False, False,
+            step=1).items():
+        out.c[deg2] += count
     return out

@@ -170,12 +170,12 @@ def _pochhammer(n, maxdeg2, step):
 # Fermionic sums over quadratic forms
 # ---------------------------------------------------------------------
 
-def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
-    """Sum over n in Z_{>=0}^nvars of q^{E(n)/2} / prod_i (q)_{n_i}.
+def fermionic_sum(quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
+    """Sum over n in Z_{>=0}^N of q^{E(n)/2} / prod_i (q)_{n_i}, N = len(lin2).
 
     ``quad2[(i, j)]`` (i <= j) and ``lin2[i] >= 0`` give the DOUBLED
     exponent ``E(n) = sum quad2[i,j] n_i n_j + sum lin2[i] n_i``; every
-    index lies in ``range(nvars)`` and ``len(lin2) == nvars``.
+    index of ``quad2`` lies in ``range(N)``.
 
     The sum fixes n_0, n_1, ... one level at a time and carries a lower
     bound ``low`` on E(n) over every completion of the prefix:
@@ -205,12 +205,8 @@ def fermionic_sum(nvars, quad2, lin2, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     ``q^{(maxdeg2 - low)/2 + 1}``; stepping n_t divides it in place by
     ``(1 - q^{n_t})`` and the last level adds it at ``q^{E(n)/2}``.
     """
-    if nvars < 0:
-        raise ValueError("nvars must be >= 0")
     lin2 = list(lin2)
-    if len(lin2) != nvars:
-        raise ValueError("lin2 has %d entries for %d variables"
-                         % (len(lin2), nvars))
+    nvars = len(lin2)
     for i, j in quad2:
         if not (0 <= i < nvars and 0 <= j < nvars):
             raise ValueError("quad2 index %r lies outside range(%d)"
@@ -329,7 +325,7 @@ def theta_over_eta(p, maxdeg2):
 
 def single_lattice_sum(p, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum_n q^{p n^2/2}/(q)_n for one extremal vector of norm p."""
-    return fermionic_sum(1, {(0, 0): p}, [0], maxdeg2, limit)
+    return fermionic_sum({(0, 0): p}, [0], maxdeg2, limit)
 
 
 def ag_sum(k, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -345,7 +341,7 @@ def ag_sum(k, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
         lin2.append(2 * (i + 1))
         for j in range(i + 1, nv):
             quad2[(i, j)] = 4 * (i + 1)
-    return fermionic_sum(nv, quad2, lin2, maxdeg2, limit)
+    return fermionic_sum(quad2, lin2, maxdeg2, limit)
 
 
 def n1_product(k, maxdeg2):
@@ -409,7 +405,7 @@ def graph_sum(adjacency, loops, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
             quad2[(i, i)] = 1
     for (i, j) in adjacency:
         quad2[(min(i, j), max(i, j))] = 2
-    return fermionic_sum(k, quad2, [2] * k, maxdeg2, limit)
+    return fermionic_sum(quad2, [2] * k, maxdeg2, limit)
 
 
 def jm_closed(key, maxdeg2):
@@ -508,7 +504,7 @@ def ml_lhs(n, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     roots = [r for r, s in pairs if r == s]
     index = {r: k for k, r in enumerate(roots)}
     quad2 = {(index[r], index[s]): 2 for r, s in pairs}
-    return fermionic_sum(len(roots), quad2, [0] * len(roots), maxdeg2, limit)
+    return fermionic_sum(quad2, [0] * len(roots), maxdeg2, limit)
 
 
 def ml_rhs(rank, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -521,7 +517,7 @@ def ml_rhs(rank, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
         quad2[(i, i)] = 2
         if i + 1 < rank:
             quad2[(i, i + 1)] = -2
-    return fermionic_sum(rank, quad2, [0] * rank, maxdeg2, limit)
+    return fermionic_sum(quad2, [0] * rank, maxdeg2, limit)
 
 
 def fs_sum(n, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -533,19 +529,19 @@ def fs_sum(n, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
         quad2[(i, i)] = 2
         for j in range(i + 1, n):
             quad2[(i, j)] = 2
-    return fermionic_sum(n, quad2, [0] * n, maxdeg2, limit)
+    return fermionic_sum(quad2, [0] * n, maxdeg2, limit)
 
 
 def ext_vir_pair_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """sum q^{n1^2 + n2^2 + n1 + n2} / ((q)_{n1} (q)_{n2})."""
-    return fermionic_sum(2, {(0, 0): 2, (1, 1): 2}, [2, 2], maxdeg2, limit)
+    return fermionic_sum({(0, 0): 2, (1, 1): 2}, [2, 2], maxdeg2, limit)
 
 
 def ext_vir_triple_sum(maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Three-variable companion sum with doubled exponent
     2(n1^2 + 2 n2^2 + m1^2 + 2 n1 n2 + n1 m1 + 2 n2 m1 + n1 + 2 n2 + m1)."""
     quad2 = {(0, 0): 2, (1, 1): 4, (2, 2): 2, (0, 1): 4, (0, 2): 2, (1, 2): 4}
-    return fermionic_sum(3, quad2, [2, 4, 2], maxdeg2, limit)
+    return fermionic_sum(quad2, [2, 4, 2], maxdeg2, limit)
 
 
 def free_product(weights2, maxdeg2):

@@ -401,11 +401,14 @@ def test_registered_colored_rules_ignore_the_color_order():
     assert checked >= 18
 
 
-def per_list_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
+def per_list_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min, step):
     """Oracle for combinat._color_profiles: one recursion per part list,
     each descending list extended by every part the conditions allow."""
-    diffs = tuple(diffs) + (((1, 2),) if odd else ())
+    diffs = tuple(diffs) + (((1, 2, 2),) if odd else ())
     profiles = {}
+
+    def gap(anchor, gap_even, gap_odd):
+        return gap_odd if anchor % 2 else gap_even
 
     def rec(parts, deg2):
         key = (deg2, len(parts) if keep_n else 0,
@@ -415,10 +418,11 @@ def per_list_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
         while deg2 + p <= maxdeg2:
             if ((not parts or p <= parts[-1])
                     and all(len(parts) < dist
-                            or parts[len(parts) - dist] - p >= gap2
-                            for dist, gap2 in diffs)):
+                            or parts[len(parts) - dist] - p
+                            >= gap(parts[len(parts) - dist], *gaps)
+                            for dist, *gaps in diffs)):
                 rec(parts + [p], deg2 + p)
-            p += 2
+            p += step
 
     rec([], 0)
     return profiles
@@ -426,16 +430,21 @@ def per_list_profiles(weight2, odd, diffs, maxdeg2, keep_n, keep_min):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5), st.booleans(),
-       st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 6)),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 6),
+                          st.integers(-2, 6)),
                 max_size=3),
-       st.integers(0, 16), st.booleans(), st.booleans())
+       st.integers(0, 16), st.booleans(), st.booleans(),
+       st.sampled_from([1, 2]))
+@example(3, False, [(1, 0, 1), (2, 3, 2)], 16, True, True, 1)  # D_{3,1}
 def test_color_profiles_match_the_per_list_recursion(weight2, odd, diffs,
                                                      maxdeg2, keep_n,
-                                                     keep_min):
+                                                     keep_min, step):
     """The level-by-level tables equal the per-list recursion entry by
-    entry, not just in total, for every kept feature."""
+    entry, not just in total, for every kept feature, on both grid steps
+    and with gaps that differ by the parity of their anchor."""
     args = (weight2, odd, diffs, maxdeg2, keep_n, keep_min)
-    assert combinat._color_profiles(*args) == per_list_profiles(*args)
+    assert (combinat._color_profiles(*args, step=step)
+            == per_list_profiles(*args, step))
 
 
 def test_colored_count_builds_each_color_table_once(monkeypatch):
@@ -480,6 +489,13 @@ def test_colored_rules_validation():
         ColoredRules([("x", 2, False)], {"y": ((1, 4),)})
     with pytest.raises(ValueError):
         ColoredRules([("x", 2, False)], boundaries=(("x", "z"),))
+    # refused where they are made, not deep inside the count
+    for weight2 in (0, -2, 1.5):
+        with pytest.raises(ValueError):
+            ColoredRules([("x", weight2, False)])
+    for diff in ((0, 4), (-1, 4), (1, 1.5)):
+        with pytest.raises(ValueError):
+            ColoredRules([("x", 2, False)], {"x": (diff,)})
 
 
 def test_count_constrained_counts_the_empty_configuration():
@@ -560,10 +576,10 @@ def test_gh_counts_match_brute_force():
 
 
 def test_gh_series_in_one_pass_matches_brute_force():
-    """One enumeration to 14 records every monomial at its own degree,
-    once: not again where trailing zero letters are placed after it."""
-    assert count_constrained(GhRules(), 14).c == [brute_gh(d)
-                                                  for d in range(15)]
+    """One walk to 32 records every monomial at its own degree, once:
+    not again where trailing zero letters are placed after it."""
+    assert count_constrained(GhRules(), 32).c == [brute_gh(d)
+                                                  for d in range(33)]
 
 
 def test_gh_row_through_ten():
@@ -578,14 +594,15 @@ def test_gh_count_at_degree_nine():
 # ---------------------------------------------------------- Dk1 counting
 
 def test_dk1_requires_k_at_least_two():
-    with pytest.raises(ValueError):
-        Dk1Rules(1)
+    for k in (1, 2.5):
+        with pytest.raises(ValueError):
+            Dk1Rules(k)
 
 
 def test_dk1_matches_product_characters():
-    for k in (2, 3):
-        got = count_constrained(Dk1Rules(k), 24)
-        want = qseries.n1_product(k, 24)
+    for k in (2, 3, 4):
+        got = count_constrained(Dk1Rules(k), 80)
+        want = qseries.n1_product(k, 80)
         assert got.c == want.c, f"D_{{{k},1}} vs product"
 
 
