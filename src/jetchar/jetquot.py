@@ -21,25 +21,20 @@ Slices are built on integers only.  The jet atoms ``(base, shift)`` are
 numbered in the canonical atom order ``(degree2, base, shift)``; the table
 grows a degree at a time by appending that degree's atoms, so an id never
 changes once given.  A monomial with multiplicity ``k_a`` of atom ``a`` is
-the *packed* integer ``sum(k_a << (s + w * a)) + grade`` (packed exponent
-vectors: Monagan and Pearce, CASC 2007).  A slice context packs degrees
-up to ``top`` (the ``maxdeg2`` of a :func:`hilbert_series` call, or for
+the *packed* integer ``sum(k_a << (w * a))`` (packed exponent vectors:
+Monagan and Pearce, CASC 2007).  A slice context packs degrees up to
+``top`` (the ``maxdeg2`` of a :func:`hilbert_series` call, or for
 :func:`contains` the largest number with the query degree's bit length)
 with ``w = top.bit_length() + 1``.
 Every atom has doubled degree at least 1, so no digit of a monomial or
 product of degree at most ``top`` exceeds ``top``: bit ``w - 1`` of every
 digit is a free guard bit, digits never carry, and a degree above ``top``
-is refused.  The lowest ``s`` bits hold the *grade*: the relations are
-homogeneous for a lattice of charges on the base variables (each term of
-a generator has the same weighted count of each base, and ``T`` keeps the
-bases), and the grade packs a monomial's charges, one field each, lifted
-by a multiple of its degree to stay non-negative (:class:`_TPowers`).  So a
-product is the sum of the packed forms, grade included (a shared odd atom
-gives a digit 2, which no column has, so that product falls off the
+is refused.  So a product is the sum of the packed forms (a shared odd
+atom gives a digit 2, which no column has, so that product falls off the
 columns), and its Koszul sign is one masked bit count
-(:meth:`_TPowers.flips`).  Only ``w`` and ``s`` depend on ``top`` (``s``
-also on the charges), never on the atom count: the table still grows
-lazily.  Each ``T^j(g)`` is computed once per context and stored packed
+(:meth:`_TPowers.flips`).  Only ``w`` depends on ``top``, never on the
+atom count: the table still grows lazily.  Each ``T^j(g)`` is computed
+once per context and stored packed
 as a primitive integer polynomial: ``T^0`` is the generator
 with its denominators cleared, and each higher power applies the scaled
 derivation ``2T`` on the packed form (one digit moves to the next shift
@@ -77,16 +72,15 @@ monomial budget is refused as it is built), and one index of the cuts by
 smallest atom, filed as they are found: a single-term power when it is
 made, a learned monomial when its position is given to
 :meth:`_TPowers.cut`.  Every degree is learned, by one step
-(:func:`_learn`), before the table above it is built, so a standard
+(:func:`_learn`, the one rank path of :func:`hilbert_series` and
+:func:`contains`), before the table above it is built, so a standard
 table depends only on the ring and its degree, whichever entry point
 built it, and one ``limit`` bounds one set of tables.
 :func:`hilbert_series` builds one context per call; :func:`contains`
 keeps one per ring (weakly, so a dropped ring frees it)
 for the ring's next query under the same budget, up to its packed top.
-The kept context also keeps the echelon of each (degree, grade) block of
-a slice that a query has built, for as long as the ring lives: the slice
-is the direct sum of its grade blocks, so a later query of that degree
-and grade only reduces against the block.
+It also keeps the echelon of each degree a query has asked, for as long
+as the ring lives, so a later query of the degree only reduces.
 :func:`ideal_basis` and :func:`ideal_rows` are internal, but keep their
 names and take the degree second, because ``perfbench`` traces them by
 name and reads it there.
@@ -107,43 +101,6 @@ class ResourceLimitError(RuntimeError):
 
 # RingSpec -> the slice context that contains keeps for its next query
 _CONTEXTS = weakref.WeakKeyDictionary()
-
-
-def _charge_lattice(spec):
-    """An integer basis of the charges of the ring's generators.
-
-    A charge is a vector ``q`` over the base variables for which every
-    term of a generator has the same ``q . (count of each base)``: the
-    kernel of the count differences between the terms of each generator.
-    The differences go into an :class:`Echelon`; each base off its pivot
-    columns is free, and gives the one primitive kernel vector that is
-    positive there and zero at the other free bases, its pivots solved by
-    integer back-substitution from the largest pivot down.
-    """
-    n = len(spec.variables)
-    ech = Echelon()
-    for g in spec.relations + spec.extras:
-        monos = list(g)
-        for mono in monos[1:]:
-            row = {}
-            for sign, m in ((1, mono), (-1, monos[0])):
-                for base, _ in m:
-                    row[base] = row.get(base, 0) + sign
-            ech.extend([{b: v for b, v in row.items() if v}])
-    basis = []
-    for free in (b for b in range(n) if b not in ech.pivots):
-        q = [0] * n
-        q[free] = 1
-        for p in sorted(ech.pivots, reverse=True):
-            prow = ech.pivots[p]
-            s = sum(v * q[b] for b, v in prow.items())
-            if s:
-                g = math.gcd(s, prow[p])
-                q = [v * (prow[p] // g) for v in q]
-                q[p] = -s // g
-        g = math.gcd(*q)
-        basis.append([v // g for v in q])
-    return basis
 
 
 def enumerate_monomials(spec, degree2, limit=DEFAULT_MONOMIAL_LIMIT):
@@ -263,20 +220,11 @@ class _TPowers:
     up to ``top``.  A generator of degree above ``top`` reaches no slice,
     so it is left out, and ``top`` stays as asked.
 
-    A packed monomial has two parts.  The atom digits sit above the lowest
-    ``grade_bits`` bits: ``bit[i] = 1 << (grade_bits + width * i)`` is one
-    copy of atom ``i``, and ``odd_bits`` is the sum of the odd ``bit``.
-    The bits below hold the monomial's *grade* (``p & grade_mask``): its
-    charges, one field of ``field`` bits each.  ``charges`` is an integer
-    basis of the vectors ``q`` over the base variables for which every
-    term of every generator has the same charge ``q . (count of each
-    base)``.  ``T`` keeps the bases, so every ``T^j(g)`` has one grade
-    too.  A field holds the charge plus ``lift`` times the doubled degree,
-    which keeps it non-negative, and no field of a monomial of degree at
-    most ``top`` overflows, so ``unit[i] = bit[i] + grade of atom i`` is
-    the packed form of atom ``i`` and a product is still one addition.
-    The widths depend on ``top`` and the charges, never on the atom count,
-    so the table can grow without repacking.
+    A packed monomial is its atom digits alone: ``unit[i] = 1 << (width *
+    i)`` is one copy of atom ``i``, so a product is one addition, and
+    ``odd_bits`` is the sum of the odd ``unit``.  The width depends on
+    ``top``, never on the atom count, so the table can grow without
+    repacking.
 
     ``get(i, j)`` is ``T^j`` of generator ``i`` as terms ``(monomial, int,
     flips)``: the primitive integer polynomial that is a positive multiple
@@ -292,9 +240,9 @@ class _TPowers:
     lists the monomials of degree ``d`` that no cut divides, at most
     ``limit`` of them (:meth:`_table`).
 
-    ``blocks`` maps ``(degree2, grade)`` to the :class:`Echelon` of that
-    grade block of the slice, for the blocks that :func:`contains` has
-    built; :func:`hilbert_series` builds none.
+    ``echelons`` maps a degree to the :class:`Echelon` of its slice, for
+    the degrees that :func:`contains` has asked; :func:`hilbert_series`
+    keeps none.
     """
 
     def __init__(self, spec, top, limit):
@@ -308,22 +256,14 @@ class _TPowers:
                 if g and spec.degree2(g) <= top]
         self.base_degree2 = [spec.degree2(g) for g in gens]
         self.width = top.bit_length() + 1
-        self.charges = _charge_lattice(spec)
-        self.lift = [-min(0, *q) for q in self.charges]
-        # each vector has a positive charge, so a field of a monomial of
-        # degree d is at most d * (its largest charge + its lift)
-        self.field = (top * max([max(q) + s for q, s in zip(
-            self.charges, self.lift)], default=0)).bit_length()
-        self.grade_bits = self.field * len(self.charges)
-        self.grade_mask = (1 << self.grade_bits) - 1
         self.atom, self.ids, self.atom_degree2, self.odd = [], {}, [], []
-        self.next, self.bit, self.unit = [], [], []
+        self.next, self.unit = [], []
         self.odd_bits = 0
         self.grown = -1
         self.grow(max(self.base_degree2, default=0))
         self._tables = []  # by degree: (monomials, prefix length by atom)
         self._cuts = {}
-        self.blocks = {}
+        self.echelons = {}
         self._terms = [[] for _ in gens]
         for i, g in enumerate(gens):
             row = _int_row({m: self.encode(m) for m in g}, g)
@@ -340,9 +280,8 @@ class _TPowers:
         if degree2 > self.top:
             raise ValueError("degree2=%d is above the packed top %d"
                              % (degree2, self.top))
-        variables, f = self.variables, self.field
         for d in range(self.grown + 1, degree2 + 1):
-            for base, v in enumerate(variables):
+            for base, v in enumerate(self.variables):
                 if v.weight2 > d or (d - v.weight2) % 2:
                     continue
                 i, shift = len(self.atom), (d - v.weight2) // 2
@@ -353,13 +292,10 @@ class _TPowers:
                 self.next.append(None)
                 if shift:
                     self.next[self.ids[base, shift - 1]] = i
-                bit = 1 << (self.grade_bits + self.width * i)
-                self.bit.append(bit)
-                self.unit.append(bit + sum(
-                    (q[base] + s * d) << (f * k) for k, (q, s) in
-                    enumerate(zip(self.charges, self.lift))))
+                unit = 1 << (self.width * i)
+                self.unit.append(unit)
                 if v.odd:
-                    self.odd_bits += bit
+                    self.odd_bits += unit
         self.grown = degree2
 
     def encode(self, mono):
@@ -369,14 +305,12 @@ class _TPowers:
 
     def lowest(self, p):
         """The smallest atom id in a packed monomial, or -1 for the unit."""
-        p >>= self.grade_bits
         return ((p & -p).bit_length() - 1) // self.width
 
     def digits(self, p):
         """The ``(id, multiplicity)`` pairs of a packed monomial, ascending."""
         w = self.width
         mask = (1 << w) - 1
-        p >>= self.grade_bits
         while p:
             a = ((p & -p).bit_length() - 1) // w  # the lowest nonzero digit
             k = p >> (w * a) & mask
@@ -388,14 +322,14 @@ class _TPowers:
         return tuple(self.atom[a] for a, k in self.digits(p) for _ in range(k))
 
     def flips(self, p):
-        """The XOR of ``-1 << (grade_bits + width * b + 1)`` over the odd
+        """The XOR of ``-1 << (width * b + 1)`` over the odd
         atoms ``b`` of ``p``: ``(m & odd_bits & flips(p)).bit_count()`` has
         the parity of the odd atoms ``a > b`` of ``m`` that ``b`` moves past
         in ``m * p``.
         """
         out = 0
         for b, _ in self.digits(p & self.odd_bits):
-            out ^= -1 << (self.grade_bits + self.width * b + 1)
+            out ^= -1 << (self.width * b + 1)
         return out
 
     def get(self, i, j):
@@ -528,7 +462,7 @@ class _TPowers:
         between ``a`` and ``b``, which it passes, and dies when ``b`` is
         present.
         """
-        nxt, deg, unit, bit = self.next, self.atom_degree2, self.unit, self.bit
+        nxt, deg, unit = self.next, self.atom_degree2, self.unit
         out = {}
         for t, c, _ in terms:
             t_odd = t & self.odd_bits
@@ -536,10 +470,10 @@ class _TPowers:
                 b = nxt[a]
                 f = -deg[a] * k * c
                 if self.odd[a]:
-                    if t & bit[b]:
+                    if t & unit[b]:
                         continue
                     # the bits strictly between digit a and digit b
-                    if (t_odd & (bit[b] - (bit[a] << 1))).bit_count() & 1:
+                    if (t_odd & (unit[b] - (unit[a] << 1))).bit_count() & 1:
                         f = -f
                 new = t - unit[a] + unit[b]
                 out[new] = out.get(new, 0) + f
@@ -550,7 +484,7 @@ class _TPowers:
         return [(t, c // g, self.flips(t)) for t, c in out.items()]
 
 
-def ideal_rows(tpowers, degree2, grade=None):
+def ideal_rows(tpowers, degree2):
     """Integer rows spanning the degree-``degree2`` slice of the ideal.
 
     Returns ``(columns, rows)`` where ``columns`` maps each standard
@@ -571,18 +505,14 @@ def ideal_rows(tpowers, degree2, grade=None):
     0, which is dropped), and the buckets, each sorted by smallest column,
     are joined by increasing length, the stable ``(len(row), min(row))``
     order.  A repeated row is kept, and :meth:`Echelon.extend` reduces it
-    to zero.  Given a ``grade``, only the columns and rows of that grade
-    are built: a factor is kept when its grade plus the power's is that
-    grade.  A slice with no columns (every odd degree of a ring of integer
-    weights) has no rows either, since every product lands off the
+    to zero.  A slice with no columns (every odd degree of a ring of
+    integer weights) has no rows either, since every product lands off the
     columns, so it is returned at once as ``({}, [])``.
     """
     table = tpowers.standard(degree2)
-    odd_bits, mask = tpowers.odd_bits, tpowers.grade_mask
-    if grade is not None:
-        table = [m for m in table if m & mask == grade]
     if not table:
         return {}, []
+    odd_bits = tpowers.odd_bits
     columns = dict(zip(table, range(len(table))))
     column = columns.get
     buckets = [[]]  # by row length
@@ -592,11 +522,7 @@ def ideal_rows(tpowers, degree2, grade=None):
             if len(terms) < 2:
                 continue
             buckets += [[] for _ in range(len(terms) + 1 - len(buckets))]
-            factors = tpowers.standard(degree2 - d0 - 2 * j)
-            if grade is not None:
-                rest = grade - (terms[0][0] & mask)
-                factors = [m for m in factors if m & mask == rest]
-            for m in factors:
+            for m in tpowers.standard(degree2 - d0 - 2 * j):
                 m_odd = m & odd_bits
                 row = {}
                 for t, c, flip in terms:
@@ -611,42 +537,44 @@ def ideal_rows(tpowers, degree2, grade=None):
     return columns, rows
 
 
-def ideal_basis(tpowers, degree2, grade=None):
-    """Echelon basis of the degree slice of the differential ideal, or of
-    its block of the given ``grade`` (see :func:`ideal_rows`).
+def ideal_basis(tpowers, degree2):
+    """Echelon basis of the degree slice of the differential ideal.
 
-    Returns ``(echelon, n_columns)``; the quotient dimension of the slice,
-    or of its block of that grade, is ``n_columns - echelon.rank``.
+    Returns ``(echelon, n_columns)``; the quotient dimension of the slice
+    is ``n_columns - echelon.rank``.
     """
-    columns, rows = ideal_rows(tpowers, degree2, grade)
+    columns, rows = ideal_rows(tpowers, degree2)
     ech = Echelon(columns)
     ech.extend(rows)
     return ech, len(columns)
 
 
 def _learn(tpowers, degree2):
-    """The quotient dimension of a degree whose table is the newest or not
-    yet built; then the monomials that its echelon pivots on alone are cut
+    """The echelon of the whole slice of a degree whose table is the newest
+    or not yet built; the monomials that it pivots on alone are then cut
     by position (:meth:`_TPowers.cut`), and leave every slice above as
     columns and as factors."""
-    ech, n = ideal_basis(tpowers, degree2)
+    ech, _ = ideal_basis(tpowers, degree2)
     tpowers.cut(degree2, sorted(c for c, row in ech.pivots.items()
                                 if len(row) == 1))
-    return n - ech.rank
+    return ech
 
 
 def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
     """Graded dimensions of the jet quotient for doubled degrees 0..maxdeg2."""
     tpowers = _TPowers(spec, maxdeg2, limit)
-    return [_learn(tpowers, d) for d in range(maxdeg2 + 1)]
+    return [len(ech.columns) - ech.rank
+            for ech in (_learn(tpowers, d) for d in range(maxdeg2 + 1))]
 
 
 def _refuse(spec, poly):
     """ValueError for the nonzero terms of a query, if any: first an atom
-    that is not (variable index, shift >= 0), then inhomogeneity."""
+    that is not (variable index, shift >= 0), both ``int``, then
+    inhomogeneity."""
     nonzero = {m: c for m, c in poly.items() if c}
     for atom in (a for m in nonzero for a in m):
-        if not (0 <= atom[0] < len(spec.variables) and atom[1] >= 0):
+        if not (type(atom[0]) is int and type(atom[1]) is int
+                and 0 <= atom[0] < len(spec.variables) and atom[1] >= 0):
             raise ValueError("%r is not an atom of the ring" % (atom,))
     spec.degree2(nonzero)
 
@@ -654,33 +582,33 @@ def _refuse(spec, poly):
 def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     """Is the homogeneous polynomial in the differential ideal's slice?
 
-    Every degree below the query's is learned first, as in
+    Every degree through the query's is learned first, as in
     :func:`hilbert_series`, so the query is refused under ``limit``
     exactly where ``hilbert_series(spec, degree2, limit)`` is, and a first
-    query on a ring costs about a ``hilbert_series`` to the degree below
-    it.  Rows of different grades share no column, so the slice is the
-    direct sum of its grade blocks, and the query is a member exactly when
-    the part of each grade reduces to zero against that grade's block.
-    Each block is built once (:func:`ideal_basis` of one grade) and kept in
-    the context, so a later query of the same degree and grade only
-    reduces.  A block stays exact after a higher query learns its degree:
-    the monomials cut then are single-column pivots of the block.
+    query on a ring costs about a ``hilbert_series`` to its degree.  The
+    query is a member exactly when it reduces to zero against the echelon
+    of its degree's slice, which is kept in the context, so a later query
+    of the degree only reduces.  A degree learned for a higher query but
+    never asked builds one :func:`ideal_basis` on its cut table: a cut
+    monomial is in the ideal, so the answer is that of the whole slice.
 
     The query is read in one pass before any slice is built.  Zero terms
     are skipped, so they change no answer and no degree; the first other
     term gives the degree.  Each term's atom ids (an atom above the degree
-    has none yet) give its degree, packed monomial and grade.  A key with
-    an atom not of the ring, named, or a query that is not homogeneous is
-    refused there with ``ValueError``, and a coefficient that is not
-    ``int`` or ``Fraction`` with ``TypeError``; the context is kept.
-    Each grade part is one row on its block's columns, scaled to integers
-    by the common denominator and reduced where it stands; a monomial off
-    those columns is in the ideal already.  A key out of the canonical
-    atom order of :meth:`RingSpec.normalize`, which would share a column
-    with its reordering, is refused with ``ValueError`` after the degrees
-    below are learned, and the ring's context is kept.
+    has none yet) give its degree and packed monomial.  A key with an atom
+    not of the ring (a base that is not an ``int`` index of its variables,
+    or a shift that is not an ``int`` of at least 0), named, or a query
+    that is not homogeneous is refused there with ``ValueError``, and a
+    coefficient that is not ``int`` or ``Fraction`` with ``TypeError``;
+    the context is kept.  The query is one row on its echelon's columns,
+    scaled to integers by the common denominator and reduced where it
+    stands; a monomial off those columns is in the ideal already.  A key
+    out of the canonical atom order of :meth:`RingSpec.normalize`, which
+    would share a column with its reordering, is refused with
+    ``ValueError`` after the degrees through the query's are learned, and
+    the ring's context is kept.
 
-    The slice context of a ring, blocks included, is kept for the next
+    The slice context of a ring, echelons included, is kept for the next
     query of the same ring and ``limit`` up to its packed top, for as long
     as the ring lives, so a ring is taken as fixed once it has been
     queried: changing its variables, relations or extras in place
@@ -689,10 +617,13 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     try:
         degree2 = next((spec.mono_degree2(m) for m, c in poly.items() if c),
                        None)
-    except IndexError:  # a base past the ring's variables
+    except (IndexError, TypeError):  # a base past the variables or not int
         _refuse(spec, poly)
+        raise
     if degree2 is None:
         return True
+    if type(degree2) is not int:  # a shift that is not an int
+        _refuse(spec, poly)
     # taken out while in use, so that no other call shares it, and a call
     # cut short (an error, an interrupt) leaves none half grown behind
     kept = tpowers = _CONTEXTS.pop(spec, None)
@@ -702,19 +633,21 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
         tpowers = _TPowers(spec, (1 << degree2.bit_length()) - 1, limit)
     tpowers.grow(degree2)
     ids, unit, deg = tpowers.ids, tpowers.unit, tpowers.atom_degree2
-    mask, parts, denom, unordered = tpowers.grade_mask, {}, 1, None
+    terms, denom, unordered = {}, 1, None
     try:
         for mono, c in poly.items():
             if not c:
                 continue
             atoms = list(map(ids.__getitem__, mono))
+            for base, shift in mono:  # (0, 1.0) would find the id of (0, 1)
+                if type(base) is not int or type(shift) is not int:
+                    raise KeyError(mono)
             if sum(map(deg.__getitem__, atoms)) != degree2:
                 raise KeyError(mono)
             if atoms != sorted(atoms):
                 unordered = unordered or mono
             denom = math.lcm(denom, c.denominator)
-            p = sum(map(unit.__getitem__, atoms))
-            parts.setdefault(p & mask, {})[p] = c
+            terms[sum(map(unit.__getitem__, atoms))] = c
     except (KeyError, AttributeError) as exc:
         if kept is not None:  # nothing of the query is in it yet
             _CONTEXTS[spec] = kept
@@ -723,28 +656,20 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
             raise
         raise TypeError("coefficients must be int or Fraction, not %s: %r"
                         % (type(c).__name__, c)) from None
-    # every table but the newest is learned
-    for d in range(max(len(tpowers._tables) - 1, 0), degree2):
-        _learn(tpowers, d)
-    # the query's table is the newest, not learned, as any query leaves it
-    tpowers.standard(degree2)
+    # every table of a kept context is learned
+    ech = tpowers.echelons.get(degree2)
+    for d in range(len(tpowers._tables), degree2 + 1):
+        ech = _learn(tpowers, d)
     if unordered is not None:
         _CONTEXTS[spec] = tpowers  # whole: nothing of the query is in it
         raise ValueError("monomial %r is not in canonical atom order"
                          % (unordered,))
-    blocks = []
-    for grade, part in parts.items():
-        ech = tpowers.blocks.get((degree2, grade))
-        if ech is None:
-            ech = tpowers.blocks[degree2, grade] = ideal_basis(
-                tpowers, degree2, grade)[0]
-        blocks.append((ech, part))
+    if ech is None:  # learned for a higher query: its table is cut
+        ech, _ = ideal_basis(tpowers, degree2)
+    tpowers.echelons[degree2] = ech
     # put back only now: another call may then grow and cut its tables
     _CONTEXTS[spec] = tpowers
-    for ech, part in blocks:
-        columns = ech.columns
-        row = {columns[p]: c.numerator * (denom // c.denominator)
-               for p, c in part.items() if p in columns}
-        if ech._eliminate(row) is not None:
-            return False
-    return True
+    columns = ech.columns
+    row = {columns[p]: c.numerator * (denom // c.denominator)
+           for p, c in terms.items() if p in columns}
+    return ech._eliminate(row) is None

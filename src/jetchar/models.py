@@ -88,11 +88,14 @@ class VerificationReport:
 
 
 def verify(model, maxdeg2=None, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
-    """Compare spanning count / jet dimension / character degree by degree."""
+    """Compare spanning count / jet dimension / character degree by degree;
+    a negative ``maxdeg2`` is refused before any work."""
     if isinstance(model, str):
         model = get_model(model)
     if maxdeg2 is None:
         maxdeg2 = model.default_maxdeg2
+    if maxdeg2 < 0:
+        raise ValueError("maxdeg2 must be >= 0, got %d" % maxdeg2)
     dims = jetquot.hilbert_series(model.ring(), maxdeg2, limit)
     char = model.character(maxdeg2)
     span = model.spanning_series(maxdeg2)

@@ -134,7 +134,7 @@ def test_verify_limit_below_one_is_a_usage_error(limit):
 
 
 def test_verify_huge_maxdeg2_stops_at_the_first_capped_slice():
-    """Only the digit and grade widths depend on the truncation: the atom
+    """Only the digit width depends on the truncation: the atom
     table grows one degree at a time, so the cap stops the run at the
     first table of more than 100 standard monomials, the 103 of
     degree2=14."""

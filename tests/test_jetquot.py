@@ -14,7 +14,6 @@ import re
 import sys
 import threading
 import time
-import types
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -27,8 +26,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetchar import (DEFAULT_MONOMIAL_LIMIT, RingSpec, VariableSpec,
                      ResourceLimitError, enumerate_monomials, hilbert_series,
                      cli, contains, jetquot, models, qseries)
-from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _charge_lattice,
-                             _int_row, ideal_basis, ideal_rows)
+from jetchar.jetquot import (_CONTEXTS, Echelon, _TPowers, _int_row,
+                             ideal_basis, ideal_rows)
 
 
 def xring(weight2=2, parity="even", relation_power=None):
@@ -879,8 +878,8 @@ _PRESENTATIONS = st.tuples(
                       min_size=1, max_size=2),
              min_size=1, max_size=2))
 
-# a = v0, b = v1, c = v2 with a^2 - b and c a: degree2 5 has the grades of
-# a(-5/2) and of b(-1)c(-3/2), and the slice of 5 learns the cut b(-1)c(-3/2)
+# a = v0, b = v1, c = v2 with a^2 - b and c a: the slice of degree2 5 learns
+# the cut b(-1)c(-3/2)
 _LEARNING = ([("even", 1), ("even", 2), ("odd", 3)],
              [[(1, [0, 0]), (-1, [1])], [(1, [2, 0])]])
 
@@ -903,15 +902,15 @@ def _kernel_check(spec, maxdeg2):
     pivots, cuts = [], []
     rows_of, basis_of, cut_of = ideal_rows, ideal_basis, _TPowers.cut
 
-    def rows(tpowers, degree2, grade=None):
-        columns, built = rows_of(tpowers, degree2, grade)
+    def rows(tpowers, degree2):
+        columns, built = rows_of(tpowers, degree2)
         assert all(built), f"an empty row at degree2={degree2}"
         keys = [(len(row), min(row)) for row in built]
         assert keys == sorted(keys), f"rows out of order at degree2={degree2}"
         return columns, built
 
-    def basis(tpowers, degree2, grade=None):
-        ech, n = basis_of(tpowers, degree2, grade)
+    def basis(tpowers, degree2):
+        ech, n = basis_of(tpowers, degree2)
         pivots.append(ech.pivots)
         return ech, n
 
@@ -1040,95 +1039,11 @@ def test_packed_digits_reach_the_top_degree(top, power):
         tpowers.get(0, (top - k) // 2 + 1)
 
 
-# ----------------------------------------------- charges and their grades
-
-def _charge(charges, mono):
-    """The charge vector of an atom-tuple monomial, from its base counts."""
-    return [sum(q[base] for base, _ in mono) for q in charges]
-
-
-@pytest.mark.parametrize("key", models.model_keys())
-def test_every_power_has_its_generators_grade(key):
-    """Every term of every T^j(g) has the charge of the generator's first
-    term, and its packed grade is that charge plus ``lift`` times its
-    degree, one field per charge; ``T`` keeps the charges."""
-    model = models.get_model(key)
-    spec = model.ring()
-    maxdeg2 = min(model.default_maxdeg2, 14)
-    tpowers = _TPowers(spec, maxdeg2, DEFAULT_MONOMIAL_LIMIT)
-    gens = [g for g in spec.relations + spec.extras if g]
-    for i, (g, d0) in enumerate(zip(gens, tpowers.base_degree2)):
-        want = _charge(tpowers.charges, next(iter(g)))
-        for j in range((maxdeg2 - d0) // 2 + 1):
-            grade = sum((c + s * (d0 + 2 * j)) << (tpowers.field * k)
-                        for k, (c, s) in enumerate(zip(want, tpowers.lift)))
-            for t, _, _ in tpowers.get(i, j):
-                assert _charge(tpowers.charges, tpowers.decode(t)) == want
-                assert t & tpowers.grade_mask == grade, f"{key} T^{j} of {i}"
-
-
-@pytest.mark.parametrize("key, rank", [("graph:A4", 4), ("sln_principal:4", 5),
-                                       ("lattice:2", 2), ("n2_c1:ab", 2),
-                                       ("n2_c1:abc", 1)])
-def test_charge_lattice_ranks(key, rank):
-    """A monomial relation keeps every base count, a binomial ties two
-    count vectors: graph:A4 has monomial relations on 4 variables,
-    sln_principal:4 one binomial on 6, lattice:2 ties x y to z^2 on 3,
-    and n2_c1:abc adds to n2_c1:ab's two ties (gp gm to h^3, on 3) one
-    that ties h^2 gm to gm, so only gm's charge against gp's is left."""
-    tpowers = _TPowers(models.get_model(key).ring(), 10,
-                       DEFAULT_MONOMIAL_LIMIT)
-    assert len(tpowers.charges) == rank
-
-
-_GENERATOR_SETS = st.tuples(
-    st.integers(1, 7),
-    st.lists(st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1,
-                      max_size=4), max_size=6))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_GENERATOR_SETS)
-@example((3, [[[0, 1], [2, 2]]]))  # lattice:2's x y against z^2
-@example((2, [[[1], [0, 0]]]))  # y against x^2: back-substitution scales
-def test_charge_lattice_is_the_primitive_kernel_of_the_count_differences(
-        drawn):
-    """On random generators (lists of monomials over 1 to 7 bases), with
-    the ``Fraction`` rank as oracle: every basis vector annihilates every
-    count difference between a generator's terms, and there are ``n -
-    rank`` of them.  The free bases are the columns that add nothing to
-    the rank of the differences cut to the columns up to them; the k-th
-    vector is primitive, positive at the k-th free base and zero at the
-    others."""
-    n, drawn = drawn
-    gens = [{tuple(sorted((b % n, 0) for b in mono)): 1 for mono in g}
-            for g in drawn]
-    spec = types.SimpleNamespace(variables=[None] * n,
-                                 relations=gens[::2], extras=gens[1::2])
-    basis = _charge_lattice(spec)
-    diffs = []
-    for g in gens:
-        first, *rest = g
-        for mono in rest:
-            count = Counter(b for b, _ in mono)
-            count.subtract(b for b, _ in first)
-            diffs.append(dict(count))
-    assert len(basis) == n - _fraction_rank(diffs, n)
-    for q in basis:
-        assert all(sum(q[b] * v for b, v in d.items()) == 0 for d in diffs)
-        assert math.gcd(*q) == 1
-    free = [c for c in range(n) if _fraction_rank(
-        [{b: v for b, v in d.items() if b <= c} for d in diffs], n)
-        == _fraction_rank([{b: v for b, v in d.items() if b < c}
-                           for d in diffs], n)]
-    assert len(free) == len(basis)
-    for k, q in enumerate(basis):
-        assert [q[c] > 0 if i == k else q[c] == 0
-                for i, c in enumerate(free)] == [True] * len(free)
-
+# ------------------------------------------------------------ membership
 
 def _full_slice_contains(spec, poly):
-    """Membership read off the whole slice, every grade's rows built."""
+    """Membership read off a fresh context's whole slice, no degree
+    learned."""
     degree2 = spec.degree2(poly)
     tpowers = _TPowers(spec, degree2, DEFAULT_MONOMIAL_LIMIT)
     ech, _ = ideal_basis(tpowers, degree2)
@@ -1163,7 +1078,7 @@ def _draw_query(data, spec, degree2, products,
                 coeff=st.integers(-2, 2).filter(bool)):
     """A drawn query of the degree, which must have a monomial: a member
     summing one to four products (when the degree has any), plus up to two
-    monomials of any grade, each with a drawn ``coeff``; a first monomial
+    monomials, each with a drawn ``coeff``; a first monomial
     when the sum is zero."""
     monomials = enumerate_monomials(spec, degree2)
     picks = []
@@ -1180,9 +1095,8 @@ def _draw_query(data, spec, degree2, products,
 @given(_PRESENTATIONS, st.integers(4, 10), st.data())
 def test_restricted_contains_matches_the_full_slice(presentation, degree2,
                                                     data):
-    """contains builds only its query's grades; a full slice gives the
-    same answer on members spread over several grades, on those plus
-    monomials of any grade, and on monomials off the columns."""
+    """A fresh full slice gives the answer of contains on members, on
+    members plus monomials, and on monomials off the columns."""
     spec = _random_ring(presentation)
     products = _products(spec, degree2)
     assume(products and enumerate_monomials(spec, degree2))
@@ -1198,7 +1112,7 @@ def test_kept_contexts_keep_every_answer(presentation, data):
     of them above the first context's top, one degree drawn twice and a
     lower one after them, gets the answers of a fresh full slice per
     query.  The first degree is asked again at once, the first query plus
-    a new one, so every run reads a kept grade block."""
+    a new one, so every run reads a kept echelon."""
     spec = _random_ring(presentation)
     live = [d for d in range(1, 12) if enumerate_monomials(spec, d)]
     assume(any(d <= 7 for d in live))
@@ -1231,19 +1145,20 @@ def test_kept_contexts_keep_every_answer(presentation, data):
 @example(_LEARNING, 5, None)
 def test_kept_blocks_give_the_answers_of_fresh_slices(presentation, degree2,
                                                       data):
-    """A query with one monomial of each grade of a degree, then drawn
-    queries there; a higher query in the same context, which learns the
-    degree and cuts its table; then the first degree again, with every
-    monomial that the cut removed, alone and added to each earlier query.
-    Each answer, from a block built or kept, is that of a fresh full
-    slice.  The explicit example draws nothing (``data`` is None): it asks
-    at 7 and must cut b(-1)c(-3/2)."""
+    """The sum of every monomial of a degree, then drawn queries there,
+    which learn the degree and cut its table; a higher query in the same
+    context, which learns the degrees between; then the first degree
+    again, with every monomial that its cut removed, alone and added to
+    each earlier query; then, at a degree between that no query asked,
+    the monomials off its cut table, alone and added to a drawn query.
+    Each answer, from an echelon kept or built on a cut table, is that of
+    a fresh full slice.  The explicit example draws nothing (``data`` is
+    None): b(-1)c(-3/2) is cut from the table of 5, and it asks at 7,
+    then at 6."""
     spec = _random_ring(presentation)
     monomials = enumerate_monomials(spec, degree2)
     assume(monomials)
-    charges = _charge_lattice(spec)
-    grades = {tuple(_charge(charges, m)): m for m in monomials}
-    queries = [{m: Fraction(1) for m in grades.values()}]
+    queries = [{m: Fraction(1) for m in monomials}]
     if data is not None:
         products = _products(spec, degree2)
         queries += [_draw_query(data, spec, degree2, products)
@@ -1255,28 +1170,38 @@ def test_kept_blocks_give_the_answers_of_fresh_slices(presentation, degree2,
     for poly in queries:
         ask(poly)
     kept = _CONTEXTS[spec]
-    before = kept.standard(degree2)
+    cut = [{kept.decode(m): Fraction(1)} for m in set(
+        kept.echelons[degree2].columns) - set(kept.standard(degree2))]
+    if data is None:
+        assert cut == [spec.parse_poly("v1(-1)*v2(-3/2)")]
     higher = [d for d in range(degree2 + 1, kept.top + 1)
               if enumerate_monomials(spec, d)]
     assume(higher)
     above = higher[-1] if data is None else data.draw(st.sampled_from(higher))
     ask({enumerate_monomials(spec, above)[0]: Fraction(1)})
     assert _CONTEXTS[spec] is kept
-    cut = [{kept.decode(m): Fraction(1)}
-           for m in set(before) - set(kept.standard(degree2))]
-    if data is None:
-        assert cut == [spec.parse_poly("v1(-1)*v2(-3/2)")]
     for poly in queries + cut + [spec.add(q, c) or q
                                  for q in queries for c in cut]:
+        ask(poly)
+    between = [d for d in higher if d < above]
+    if not between:
+        return
+    d = between[0] if data is None else data.draw(st.sampled_from(between))
+    table = set(kept.standard(d))
+    off = [{m: Fraction(1)} for m in enumerate_monomials(spec, d)
+           if kept.encode(m) not in table]
+    drawn = ({m: Fraction(1) for m in enumerate_monomials(spec, d)}
+             if data is None else _draw_query(data, spec, d, _products(spec, d)))
+    for poly in [drawn] + off + [spec.add(drawn, o) or drawn for o in off]:
         ask(poly)
 
 
 def test_a_kept_block_builds_no_rows_again(monkeypatch):
-    """The ring of _LEARNING at degree2 5: a second query of a grade
-    builds no rows, a query that adds a new grade builds that grade's
-    block alone, and after a query at 7 learns 5 and cuts b(-1)c(-3/2)
-    from its table, the kept block still answers b(-1)c(-3/2) without
-    building a row."""
+    """The ring of _LEARNING: a first query at degree2 5 learns, so builds
+    the slice of, every degree through 5; a repeated query at 5 builds no
+    rows, and the kept echelon of 5 answers b(-1)c(-3/2), which learning 5
+    cut from its table.  A query at 7 learns 6 and 7, and a query at 6,
+    learned but never asked, builds exactly that one slice."""
     variables = (VariableSpec("a", "even", 1), VariableSpec("b", "even", 2),
                  VariableSpec("c", "odd", 3))
     base = RingSpec(variables)
@@ -1285,29 +1210,28 @@ def test_a_kept_block_builds_no_rows_again(monkeypatch):
     built = []
     rows = ideal_rows
 
-    def counted(tpowers, degree2, grade=None):
-        built.append((degree2, grade))
-        return rows(tpowers, degree2, grade)
+    def counted(tpowers, degree2):
+        built.append(degree2)
+        return rows(tpowers, degree2)
 
     monkeypatch.setattr(jetquot, "ideal_rows", counted)
 
     def ask(text):
         del built[:]
-        answer = contains(spec, spec.parse_poly(text))
-        return answer, [g for d, g in built if d == 5]
+        return contains(spec, spec.parse_poly(text)), list(built)
 
     member = "b(-1)*c(-3/2)"
-    first, grades = ask(member)
-    assert first and len(grades) == 1 and None not in grades
-    assert ask("a(-1/2)^2*c(-3/2)") == (True, [])
-    answer, new = ask(member + " + a(-5/2)")
-    assert not answer and len(new) == 1 and new != grades
-    # learning 5 builds its whole slice, of no one grade
-    assert ask("c(-7/2)") == (False, [None])
+    assert ask(member) == (True, [0, 1, 2, 3, 4, 5])
     kept = _CONTEXTS[spec]
     assert kept.encode(spec.parse_poly(member).popitem()[0]) not in (
         kept.standard(5))
     assert ask(member) == (True, [])
+    assert ask("a(-1/2)^2*c(-3/2)") == (True, [])
+    assert ask(member + " + a(-5/2)") == (False, [])
+    assert ask("c(-7/2)") == (False, [6, 7])
+    assert ask("a(-1/2)^2*b(-2) - b(-1)*b(-2)") == (True, [6])
+    assert ask("a(-1/2)^2*b(-2)") == (False, [])
+    assert _CONTEXTS[spec] is kept
 
 
 @settings(max_examples=60, deadline=None)
@@ -1317,8 +1241,9 @@ def test_a_kept_context_holds_the_tables_of_hilbert_series(presentation,
                                                            degrees):
     """After queries at drawn degrees in any order, the tables of the
     ring's kept context, decoded, are those of hilbert_series' context at
-    every degree below its newest table: a standard table depends only on
-    the ring and its degree, whichever entry point built it."""
+    every degree through its newest table, which a query learns too: a
+    standard table depends only on the ring and its degree, whichever
+    entry point built it."""
     spec = _random_ring(presentation)
     for d in degrees:
         monos = enumerate_monomials(spec, d)
@@ -1337,7 +1262,7 @@ def test_a_kept_context_holds_the_tables_of_hilbert_series(presentation,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jetquot, "_TPowers", Recorded)
         hilbert_series(spec, newest)
-    for d in range(newest):
+    for d in range(newest + 1):
         assert list(map(kept.decode, kept.standard(d))) == list(
             map(made[0].decode, made[0].standard(d))), f"degree2={d}"
 
@@ -1385,20 +1310,18 @@ _MIXED = (Fraction(1, 3), Fraction(-5, 4), Fraction(7, 2))
 def test_fraction_queries_asked_twice_match_the_full_slice(presentation,
                                                            degree2, data):
     """contains scales a query to integers by its common denominator.  A
-    drawn query with coefficients of mixed denominators, one monomial of
-    each of up to three drawn grades with such coefficients, and the two
-    added, each asked twice in one kept context, get the answers of a
-    fresh full slice; the second round only reads kept blocks."""
+    drawn query with coefficients of mixed denominators, up to three drawn
+    monomials with such coefficients, and the two added, each asked twice
+    in one kept context, get the answers of a fresh full slice; the
+    second round only reads the kept echelon."""
     spec = _random_ring(presentation)
     products = _products(spec, degree2)
     monomials = enumerate_monomials(spec, degree2)
     assume(products and monomials)
-    charges = _charge_lattice(spec)
-    by_grade = {tuple(_charge(charges, m)): m for m in monomials}
     coeff = st.sampled_from(_MIXED)
     drawn = _draw_query(data, spec, degree2, products, coeff)
-    spread = spec.poly((data.draw(coeff), by_grade[g]) for g in data.draw(
-        st.lists(st.sampled_from(sorted(by_grade)), min_size=1, max_size=3,
+    spread = spec.poly((data.draw(coeff), m) for m in data.draw(
+        st.lists(st.sampled_from(monomials), min_size=1, max_size=3,
                  unique=True)))
     queries = [drawn, spread, spec.add(drawn, spread) or drawn]
     want = [_full_slice_contains(spec, q) for q in queries]
@@ -1464,11 +1387,14 @@ def test_contains_refuses_a_key_out_of_canonical_order(monkeypatch):
     assert learned == [] and _CONTEXTS[spec] is kept
 
 
-@pytest.mark.parametrize("atom", [(0, -1), (7, 0)])
+@pytest.mark.parametrize("atom", [(0, -1), (7, 0), (0, 0.5), (0, 1.0),
+                                  (0.0, 0), (0, 2.0)])
 def test_contains_refuses_an_atom_not_of_the_ring(monkeypatch, atom):
-    """A key whose atom has a negative shift or a base past the ring's
-    variables is refused with a ValueError that names the atom, before
-    any slice is built, and the ring's kept context is put back."""
+    """A key whose atom has a negative shift, a base past the ring's
+    variables, or a base or shift that is not an int is refused with a
+    ValueError that names the atom, before any slice is built, and the
+    ring's kept context is put back.  (0, 2.0) equals the atom of x(-3),
+    whose degree is that of the other key."""
     spec = models.get_model("lattice:2").ring()
     (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
     assert not contains(spec, {m: 1})

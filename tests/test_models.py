@@ -225,6 +225,18 @@ def test_verify_reads_dimensions_through_jetquot_hilbert_series(monkeypatch):
     assert report.verdict == "MISMATCH" and report.mismatch_degree2 == 6
 
 
+@pytest.mark.parametrize("key", ["sl2_affine:2", "positive_lattice:2",
+                                 "n2_c1:abc"])
+def test_verify_refuses_a_negative_maxdeg2(monkeypatch, key):
+    """A negative truncation is refused with one ValueError before any
+    slice is computed, whatever the model's character."""
+    called = []
+    monkeypatch.setattr(jetquot, "hilbert_series", lambda *a: called.append(a))
+    with pytest.raises(ValueError, match=r"^maxdeg2 must be >= 0, got -1$"):
+        verify(key, -1)
+    assert called == []
+
+
 def test_verify_report_dict_shape():
     report = verify("virasoro_2_2k1:2", maxdeg2=8)
     d = report.to_dict()
