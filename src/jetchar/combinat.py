@@ -57,7 +57,8 @@ class ColoredRules:
                         (dist, gap2), name))
         for s, t in self.boundaries:
             if s not in known or t not in known:
-                raise ValueError("boundary rule for unknown color")
+                raise ValueError("boundary rule %r for unknown color"
+                                 % ((s, t),))
 
 
 class GhRules:

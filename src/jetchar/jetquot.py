@@ -569,11 +569,12 @@ def hilbert_series(spec, maxdeg2, limit=DEFAULT_MONOMIAL_LIMIT):
 
 def _refuse(spec, poly):
     """ValueError for the nonzero terms of a query, if any: first an atom
-    that is not (variable index, shift >= 0), both ``int``, then
+    that is not a pair (variable index, shift >= 0), both ``int``, then
     inhomogeneity."""
     nonzero = {m: c for m, c in poly.items() if c}
     for atom in (a for m in nonzero for a in m):
-        if not (type(atom[0]) is int and type(atom[1]) is int
+        if not (type(atom) is tuple and len(atom) == 2
+                and type(atom[0]) is int and type(atom[1]) is int
                 and 0 <= atom[0] < len(spec.variables) and atom[1] >= 0):
             raise ValueError("%r is not an atom of the ring" % (atom,))
     spec.degree2(nonzero)
@@ -596,13 +597,14 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     are skipped, so they change no answer and no degree; the first other
     term gives the degree.  Each term's atom ids (an atom above the degree
     has none yet) give its degree and packed monomial.  A key with an atom
-    not of the ring (a base that is not an ``int`` index of its variables,
-    or a shift that is not an ``int`` of at least 0), named, or a query
-    that is not homogeneous is refused there with ``ValueError``, and a
-    coefficient that is not ``int`` or ``Fraction`` with ``TypeError``;
-    the context is kept.  The query is one row on its echelon's columns,
-    scaled to integers by the common denominator and reduced where it
-    stands; a monomial off those columns is in the ideal already.  A key
+    not of the ring (not a pair, a base that is not an ``int`` index of
+    its variables, or a shift that is not an ``int`` of at least 0),
+    named, or a query that is not homogeneous is refused there with
+    ``ValueError``, and a coefficient that is not ``int`` or ``Fraction``
+    with ``TypeError``; the context is kept.  The query is one row on its
+    echelon's columns, scaled to integers by the common denominator and
+    reduced where it stands; a monomial off those columns is in the ideal
+    already.  A key
     out of the canonical atom order of :meth:`RingSpec.normalize`, which
     would share a column with its reordering, is refused with
     ``ValueError`` after the degrees through the query's are learned, and
@@ -617,7 +619,7 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     try:
         degree2 = next((spec.mono_degree2(m) for m, c in poly.items() if c),
                        None)
-    except (IndexError, TypeError):  # a base past the variables or not int
+    except (IndexError, TypeError, ValueError):  # an atom not of the ring
         _refuse(spec, poly)
         raise
     if degree2 is None:

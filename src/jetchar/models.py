@@ -12,13 +12,17 @@ computed degree (models without a character are vacuously consistent).
 Expected MISMATCH entries are genuine: they record presentations whose
 jet Hilbert series provably deviates from the claimed character, with
 the first deviating doubled degree frozen in the registry.
+
+The 31 built-in models are the records of the package data file
+``registry.txt``, read at import by the record parser that
+:func:`load_registry_file` uses for a user's file; a built-in ring is
+built at its first use.
 """
 
-from itertools import combinations_with_replacement
+import os
 
 from . import combinat, jetquot, qseries
-from .qseries import sln_root_pairs
-from .superring import RingSpec, VariableSpec, _halves
+from .superring import RingSpec, VariableSpec
 
 
 class Model:
@@ -125,84 +129,11 @@ def matches_expectation(model, report):
 
 
 # ---------------------------------------------------------------------
-# Presentations, as texts in the grammar of RingSpec.parse_poly
-# ---------------------------------------------------------------------
-
-def _lattice(p):
-    """x, y of doubled weight p (odd for odd p), z even of weight 1:
-    x^2, y^2, xy - z^p, xz, yz."""
-    par = "odd" if p % 2 else "even"
-    x, y = "x(-%s)" % _halves(p), "y(-%s)" % _halves(p)
-    return ((("x", par, p), ("y", par, p), ("z", "even", 2)),
-            (x + "^2", y + "^2", "%s*%s - z(-1)^%d" % (x, y, p),
-             x + "*z(-1)", y + "*z(-1)"))
-
-
-def _graph(shape):
-    """One generator per vertex (see :func:`_graph_vertices`); one relation
-    x_i x_j per edge (i, j)."""
-    variables, edges = _graph_vertices(shape)
-    atom = ["%s(-%s)" % (name, _halves(w2)) for name, _, w2 in variables]
-    return (variables,
-            tuple("%s*%s" % (atom[i - 1], atom[j - 1]) for i, j in edges))
-
-
-def _graph_vertices(shape):
-    """The vertex variables x1..xn of a graph shape and its edges (i, j):
-    a loop vertex is odd of weight 3/2, any other vertex even of weight 1."""
-    if shape not in _GRAPH_SHAPES:
-        raise KeyError("unknown graph shape %r (known: %s)"
-                       % (shape, ", ".join(sorted(_GRAPH_SHAPES))))
-    nvert, edges = _GRAPH_SHAPES[shape]
-    loops = {i for i, j in edges if i == j}
-    return (tuple(("x%d" % i,) + (("odd", 3) if i in loops else ("even", 2))
-                  for i in range(1, nvert + 1)), edges)
-
-
-def _quadratic(names, pairs, relations):
-    """Model fields for even weight-1 generators ``names`` with one
-    quadratic relation per pair of names: the spanning rule has difference
-    2 within each colour and a boundary for each pair of distinct colours."""
-    return {"variables": [(x, "even", 2) for x in names],
-            "relations": relations,
-            "spanning": combinat.ColoredRules(
-                [(x, 2, False) for x in names],
-                dict.fromkeys(names, ((1, 4),)),
-                [(a, b) for a, b in pairs if a != b])}
-
-
-def _fs(n):
-    """n even generators of weight 1 and every quadratic monomial."""
-    names = ["x%d" % i for i in range(1, n + 1)]
-    pairs = list(combinations_with_replacement(names, 2))
-    return _quadratic(names, pairs, ["%s(-1)*%s(-1)" % p for p in pairs])
-
-
-def _sln(n):
-    """E_ij (i < j) even of weight 1; E_{i1 j1} E_{i2 j2} + E_{i1 j2} E_{i2 j1}
-    for every root pair."""
-    pairs = sln_root_pairs(n)
-    return _quadratic(
-        ["E%d%d" % r for r, s in pairs if r == s],
-        [("E%d%d" % r, "E%d%d" % s) for r, s in pairs],
-        ["E%d%d(-1)*E%d%d(-1) + E%d%d(-1)*E%d%d(-1)"
-         % (i1, j1, i2, j2, i1, j2, i2, j1) for (i1, j1), (i2, j2) in pairs])
-
-
-_N2_VARS = (("gp", "odd", 3), ("h", "even", 2), ("gm", "odd", 3))
-_N2_RELS = ("gp(-3/2)^2", "gm(-3/2)^2", "gp(-3/2)*gm(-3/2) - h(-1)^3",
-            "gp(-3/2)*h(-1)", "gm(-3/2)*h(-1)")
-_N2_AB = ("gp(-5/2)*gp(-3/2)", "gm(-5/2)*gm(-3/2)")
-_N2_C = ("gm(-9/2) - 1/3*h(-3)*gm(-3/2) - gm(-7/2)*h(-1)"
-         " + 1/3*gm(-5/2)*h(-1)^2")
-_N1_VARS = (("l", "even", 4), ("g", "odd", 3))
-_SL2_VARS = (("e", "even", 2), ("f", "even", 2), ("h", "even", 2))
-
-
-# ---------------------------------------------------------------------
 # Formula key dispatch (characters and the expand command)
 # ---------------------------------------------------------------------
 
+# the graphs of the graphsum keys: (vertices, edges (i, j) on 1..vertices);
+# a loop (i, i) makes vertex i odd of weight 3/2, the rest are even of weight 1
 _GRAPH_SHAPES = {
     "A1": (1, []), "A2": (2, [(1, 2)]), "A3": (3, [(1, 2), (2, 3)]),
     "A4": (4, [(1, 2), (2, 3), (3, 4)]),
@@ -233,10 +164,13 @@ def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
         if head == "jm2" and len(args) == 1:
             return qseries.jm2_closed(args[0], maxdeg2)
         if head == "graphsum" and len(args) == 1:
-            variables, edges = _graph_vertices(args[0])
+            if args[0] not in _GRAPH_SHAPES:
+                raise KeyError("unknown graph shape %r (known: %s)"
+                               % (args[0], ", ".join(sorted(_GRAPH_SHAPES))))
+            nvert, edges = _GRAPH_SHAPES[args[0]]
             return qseries.graph_sum(
                 [(i - 1, j - 1) for i, j in edges if i != j],
-                [p == "odd" for _, p, _ in variables], maxdeg2, limit)
+                [(i, i) in edges for i in range(1, nvert + 1)], maxdeg2, limit)
         if head == "ml" and len(args) == 2 and args[0].startswith("sl"):
             n = int(args[0][2:])  # "sl3" -> 3
             if args[1] == "lhs":
@@ -277,47 +211,11 @@ FORMULA_KEYS = (
 )
 
 
-# ---------------------------------------------------------------------
-# Spanning rules
-# ---------------------------------------------------------------------
-
-def _single_color_rules(weight2, odd, diffs):
-    return combinat.ColoredRules([("x", weight2, odd)],
-                                 {"x": tuple(diffs)} if diffs else {})
-
-
-def _graph_rules(key):
-    variables, edges = _graph_vertices(key)
-    names = [name for name, _, _ in variables]
-    return combinat.ColoredRules(
-        [(name, w2, parity == "odd") for name, parity, w2 in variables], {},
-        [(names[i - 1], names[j - 1]) for i, j in edges if i != j])
-
-
-def _ext_vir_rules(which):
-    if which == "xy":
-        return combinat.ColoredRules(
-            [("x", 4, False), ("y", 4, False)],
-            {"x": ((1, 4),), "y": ((1, 4),)})
-    if which == "uv_mixed":
-        return combinat.ColoredRules(
-            [("u", 4, False), ("v", 4, False)],
-            {"u": ((1, 4),), "v": ((2, 4),)}, [("u", "v")])
-    return None
 
 
 # ---------------------------------------------------------------------
-# Registry
+# Registry text: the built-in models and user files, in one grammar
 # ---------------------------------------------------------------------
-
-REGISTRY = {}
-
-
-def _register(model):
-    if model.key in REGISTRY:
-        raise ValueError("duplicate model key %r" % model.key)
-    REGISTRY[model.key] = model
-
 
 def get_model(key):
     try:
@@ -330,136 +228,6 @@ def model_keys():
     return sorted(REGISTRY)
 
 
-def _build_registry():
-    # Matches the level-1 affine sl2 picture.
-    _register(Model(
-        "lattice:2",
-        "rank-one even lattice, norm 2: x,y,z even; jets match theta:2",
-        *_lattice(2), character_key="theta:2"))
-    # Jet dimensions exceed the lattice character from degree2=8.
-    _register(Model(
-        "lattice:3",
-        "rank-one odd lattice, norm 3: x,y odd squares vanish identically",
-        *_lattice(3), character_key="theta:3", expected="MISMATCH",
-        expected_mismatch_degree2=8, default_maxdeg2=14))
-    _register(Model(
-        "positive_lattice:2",
-        "single norm-2 generator, <x^2>: Rogers-Ramanujan jets",
-        [("x", "even", 2)], ["x(-1)^2"], character_key="singlelattice:2",
-        spanning=_single_color_rules(2, False, [(1, 4)]), default_maxdeg2=40))
-    # Difference-3 counts are not reachable by a quadratic relation.
-    _register(Model(
-        "positive_lattice:3",
-        "single norm-3 generator: odd square vanishes, sum needs gap 3",
-        [("x", "odd", 3)], ["x(-3/2)^2"], character_key="singlelattice:3",
-        expected="MISMATCH", expected_mismatch_degree2=8, default_maxdeg2=40))
-    _register(Model(
-        "positive_lattice:4",
-        "single norm-4 generator with a quadratic relation only",
-        [("x", "even", 4)], ["x(-2)^2"], character_key="singlelattice:4",
-        expected="MISMATCH", expected_mismatch_degree2=12, default_maxdeg2=40))
-    # n2_c1:abc is Hilbert series only: the theta:3 character exceeds its
-    # jet dimensions at degree2=9, so no character is registered.
-    for variant, extras_desc, extras in (
-            ("bare", "no extra generators", ()),
-            ("ab", "extras a, b", _N2_AB),
-            ("abc", "extras a, b, c", _N2_AB + (_N2_C,))):
-        _register(Model(
-            "n2_c1:%s" % variant,
-            "two supercurrents and a current, c=1 presentation, " + extras_desc,
-            _N2_VARS, _N2_RELS, extras,
-            None if variant == "abc" else "theta:3",
-            combinat.GhRules() if variant in ("ab", "abc") else None,
-            "MISMATCH" if variant == "bare" else "ISO_CONSISTENT",
-            8 if variant == "bare" else None,
-            12))
-    _register(Model(
-        "n1_minimal:2", "one even and one odd generator, <l^2, l g>",
-        _N1_VARS, ["l(-2)^2", "l(-2)*g(-3/2)"], character_key="n1product:2",
-        spanning=combinat.Dk1Rules(2), default_maxdeg2=24))
-    _register(Model(
-        "n1_minimal:3", "one even and one odd generator, <l^3, l^2 g>",
-        _N1_VARS, ["l(-2)^3", "l(-2)^2*g(-3/2)"], character_key="n1product:3",
-        spanning=combinat.Dk1Rules(3), default_maxdeg2=24))
-    # The (3,5) character is not presented by <l^2>.
-    _register(Model(
-        "n1_odd_odd:3:5",
-        "both-odd minimal pair (3,5): quadratic relation only",
-        _N1_VARS, ["l(-2)^2"], character_key="n1char:3:5",
-        expected="MISMATCH", expected_mismatch_degree2=9))
-    _register(Model(
-        "virasoro_2_2k1:2", "single even weight-4 generator, <x^2>",
-        [("x", "even", 4)], ["x(-2)^2"], character_key="ag:2",
-        spanning=_single_color_rules(4, False, [(1, 4)]), default_maxdeg2=40))
-    _register(Model(
-        "virasoro_2_2k1:3", "single even weight-4 generator, <x^3>",
-        [("x", "even", 4)], ["x(-2)^3"], character_key="ag:3",
-        spanning=_single_color_rules(4, False, [(2, 4)]), default_maxdeg2=40))
-    for gkey, desc, dflt in (
-            ("A1", "single vertex, no relation", 40),
-            ("A2", "path on 2 vertices", 20),
-            ("A3", "path on 3 vertices", 20),
-            ("A4", "path on 4 vertices", 20),
-            ("A5", "path on 5 vertices", 14),
-            ("A6", "path on 6 vertices", 12),
-            ("C3", "cycle on 3 vertices", 16),
-            ("C5", "cycle on 5 vertices", 12),
-            ("L1", "single vertex with a loop (odd generator)", 40)):
-        _register(Model(
-            "graph:%s" % gkey, "graph model: " + desc, *_graph(gkey),
-            character_key="graphsum:%s" % gkey, spanning=_graph_rules(gkey),
-            default_maxdeg2=dflt))
-    _register(Model(
-        "fs_type:2", "all quadratic monomials in 2 even generators",
-        character_key="fs:2", default_maxdeg2=20, **_fs(2)))
-    _register(Model(
-        "fs_type:3", "all quadratic monomials in 3 even generators",
-        character_key="fs:3", default_maxdeg2=14, **_fs(3)))
-    _register(Model(
-        "sln_principal:3", "upper-triangular coordinates, symmetrized products",
-        character_key="ml:sl3:rhs", **_sln(3)))
-    _register(Model(
-        "sln_principal:4", "upper-triangular coordinates, symmetrized products",
-        character_key="ml:sl4:rhs", default_maxdeg2=14, **_sln(4)))
-    # Relations: ad_f^i(e^2) for i = 0..4, as derived by the test helper
-    # adjoint_generators_sl2(1) in tests/test_models.py.
-    _register(Model(
-        "sl2_affine:1", "adjoint-orbit generators of e^2 in C[e,f,h]",
-        _SL2_VARS,
-        ["e(-1)^2", "-2*e(-1)*h(-1)", "2*h(-1)^2 - 4*e(-1)*f(-1)",
-         "12*f(-1)*h(-1)", "24*f(-1)^2"],
-        character_key="theta:2", default_maxdeg2=14))
-    # Hilbert series only.  Relations: ad_f^i(e^3) for i = 0..6, the test
-    # helper adjoint_generators_sl2(2) in tests/test_models.py.
-    _register(Model(
-        "sl2_affine:2", "adjoint-orbit generators of e^3 in C[e,f,h]",
-        _SL2_VARS,
-        ["e(-1)^3", "-3*e(-1)^2*h(-1)",
-         "6*e(-1)*h(-1)^2 - 6*e(-1)^2*f(-1)",
-         "-6*h(-1)^3 + 36*e(-1)*f(-1)*h(-1)",
-         "-72*f(-1)*h(-1)^2 + 72*e(-1)*f(-1)^2",
-         "-360*f(-1)^2*h(-1)", "-720*f(-1)^3"],
-        default_maxdeg2=12))
-    for which, names, relations in (
-            ("xy", "xy", ["x(-2)^2", "y(-2)^2"]),
-            ("uv_sum", "uv", ["u(-2)*v(-2)", "u(-2)^2 + v(-2)^2", "u(-2)^3",
-                              "v(-2)^3"]),
-            ("uv_mixed", "uv", ["u(-2)^2", "v(-2)^3", "u(-2)*v(-2)"])):
-        _register(Model(
-            "ext_vir:%s" % which,
-            "two even weight-4 generators, flavor " + which,
-            [(v, "even", 4) for v in names], relations,
-            character_key="extvir:pair", spanning=_ext_vir_rules(which),
-            default_maxdeg2=20))
-
-
-_build_registry()
-
-
-# ---------------------------------------------------------------------
-# Text registry files
-# ---------------------------------------------------------------------
-
 def load_registry_file(path):
     """Parse a text registry of extra models.
 
@@ -471,110 +239,164 @@ def load_registry_file(path):
         relation POLY          # e.g. 3/2 * x1(-1)^2 * g1(-3/2)
         extra POLY
         character FORMULA_KEY  # optional, e.g. theta:2
+        spanning colored | gh | dk1 K
+        difference NAME DIST GAP2
+        boundary S T
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
     A field the record leaves out takes the default of :class:`Model`; the
-    description defaults to "user model".  Returns a dict key -> Model; a
-    key given twice, or with whitespace in it, is an error.  Every ring is
-    built while the file loads, so a relation that does not parse, divides
-    by zero or is not homogeneous raises ValueError naming the file and
-    the model.
+    description defaults to "user model".  ``spanning`` names the spanning
+    rule: ``colored`` is a :class:`~jetchar.combinat.ColoredRules` whose
+    colours are the model's variables, in order, with the repeatable
+    ``difference`` and ``boundary`` lines as its conditions; ``gh`` is
+    :class:`~jetchar.combinat.GhRules` and ``dk1 K`` is
+    ``Dk1Rules(K)``.  Returns a dict key -> Model; a key given twice, or
+    with whitespace in it, is an error.  Every ring is built while the
+    file loads, so a relation that does not parse, divides by zero or is
+    not homogeneous raises ValueError naming the file and the model, as
+    does a formula key that does not resolve.
     """
-    records = []
-    current = None
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                head = line[1:-1].split()
-                if head[:1] != ["model"] or len(head) > 2:
-                    raise ValueError("%s:%d: bad header %r, want [model KEY]"
-                                     % (path, lineno, line))
-                if len(head) < 2:
-                    raise ValueError("%s:%d: missing model key" % (path, lineno))
-                key = head[1]
-                if any(rec["key"] == key for rec in records):
-                    raise ValueError("%s:%d: duplicate model key %r"
-                                     % (path, lineno, key))
-                current = {"key": key, "variables": [], "relations": [],
-                           "extras": []}
-                records.append(current)
-                continue
-            if current is None:
-                raise ValueError("%s:%d: content before [model ...]"
-                                 % (path, lineno))
-            field, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if field == "description":
-                current["description"] = rest
-            elif field == "variable":
-                bits = rest.split()
-                if len(bits) != 3 or bits[1] not in ("even", "odd"):
-                    raise ValueError("%s:%d: bad variable line" % (path, lineno))
-                current["variables"].append((bits[0], bits[1], _int_field(
-                    path, lineno, "variable weight2", bits[2])))
-            elif field in ("relation", "extra"):
-                current[field + "s"].append(rest)
-            elif field == "character":
-                current["character_key"] = None if rest == "none" else rest
-            elif field == "expect":
-                verdict, at, deg = rest.partition("@")
-                if verdict not in ("ISO_CONSISTENT", "MISMATCH"):
-                    raise ValueError("%s:%d: bad verdict %r"
-                                     % (path, lineno, verdict))
-                if at and verdict != "MISMATCH":
-                    raise ValueError("%s:%d: only MISMATCH takes a degree2, "
-                                     "got %r" % (path, lineno, rest))
-                current["expected"] = verdict
-                current["expected_mismatch_degree2"] = _degree2_field(
-                    path, lineno, "expect degree2", deg) if at else None
-            elif field == "maxdeg2":
-                current["default_maxdeg2"] = _degree2_field(
-                    path, lineno, "maxdeg2", rest)
-            else:
-                raise ValueError("%s:%d: unknown field %r"
-                                 % (path, lineno, field))
-    out = {}
-    for rec in records:
-        out[rec["key"]] = _record_to_model(path, rec)
+        out = _read_models(path, fh)
+    for model in out.values():
+        where = "%s: model %s: " % (path, model.key)
+        try:
+            model.ring()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(where + "%s: %s" % (type(exc).__name__, exc))
+        if model.character_key is not None:
+            try:
+                qseries_formula(model.character_key, 0)
+            except KeyError as exc:
+                raise ValueError(where + exc.args[0]) from None
     return out
 
 
-def _int_field(path, lineno, field, text):
+def _read_models(path, lines):
+    """Models of the registry text ``lines`` read from ``path``, in file
+    order, their rings not yet built; the record parser of both the
+    built-in registry and :func:`load_registry_file`.
+
+    A line that does not read is a ValueError ``PATH:LINE: MESSAGE``, a
+    record that does not make a model one ``PATH: model KEY: MESSAGE``."""
+    records = {}
+    current = None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        at = "%s:%d: " % (path, lineno)
+        if line.startswith("[") and line.endswith("]"):
+            head = line[1:-1].split()
+            if head[:1] != ["model"] or len(head) > 2:
+                raise ValueError(at + "bad header %r, want [model KEY]"
+                                 % line)
+            if len(head) < 2:
+                raise ValueError(at + "missing model key")
+            key = head[1]
+            if key in records:
+                raise ValueError(at + "duplicate model key %r" % key)
+            current = records[key] = {
+                "key": key, "variables": [], "relations": [], "extras": [],
+                "differences": {}, "boundaries": []}
+            continue
+        if current is None:
+            raise ValueError(at + "content before [model ...]")
+        field, _, rest = line.partition(" ")
+        rest = rest.strip()
+        bits = rest.split()
+        if field == "description":
+            current["description"] = rest
+        elif field == "variable":
+            if len(bits) != 3 or bits[1] not in ("even", "odd"):
+                raise ValueError(at + "bad variable line")
+            current["variables"].append((bits[0], bits[1], _int_field(
+                at, "variable weight2", bits[2])))
+        elif field in ("relation", "extra"):
+            current[field + "s"].append(rest)
+        elif field == "character":
+            current["character_key"] = None if rest == "none" else rest
+        elif field == "spanning":
+            if bits == ["colored"]:  # built once the variables are read
+                current["spanning"] = "colored"
+            elif bits == ["gh"]:
+                current["spanning"] = combinat.GhRules()
+            elif bits[:1] == ["dk1"] and len(bits) == 2:
+                k = _int_field(at, "spanning dk1 K", bits[1])
+                try:
+                    current["spanning"] = combinat.Dk1Rules(k)
+                except ValueError as exc:
+                    raise ValueError(at + str(exc)) from None
+            else:
+                raise ValueError(at + "bad spanning %r, want colored, gh "
+                                 "or dk1 K" % rest)
+        elif field == "difference":
+            if len(bits) != 3:
+                raise ValueError(at + "bad difference line, want "
+                                 "difference NAME DIST GAP2")
+            current["differences"].setdefault(bits[0], []).append(
+                (_int_field(at, "difference DIST", bits[1]),
+                 _int_field(at, "difference GAP2", bits[2])))
+        elif field == "boundary":
+            if len(bits) != 2:
+                raise ValueError(at + "bad boundary line, want boundary S T")
+            current["boundaries"].append(tuple(bits))
+        elif field == "expect":
+            verdict, sep, deg = rest.partition("@")
+            if verdict not in ("ISO_CONSISTENT", "MISMATCH"):
+                raise ValueError(at + "bad verdict %r" % verdict)
+            if sep and verdict != "MISMATCH":
+                raise ValueError(at + "only MISMATCH takes a degree2, got %r"
+                                 % rest)
+            current["expected"] = verdict
+            current["expected_mismatch_degree2"] = _degree2_field(
+                at, "expect degree2", deg) if sep else None
+        elif field == "maxdeg2":
+            current["default_maxdeg2"] = _degree2_field(at, "maxdeg2", rest)
+        else:
+            raise ValueError(at + "unknown field %r" % field)
+    return {key: _record_to_model(path, rec) for key, rec in records.items()}
+
+
+def _int_field(at, field, text):
     try:
         return int(text)
     except ValueError:
-        raise ValueError("%s:%d: %s must be an integer, got %r"
-                         % (path, lineno, field, text)) from None
+        raise ValueError(at + "%s must be an integer, got %r"
+                         % (field, text)) from None
 
 
-def _degree2_field(path, lineno, field, text):
-    value = _int_field(path, lineno, field, text)
+def _degree2_field(at, field, text):
+    value = _int_field(at, field, text)
     if value < 0:
-        raise ValueError("%s:%d: %s must be >= 0, got %d"
-                         % (path, lineno, field, value))
+        raise ValueError(at + "%s must be >= 0, got %d" % (field, value))
     return value
 
 
 def _record_to_model(path, rec):
-    """A Model whose ring is built and validated now, not at first use.
-
-    Every failure is a ValueError ``PATH: model KEY: MESSAGE``."""
+    """The Model of one parsed record; its ring is built at first use."""
     where = "%s: model %s: " % (path, rec["key"])
     if not rec["variables"]:
         raise ValueError(where + "no variables")
     rec["description"] = rec.get("description") or "user model"
-    model = Model(**rec)
-    try:
-        model.ring()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(where + "%s: %s" % (type(exc).__name__, exc))
-    if model.character_key is not None:
+    differences = {name: tuple(rules)
+                   for name, rules in rec.pop("differences").items()}
+    boundaries = rec.pop("boundaries")
+    if rec.get("spanning") == "colored":
         try:
-            qseries_formula(model.character_key, 0)  # validate the key early
-        except KeyError as exc:
-            raise ValueError(where + exc.args[0]) from None
-    return model
+            rec["spanning"] = combinat.ColoredRules(
+                [(name, w2, parity == "odd")
+                 for name, parity, w2 in rec["variables"]],
+                differences, boundaries)
+        except ValueError as exc:
+            raise ValueError(where + str(exc)) from None
+    elif differences or boundaries:
+        raise ValueError(where + "difference and boundary lines need "
+                         "spanning colored")
+    return Model(**rec)
+
+
+_BUILTIN = os.path.join(os.path.dirname(__file__), "registry.txt")
+with open(_BUILTIN, encoding="utf-8") as _fh:
+    REGISTRY = _read_models(_BUILTIN, _fh)

@@ -459,7 +459,7 @@ def test_colored_count_builds_each_color_table_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(combinat, "_color_profiles", counting)
-    count_constrained(models._graph_rules("A4"), 20)
+    count_constrained(get_model("graph:A4").spanning, 20)
     assert len(calls) == len(set(calls)) == 3
 
 

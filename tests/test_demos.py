@@ -44,14 +44,16 @@ def test_every_exported_name_resolves():
     ("jetchar", "adjoint_generators_sl2"),
     ("jetchar.models", "adjoint_generators_sl2"),
     ("jetchar.qseries", "rr_sum"),
+    ("jetchar.models", "_build_registry"), ("jetchar.models", "_register"),
 ])
 def test_removed_duplicates_stay_gone(module, name):
     """Each job has one entry point: models.verify compares, graphsum:
     formula keys build graph characters, the rule classes are passed
     to count_constrained directly, whose series gives the count at each
-    degree, RingSpec.atom_key is the one monomial order, and
-    single_lattice_sum(2) is the Rogers-Ramanujan sum.  Code that only
-    tests call lives in the tests."""
+    degree, RingSpec.atom_key is the one monomial order,
+    single_lattice_sum(2) is the Rogers-Ramanujan sum, and the built-in
+    models are registry text, read by the one record parser.  Code that
+    only tests call lives in the tests."""
     mod = sys.modules[module]
     assert not hasattr(mod, name)
     assert name not in getattr(mod, "__all__", ())

@@ -1388,13 +1388,14 @@ def test_contains_refuses_a_key_out_of_canonical_order(monkeypatch):
 
 
 @pytest.mark.parametrize("atom", [(0, -1), (7, 0), (0, 0.5), (0, 1.0),
-                                  (0.0, 0), (0, 2.0)])
+                                  (0.0, 0), (0, 2.0), 5, (0, 1, 2), (0,)])
 def test_contains_refuses_an_atom_not_of_the_ring(monkeypatch, atom):
     """A key whose atom has a negative shift, a base past the ring's
-    variables, or a base or shift that is not an int is refused with a
-    ValueError that names the atom, before any slice is built, and the
-    ring's kept context is put back.  (0, 2.0) equals the atom of x(-3),
-    whose degree is that of the other key."""
+    variables, or a base or shift that is not an int, or that is not a
+    pair at all, is refused with a ValueError that names the atom, before
+    any slice is built, and the ring's kept context is put back, whether
+    the atom is alone in its key or follows a good one.  (0, 2.0) equals
+    the atom of x(-3), whose degree is that of the other key."""
     spec = models.get_model("lattice:2").ring()
     (m, _), = spec.parse_poly("z(-1)*x(-2)").items()
     assert not contains(spec, {m: 1})
@@ -1403,7 +1404,7 @@ def test_contains_refuses_an_atom_not_of_the_ring(monkeypatch, atom):
     learn = jetquot._learn
     monkeypatch.setattr(jetquot, "_learn",
                         lambda tpowers, d: learned.append(d) or learn(tpowers, d))
-    for query in ({(atom,): 1}, {m: 1, (atom,): 2}):
+    for query in ({(atom,): 1}, {m: 1, (atom,): 2}, {((0, 0), atom): 1}):
         with pytest.raises(ValueError, match=re.escape(str(atom))):
             contains(spec, query)
         assert _CONTEXTS[spec] is kept and learned == []

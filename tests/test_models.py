@@ -7,8 +7,8 @@ import pytest
 from jetchar import (REGISTRY, RingSpec, VariableSpec, get_model,
                      hilbert_series, load_registry_file, matches_expectation,
                      model_keys, qseries_formula, verify, FORMULA_KEYS)
-from jetchar import jetquot
-from jetchar.models import _SL2_VARS, sln_root_pairs
+from jetchar import combinat, jetquot, models
+from jetchar.qseries import sln_root_pairs
 
 
 # ------------------------------------------------------------- registry
@@ -117,7 +117,8 @@ def adjoint_generators_sl2(k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = RingSpec(VariableSpec(*v) for v in _SL2_VARS)
+    spec = RingSpec(VariableSpec(*v)
+                    for v in get_model("sl2_affine:1").variables)
     image = {
         spec.atom("e"): spec.poly([(-1, (spec.atom("h"),))]),
         spec.atom("h"): spec.poly([(2, (spec.atom("f"),))]),
@@ -309,6 +310,8 @@ description one even generator with a quadratic relation
 variable x even 2
 relation x(-1)^2
 character rr
+spanning colored
+difference x 1 4
 expect ISO_CONSISTENT
 maxdeg2 12
 """
@@ -324,6 +327,9 @@ def test_load_registry_file_roundtrip(tmp_path):
     report = verify(m)
     assert report.verdict == "ISO_CONSISTENT"
     assert matches_expectation(m, report)
+    # <x(-1)^2> with difference-2 partitions is positive_lattice:2
+    assert ([row["spanning"] for row in verify(m, 40).rows]
+            == [row["spanning"] for row in verify("positive_lattice:2").rows])
 
 
 def test_load_registry_file_minimal_record_takes_model_defaults(tmp_path):
@@ -372,6 +378,25 @@ expect MISMATCH@3
     ("[models bar]\nvariable x even 2\n", "bad header '[models bar]'"),
     ("[model a]\nexpect ISO_CONSISTENT\n", "no variables"),
     ("[model a]\nvariable x even 2\ncharacter wat:1\n", "unknown formula"),
+    # the spanning field: a rule kind, then a colored rule's conditions
+    ("[model a]\nvariable x even 2\nspanning wat\n",
+     ":3: bad spanning 'wat', want colored, gh or dk1 K"),
+    ("[model a]\nvariable x even 2\nspanning dk1 1\n",
+     ":3: D_{k,1} conditions require an int k >= 2"),
+    ("[model a]\nvariable x even 2\nspanning dk1 two\n",
+     ":3: spanning dk1 K must be an integer, got 'two'"),
+    ("[model a]\nvariable x even 2\ndifference x 1 4\n",
+     ": model a: difference and boundary lines need spanning colored"),
+    ("[model a]\nvariable x even 2\nspanning gh\nboundary x x\n",
+     ": model a: difference and boundary lines need spanning colored"),
+    ("[model a]\nvariable x even 2\nspanning colored\ndifference x 1 four\n",
+     ":4: difference GAP2 must be an integer, got 'four'"),
+    ("[model a]\nvariable x even 2\nspanning colored\ndifference x 1\n",
+     ":4: bad difference line"),
+    ("[model a]\nvariable x even 2\nspanning colored\ndifference y 1 4\n",
+     ": model a: difference rule for unknown color 'y'"),
+    ("[model a]\nvariable x even 2\nspanning colored\nboundary x y\n",
+     ": model a: boundary rule ('x', 'y') for unknown color"),
 ])
 def test_load_registry_file_errors(tmp_path, text, fragment):
     path = tmp_path / "models.txt"
@@ -397,36 +422,23 @@ def test_load_registry_file_bad_polynomial(tmp_path):
         assert str(path) in str(err.value) and "model a" in str(err.value)
 
 
-def _as_record(m):
-    """A built-in model written as a registry-file record."""
-    expect = m.expected
-    if m.expected_mismatch_degree2 is not None:
-        expect += "@%d" % m.expected_mismatch_degree2
-    return "\n".join(
-        ["[model %s]" % m.key, "description " + m.description]
-        + ["variable %s %s %d" % v for v in m.variables]
-        + ["relation " + r for r in m.relations]
-        + ["extra " + e for e in m.extras]
-        + ["character %s" % (m.character_key or "none"),
-           "expect " + expect, "maxdeg2 %d" % m.default_maxdeg2]) + "\n"
+def _fields(m):
+    rules = m.spanning
+    return (m.description, m.variables, m.relations, m.extras,
+            m.character_key, None if rules is None else (type(rules),
+                                                         vars(rules)),
+            m.expected, m.expected_mismatch_degree2, m.default_maxdeg2)
 
 
-def test_builtin_models_are_registry_records(tmp_path):
-    """Every built-in presentation, written in the registry-file grammar,
-    loads to the same ring and the same expectations."""
-    path = tmp_path / "builtin.txt"
-    path.write_text("\n".join(_as_record(get_model(k)) for k in model_keys()))
-    loaded = load_registry_file(str(path))
-    assert sorted(loaded) == model_keys()
+def test_builtin_models_are_registry_records():
+    """The shipped registry loads through load_registry_file, every ring
+    built and every formula key resolved there, to the models of
+    REGISTRY, field by field, spanning rules included."""
+    loaded = load_registry_file(models._BUILTIN)
+    assert list(loaded) == list(REGISTRY) and len(loaded) == 31
     for key, m in loaded.items():
-        builtin = get_model(key)
-        want, got = builtin.ring(), m.ring()
-        assert got.name == want.name == key
-        assert ([(v.name, v.parity, v.weight2) for v in got.variables]
-                == [(v.name, v.parity, v.weight2) for v in want.variables])
-        assert got.relations == want.relations, key
-        assert got.extras == want.extras, key
-        assert (m.description, m.character_key, m.expected,
-                m.expected_mismatch_degree2, m.default_maxdeg2) == (
-            builtin.description, builtin.character_key, builtin.expected,
-            builtin.expected_mismatch_degree2, builtin.default_maxdeg2)
+        assert _fields(m) == _fields(get_model(key)), key
+    kinds = [type(m.spanning) for m in loaded.values()]
+    assert (kinds.count(combinat.ColoredRules), kinds.count(combinat.GhRules),
+            kinds.count(combinat.Dk1Rules), kinds.count(type(None))) == (
+        18, 2, 2, 9)
