@@ -241,7 +241,7 @@ class _TPowers:
     ``limit`` of them (:meth:`_table`).
 
     ``echelons`` maps a degree to the :class:`Echelon` of its slice, for
-    the degrees that :func:`contains` has asked; :func:`hilbert_series`
+    the degrees that :func:`contains` has learned; :func:`hilbert_series`
     keeps none.
     """
 
@@ -589,9 +589,9 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
     query on a ring costs about a ``hilbert_series`` to its degree.  The
     query is a member exactly when it reduces to zero against the echelon
     of its degree's slice, which is kept in the context, so a later query
-    of the degree only reduces.  A degree learned for a higher query but
-    never asked builds one :func:`ideal_basis` on its cut table: a cut
-    monomial is in the ideal, so the answer is that of the whole slice.
+    of the degree only reduces.  The echelon of every degree learned is
+    kept, so a degree learned for a higher query builds no rows when it is
+    first asked.
 
     The query is read in one pass before any slice is built.  Zero terms
     are skipped, so they change no answer and no degree; the first other
@@ -658,19 +658,15 @@ def contains(spec, poly, limit=DEFAULT_MONOMIAL_LIMIT):
             raise
         raise TypeError("coefficients must be int or Fraction, not %s: %r"
                         % (type(c).__name__, c)) from None
-    # every table of a kept context is learned
-    ech = tpowers.echelons.get(degree2)
+    # every table of a kept context is learned, its echelon kept
     for d in range(len(tpowers._tables), degree2 + 1):
-        ech = _learn(tpowers, d)
-    if unordered is not None:
-        _CONTEXTS[spec] = tpowers  # whole: nothing of the query is in it
-        raise ValueError("monomial %r is not in canonical atom order"
-                         % (unordered,))
-    if ech is None:  # learned for a higher query: its table is cut
-        ech, _ = ideal_basis(tpowers, degree2)
-    tpowers.echelons[degree2] = ech
+        tpowers.echelons[d] = _learn(tpowers, d)
     # put back only now: another call may then grow and cut its tables
     _CONTEXTS[spec] = tpowers
+    if unordered is not None:  # nothing of the query is in the context
+        raise ValueError("monomial %r is not in canonical atom order"
+                         % (unordered,))
+    ech = tpowers.echelons[degree2]
     columns = ech.columns
     row = {columns[p]: c.numerator * (denom // c.denominator)
            for p, c in terms.items() if p in columns}

@@ -132,19 +132,6 @@ def matches_expectation(model, report):
 # Formula key dispatch (characters and the expand command)
 # ---------------------------------------------------------------------
 
-# the graphs of the graphsum keys: (vertices, edges (i, j) on 1..vertices);
-# a loop (i, i) makes vertex i odd of weight 3/2, the rest are even of weight 1
-_GRAPH_SHAPES = {
-    "A1": (1, []), "A2": (2, [(1, 2)]), "A3": (3, [(1, 2), (2, 3)]),
-    "A4": (4, [(1, 2), (2, 3), (3, 4)]),
-    "A5": (5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
-    "A6": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
-    "C3": (3, [(1, 2), (2, 3), (1, 3)]),
-    "C5": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
-    "L1": (1, [(1, 1)]),
-}
-
-
 def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
     """Resolve a formula key like "theta:3" or "jm:A4" to a QSeries; a
     fermionic sum holds at most ``limit`` states per level."""
@@ -164,13 +151,14 @@ def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
         if head == "jm2" and len(args) == 1:
             return qseries.jm2_closed(args[0], maxdeg2)
         if head == "graphsum" and len(args) == 1:
-            if args[0] not in _GRAPH_SHAPES:
+            if args[0] not in _GRAPHS:
                 raise KeyError("unknown graph shape %r (known: %s)"
-                               % (args[0], ", ".join(sorted(_GRAPH_SHAPES))))
-            nvert, edges = _GRAPH_SHAPES[args[0]]
+                               % (args[0], ", ".join(_GRAPHS)))
+            rules = REGISTRY["graph:" + args[0]].spanning
+            names = [name for name, _, _ in rules.colors]
             return qseries.graph_sum(
-                [(i - 1, j - 1) for i, j in edges if i != j],
-                [(i, i) in edges for i in range(1, nvert + 1)], maxdeg2, limit)
+                [tuple(map(names.index, edge)) for edge in rules.boundaries],
+                [odd for _, _, odd in rules.colors], maxdeg2, limit)
         if head == "ml" and len(args) == 2 and args[0].startswith("sl"):
             n = int(args[0][2:])  # "sl3" -> 3
             if args[1] == "lhs":
@@ -198,19 +186,6 @@ def qseries_formula(key, maxdeg2, limit=jetquot.DEFAULT_MONOMIAL_LIMIT):
     except (KeyError, ValueError) as exc:
         raise KeyError("bad formula key %r: %s" % (key, exc.args[0]))
     raise KeyError("unknown formula key %r" % (key,))
-
-
-FORMULA_KEYS = (
-    ["theta:2", "theta:3", "poch:0", "poch:2", "poch:inf", "invpoch:inf",
-     "rr", "fermion", "extvir:pair", "extvir:triple"]
-    + ["jm:A%d" % i for i in range(2, 7)] + ["jm2:C3", "jm2:C5"]
-    + ["graphsum:%s" % g for g in sorted(_GRAPH_SHAPES)]
-    + ["ml:sl3:lhs", "ml:sl3:rhs", "ml:sl4:lhs", "ml:sl4:rhs"]
-    + ["n1product:2", "n1product:3", "n1char:3:5", "ag:2", "ag:3",
-       "singlelattice:2", "singlelattice:3", "fs:2", "fs:3"]
-)
-
-
 
 
 # ---------------------------------------------------------------------
@@ -242,6 +217,7 @@ def load_registry_file(path):
         spanning colored | gh | dk1 K
         difference NAME DIST GAP2
         boundary S T
+        graph N I-J ...        # e.g. graph 3 1-2 2-3
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
@@ -251,11 +227,17 @@ def load_registry_file(path):
     colours are the model's variables, in order, with the repeatable
     ``difference`` and ``boundary`` lines as its conditions; ``gh`` is
     :class:`~jetchar.combinat.GhRules` and ``dk1 K`` is
-    ``Dk1Rules(K)``.  Returns a dict key -> Model; a key given twice, or
-    with whitespace in it, is an error.  Every ring is built while the
-    file loads, so a relation that does not parse, divides by zero or is
-    not homogeneous raises ValueError naming the file and the model, as
-    does a formula key that does not resolve.
+    ``Dk1Rules(K)``.  A ``graph`` line states a graph vertex algebra: N
+    vertices ``x1``..``xN``, one edge per ``I-J``, a loop ``I-I`` making
+    vertex I odd of weight2 3 and every other vertex even of weight2 2.
+    It stands for those variables, one relation ``xI(-1)*xJ(-1)`` per edge
+    in the order given (``xI(-3/2)`` for an odd vertex) and ``spanning
+    colored`` with a ``boundary xI xJ`` per edge that is not a loop, so
+    its record has none of those lines.  Returns a dict key -> Model; a
+    key given twice, or with whitespace in it, is an error.  Every ring is
+    built while the file loads, so a relation that does not parse, divides
+    by zero or is not homogeneous raises ValueError naming the file and the
+    model, as does a formula key that does not resolve.
     """
     with open(path) as fh:
         out = _read_models(path, fh)
@@ -331,6 +313,15 @@ def _read_models(path, lines):
             else:
                 raise ValueError(at + "bad spanning %r, want colored, gh "
                                  "or dk1 K" % rest)
+        elif field == "graph":
+            nvert = _int_field(at, "graph N", bits[0] if bits else "")
+            vertices = [str(v) for v in range(1, nvert + 1)]
+            edges = [edge.split("-") for edge in bits[1:]]
+            for edge in edges:
+                if len(edge) != 2 or not set(edge) <= set(vertices):
+                    raise ValueError(at + "bad edge %r, want I-J on 1..%d"
+                                     % ("-".join(edge), nvert))
+            current["graph"] = vertices, edges
         elif field == "difference":
             if len(bits) != 3:
                 raise ValueError(at + "bad difference line, want "
@@ -377,6 +368,20 @@ def _degree2_field(at, field, text):
 def _record_to_model(path, rec):
     """The Model of one parsed record; its ring is built at first use."""
     where = "%s: model %s: " % (path, rec["key"])
+    if "graph" in rec:
+        if "spanning" in rec or any(rec[field] for field in (
+                "variables", "relations", "differences", "boundaries")):
+            raise ValueError(where + "a graph line takes no variable, "
+                             "relation, spanning, difference or boundary line")
+        vertices, edges = rec.pop("graph")
+        odd = {i for i, j in edges if i == j}
+        rec["variables"] = [("x" + v, "odd", 3) if v in odd
+                            else ("x" + v, "even", 2) for v in vertices]
+        atom = {v: "x%s(-%s)" % (v, "3/2" if v in odd else "1")
+                for v in vertices}
+        rec["relations"] = [atom[i] + "*" + atom[j] for i, j in edges]
+        rec["spanning"] = "colored"
+        rec["boundaries"] = [("x" + i, "x" + j) for i, j in edges if i != j]
     if not rec["variables"]:
         raise ValueError(where + "no variables")
     rec["description"] = rec.get("description") or "user model"
@@ -400,3 +405,16 @@ def _record_to_model(path, rec):
 _BUILTIN = os.path.join(os.path.dirname(__file__), "registry.txt")
 with open(_BUILTIN, encoding="utf-8") as _fh:
     REGISTRY = _read_models(_BUILTIN, _fh)
+
+# the graphs of the graphsum keys: graphsum:NAME reads the quadratic form of
+# the built-in record graph:NAME
+_GRAPHS = sorted(key[6:] for key in REGISTRY if key.startswith("graph:"))
+FORMULA_KEYS = (
+    ["theta:2", "theta:3", "poch:0", "poch:2", "poch:inf", "invpoch:inf",
+     "rr", "fermion", "extvir:pair", "extvir:triple"]
+    + ["jm:A%d" % i for i in range(2, 7)] + ["jm2:C3", "jm2:C5"]
+    + ["graphsum:%s" % g for g in _GRAPHS]
+    + ["ml:sl3:lhs", "ml:sl3:rhs", "ml:sl4:lhs", "ml:sl4:rhs"]
+    + ["n1product:2", "n1product:3", "n1char:3:5", "ag:2", "ag:3",
+       "singlelattice:2", "singlelattice:3", "fs:2", "fs:3"]
+)

@@ -1,8 +1,10 @@
 """The public surface scripts rely on: every demo runs to completion, and
-the package exports exactly the names it advertises.
+the package exports exactly the names it advertises.  The package's
+source holds no floating point.
 
 Each demo asserts what it prints, so exit status 0 means its claims held.
 """
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,7 @@ def test_every_exported_name_resolves():
     ("jetchar.models", "adjoint_generators_sl2"),
     ("jetchar.qseries", "rr_sum"),
     ("jetchar.models", "_build_registry"), ("jetchar.models", "_register"),
+    ("jetchar.models", "_GRAPH_SHAPES"),
 ])
 def test_removed_duplicates_stay_gone(module, name):
     """Each job has one entry point: models.verify compares, graphsum:
@@ -52,8 +55,26 @@ def test_removed_duplicates_stay_gone(module, name):
     to count_constrained directly, whose series gives the count at each
     degree, RingSpec.atom_key is the one monomial order,
     single_lattice_sum(2) is the Rogers-Ramanujan sum, and the built-in
-    models are registry text, read by the one record parser.  Code that
+    models are registry text, read by the one record parser, each graph
+    stated once, by its record's graph line.  Code that
     only tests call lives in the tests."""
     mod = sys.modules[module]
     assert not hasattr(mod, name)
     assert name not in getattr(mod, "__all__", ())
+
+
+def _floats(path):
+    """The lines of ``path`` with a float literal or a call of ``float``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"]
+
+
+def test_the_package_holds_no_floating_point():
+    """Counts and coefficients are exact (ROADMAP aim 3): no module of the
+    package writes a float literal or calls float."""
+    paths = sorted((ROOT / "src" / "jetchar").glob("*.py"))
+    assert paths
+    found = [(path.name, line) for path in paths for line in _floats(path)]
+    assert found == []

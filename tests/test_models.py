@@ -397,7 +397,19 @@ expect MISMATCH@3
      ": model a: difference rule for unknown color 'y'"),
     ("[model a]\nvariable x even 2\nspanning colored\nboundary x y\n",
      ": model a: boundary rule ('x', 'y') for unknown color"),
-])
+    # the graph line: N vertices, then edges I-J on 1..N
+    ("[model a]\ngraph\n", ":2: graph N must be an integer, got ''"),
+    ("[model a]\ngraph three 1-2\n",
+     ":2: graph N must be an integer, got 'three'"),
+    ("[model a]\ngraph 3 1-2 2_3\n", ":2: bad edge '2_3', want I-J on 1..3"),
+    ("[model a]\ngraph 3 1-2-3\n", ":2: bad edge '1-2-3', want I-J on 1..3"),
+    ("[model a]\ngraph 3 1-4\n", ":2: bad edge '1-4', want I-J on 1..3"),
+    ("[model a]\ngraph 3 0-1\n", ":2: bad edge '0-1', want I-J on 1..3"),
+] + [("[model a]\ngraph 2 1-2\n" + line, ": model a: a graph line takes no "
+      "variable, relation, spanning, difference or boundary line")
+     for line in ("variable y even 2\n", "relation x1(-1)^2\n",
+                  "spanning colored\n", "difference x1 1 4\n",
+                  "boundary x1 x2\n")])
 def test_load_registry_file_errors(tmp_path, text, fragment):
     path = tmp_path / "models.txt"
     path.write_text(text)
@@ -420,6 +432,36 @@ def test_load_registry_file_bad_polynomial(tmp_path):
             load_registry_file(str(path))
         assert fragment in str(err.value)
         assert str(path) in str(err.value) and "model a" in str(err.value)
+
+
+@pytest.mark.parametrize("edges,maxdeg2,verdict", [
+    ("1-2 2-3", 16, "ISO_CONSISTENT"),
+    ("1-2 2-3 1-3", 4, "MISMATCH"),
+])
+def test_a_user_graph_line_verifies_against_graphsum(tmp_path, edges, maxdeg2,
+                                                     verdict):
+    """The path on 3 vertices, stated by a graph line, meets graphsum:A3 at
+    its default truncation; the triangle does not."""
+    path = tmp_path / "models.txt"
+    path.write_text("[model user:g]\ngraph 3 %s\ncharacter graphsum:A3\n"
+                    % edges)
+    m = load_registry_file(str(path))["user:g"]
+    assert m.default_maxdeg2 == 16
+    assert verify(m, maxdeg2).verdict == verdict
+
+
+def test_graph_lines_expand_to_the_records_they_replaced():
+    """The relation, variable and boundary texts of graph:A4 and graph:L1
+    are those that were written out in their records before graph lines."""
+    a4, l1 = get_model("graph:A4"), get_model("graph:L1")
+    assert a4.variables == tuple(("x%d" % v, "even", 2) for v in range(1, 5))
+    assert a4.relations == ("x1(-1)*x2(-1)", "x2(-1)*x3(-1)", "x3(-1)*x4(-1)")
+    assert a4.spanning.boundaries == (("x1", "x2"), ("x2", "x3"), ("x3", "x4"))
+    assert a4.spanning.differences == {}
+    assert l1.variables == (("x1", "odd", 3),)
+    assert l1.relations == ("x1(-3/2)*x1(-3/2)",)
+    assert l1.spanning.colors == (("x1", 3, True),)
+    assert l1.spanning.boundaries == ()
 
 
 def _fields(m):
