@@ -1,6 +1,7 @@
 """Constrained-partition counting for the combinatorial spanning sets
 attached to the models: colored partitions with difference and boundary
-conditions (ColoredRules), the specific three-letter monomial clauses of
+conditions (ColoredRules, read off the leading monomials of a ring's
+relations by ColoredRules.of_ring), the specific three-letter monomial clauses of
 the two-supercurrent model (GhRules), and the D_{k,1} conditions of the
 N=1 minimal models (Dk1Rules).
 
@@ -59,6 +60,29 @@ class ColoredRules:
             if s not in known or t not in known:
                 raise ValueError("boundary rule %r for unknown color"
                                  % ((s, t),))
+
+    @classmethod
+    def of_ring(cls, spec):
+        """The rule read off the leading monomials of a RingSpec's
+        relations: its colors are the variables, in order.  A relation's
+        leading monomial is its first in canonical order; a power x^k
+        (k >= 2) adds the difference (k - 1, 4) to x, a product x*y of
+        two variables the boundary (x, y).  A zero relation adds nothing;
+        any other leading monomial is a ValueError naming it."""
+        names = [v.name for v in spec.variables]
+        differences, boundaries = {}, []
+        for rel in filter(None, spec.relations):
+            mono = min(rel)
+            x = names[mono[0][0]] if mono else None
+            if len(mono) >= 2 and mono[0] == mono[-1]:
+                differences[x] = (*differences.get(x, ()), (len(mono) - 1, 4))
+            elif len(mono) == 2:
+                boundaries.append((x, names[mono[1][0]]))
+            else:
+                raise ValueError("leading monomial %s is not x^k or x*y"
+                                 % spec.mono_str(mono))
+        return cls([(v.name, v.weight2, v.odd) for v in spec.variables],
+                   differences, boundaries)
 
 
 class GhRules:

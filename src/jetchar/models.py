@@ -31,6 +31,8 @@ class Model:
     ``variables`` are ``(name, parity, weight2)`` triples; ``relations``
     and ``extras`` are polynomial texts in the grammar of
     :meth:`RingSpec.parse_poly`, the one that registry files use.
+    ``spanning`` is a rule of :mod:`jetchar.combinat`, or ``"colored"`` for
+    the colored rule read off the relations.
     """
 
     def __init__(self, key, description, variables, relations=(), extras=(),
@@ -42,7 +44,7 @@ class Model:
         self.relations = tuple(relations)
         self.extras = tuple(extras)
         self.character_key = character_key
-        self.spanning = spanning
+        self._spanning = spanning
         self.expected = expected
         self.expected_mismatch_degree2 = expected_mismatch_degree2
         self.default_maxdeg2 = default_maxdeg2
@@ -58,6 +60,14 @@ class Model:
                 tuple(base.parse_poly(s) for s in self.extras),
                 name=self.key)
         return self._ring
+
+    @property
+    def spanning(self):
+        """The spanning rule; ``"colored"`` is read off ``ring()`` at first
+        use, by :meth:`~jetchar.combinat.ColoredRules.of_ring`."""
+        if self._spanning == "colored":
+            self._spanning = combinat.ColoredRules.of_ring(self.ring())
+        return self._spanning
 
     def character(self, maxdeg2):
         if self.character_key is None:
@@ -215,29 +225,31 @@ def load_registry_file(path):
         extra POLY
         character FORMULA_KEY  # optional, e.g. theta:2
         spanning colored | gh | dk1 K
-        difference NAME DIST GAP2
-        boundary S T
         graph N I-J ...        # e.g. graph 3 1-2 2-3
         expect ISO_CONSISTENT | MISMATCH | MISMATCH@DEG2
         maxdeg2 N
 
     A field the record leaves out takes the default of :class:`Model`; the
-    description defaults to "user model".  ``spanning`` names the spanning
-    rule: ``colored`` is a :class:`~jetchar.combinat.ColoredRules` whose
-    colours are the model's variables, in order, with the repeatable
-    ``difference`` and ``boundary`` lines as its conditions; ``gh`` is
+    description defaults to "user model".  ``variable``, ``relation`` and
+    ``extra`` repeat; any other field given twice is an error.
+    ``spanning`` names the spanning rule: ``colored`` is the
+    :class:`~jetchar.combinat.ColoredRules` that
+    :meth:`~jetchar.combinat.ColoredRules.of_ring` reads off the leading
+    monomials of the relations (a power gives a difference condition, a
+    product of two variables a boundary condition); ``gh`` is
     :class:`~jetchar.combinat.GhRules` and ``dk1 K`` is
     ``Dk1Rules(K)``.  A ``graph`` line states a graph vertex algebra: N
     vertices ``x1``..``xN``, one edge per ``I-J``, a loop ``I-I`` making
     vertex I odd of weight2 3 and every other vertex even of weight2 2.
     It stands for those variables, one relation ``xI(-1)*xJ(-1)`` per edge
     in the order given (``xI(-3/2)`` for an odd vertex) and ``spanning
-    colored`` with a ``boundary xI xJ`` per edge that is not a loop, so
-    its record has none of those lines.  Returns a dict key -> Model; a
-    key given twice, or with whitespace in it, is an error.  Every ring is
-    built while the file loads, so a relation that does not parse, divides
-    by zero or is not homogeneous raises ValueError naming the file and the
-    model, as does a formula key that does not resolve.
+    colored``, so its record has none of those lines.  Returns a dict
+    key -> Model; a key given twice, or with whitespace in it, is an
+    error.  Every ring and colored rule is built while the file loads, so
+    a relation that does not parse, divides by zero, is not homogeneous or
+    has a leading monomial a colored rule cannot read raises ValueError
+    naming the file and the model, as does a formula key that does not
+    resolve.
     """
     with open(path) as fh:
         out = _read_models(path, fh)
@@ -245,6 +257,7 @@ def load_registry_file(path):
         where = "%s: model %s: " % (path, model.key)
         try:
             model.ring()
+            model.spanning  # a colored rule is read off the ring
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(where + "%s: %s" % (type(exc).__name__, exc))
         if model.character_key is not None:
@@ -280,14 +293,18 @@ def _read_models(path, lines):
             if key in records:
                 raise ValueError(at + "duplicate model key %r" % key)
             current = records[key] = {
-                "key": key, "variables": [], "relations": [], "extras": [],
-                "differences": {}, "boundaries": []}
+                "key": key, "variables": [], "relations": [], "extras": []}
+            given = set()
             continue
         if current is None:
             raise ValueError(at + "content before [model ...]")
         field, _, rest = line.partition(" ")
         rest = rest.strip()
         bits = rest.split()
+        if field in given:
+            raise ValueError(at + "%s given twice" % field)
+        if field not in ("variable", "relation", "extra"):
+            given.add(field)
         if field == "description":
             current["description"] = rest
         elif field == "variable":
@@ -300,7 +317,7 @@ def _read_models(path, lines):
         elif field == "character":
             current["character_key"] = None if rest == "none" else rest
         elif field == "spanning":
-            if bits == ["colored"]:  # built once the variables are read
+            if bits == ["colored"]:  # read off the ring at first use
                 current["spanning"] = "colored"
             elif bits == ["gh"]:
                 current["spanning"] = combinat.GhRules()
@@ -322,17 +339,6 @@ def _read_models(path, lines):
                     raise ValueError(at + "bad edge %r, want I-J on 1..%d"
                                      % ("-".join(edge), nvert))
             current["graph"] = vertices, edges
-        elif field == "difference":
-            if len(bits) != 3:
-                raise ValueError(at + "bad difference line, want "
-                                 "difference NAME DIST GAP2")
-            current["differences"].setdefault(bits[0], []).append(
-                (_int_field(at, "difference DIST", bits[1]),
-                 _int_field(at, "difference GAP2", bits[2])))
-        elif field == "boundary":
-            if len(bits) != 2:
-                raise ValueError(at + "bad boundary line, want boundary S T")
-            current["boundaries"].append(tuple(bits))
         elif field == "expect":
             verdict, sep, deg = rest.partition("@")
             if verdict not in ("ISO_CONSISTENT", "MISMATCH"):
@@ -369,10 +375,9 @@ def _record_to_model(path, rec):
     """The Model of one parsed record; its ring is built at first use."""
     where = "%s: model %s: " % (path, rec["key"])
     if "graph" in rec:
-        if "spanning" in rec or any(rec[field] for field in (
-                "variables", "relations", "differences", "boundaries")):
+        if "spanning" in rec or rec["variables"] or rec["relations"]:
             raise ValueError(where + "a graph line takes no variable, "
-                             "relation, spanning, difference or boundary line")
+                             "relation or spanning line")
         vertices, edges = rec.pop("graph")
         odd = {i for i, j in edges if i == j}
         rec["variables"] = [("x" + v, "odd", 3) if v in odd
@@ -381,24 +386,9 @@ def _record_to_model(path, rec):
                 for v in vertices}
         rec["relations"] = [atom[i] + "*" + atom[j] for i, j in edges]
         rec["spanning"] = "colored"
-        rec["boundaries"] = [("x" + i, "x" + j) for i, j in edges if i != j]
     if not rec["variables"]:
         raise ValueError(where + "no variables")
     rec["description"] = rec.get("description") or "user model"
-    differences = {name: tuple(rules)
-                   for name, rules in rec.pop("differences").items()}
-    boundaries = rec.pop("boundaries")
-    if rec.get("spanning") == "colored":
-        try:
-            rec["spanning"] = combinat.ColoredRules(
-                [(name, w2, parity == "odd")
-                 for name, parity, w2 in rec["variables"]],
-                differences, boundaries)
-        except ValueError as exc:
-            raise ValueError(where + str(exc)) from None
-    elif differences or boundaries:
-        raise ValueError(where + "difference and boundary lines need "
-                         "spanning colored")
     return Model(**rec)
 
 

@@ -9,6 +9,7 @@ independent brute-force enumerators written directly from the clause
 lists.
 """
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -496,6 +497,24 @@ def test_colored_rules_validation():
     for diff in ((0, 4), (-1, 4), (1, 1.5)):
         with pytest.raises(ValueError):
             ColoredRules([("x", 2, False)], {"x": (diff,)})
+
+
+def test_colored_rules_of_ring_read_the_leading_monomials():
+    """A power gives a difference, a product a boundary in canonical order
+    (the lighter variable first), an odd square nothing; a linear or cubic
+    leading monomial is refused by name."""
+    variables = (VariableSpec("u", "even", 4), VariableSpec("v", "even", 2),
+                 VariableSpec("g", "odd", 3))
+    base = RingSpec(variables)
+    spec = RingSpec(variables, [base.parse_poly(t) for t in (
+        "u(-2)^3", "u(-2)*v(-1) + v(-1)^3", "g(-3/2)^2", "u(-2)^2")])
+    rules = ColoredRules.of_ring(spec)
+    assert rules.colors == (("u", 4, False), ("v", 2, False), ("g", 3, True))
+    assert rules.differences == {"u": ((2, 4), (1, 4))}
+    assert rules.boundaries == (("v", "u"),)
+    for text in ("v(-1)", "v(-1)*g(-3/2)*u(-2)"):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ColoredRules.of_ring(RingSpec(variables, [base.parse_poly(text)]))
 
 
 def test_count_constrained_counts_the_empty_configuration():

@@ -105,13 +105,24 @@ _REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.mark.parametrize("key", models.model_keys())
 def test_hilbert_series_matches_the_frozen_registry_reference(key):
-    """Every registered model at its default truncation gives the jet_dim
-    column of the frozen reference."""
+    """Every registered model at its default truncation gives the rows of
+    the frozen reference, ``[degree2, spanning, jet_dim, character]``:
+    its hilbert_series, its spanning count, read off the relations for a
+    colored rule, and its character."""
     frozen = _REFERENCE["registry"][key]
-    model = models.get_model(key)
-    assert frozen["maxdeg2"] == model.default_maxdeg2
-    assert hilbert_series(model.ring(), model.default_maxdeg2) == [
-        jet for _, _, jet, _ in frozen["rows"]]
+    report = models.verify(key)
+    assert frozen["maxdeg2"] == report.maxdeg2
+    assert [[r["degree2"], r["spanning"], r["jet_dim"], r["character"]]
+            for r in report.rows] == frozen["rows"]
+
+
+@pytest.mark.parametrize("key, depth", [("graph:A4", 24), ("graph:A6", 16),
+                                        ("sln_principal:4", 22)])
+def test_spanning_counts_match_the_frozen_deep_reference(key, depth):
+    """The colored rules read off these relations count, at the
+    benchmark's depths, the frozen spanning series."""
+    assert models.get_model(key).spanning_series(depth).c == _REFERENCE[
+        "series"]["spanning " + key][:depth + 1]
 
 
 @pytest.mark.parametrize("key, depth", [("sln_principal:4", 16),

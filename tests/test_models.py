@@ -100,6 +100,18 @@ def test_sln_root_pairs_counts():
     assert len(sln_root_pairs(4)) == 15
 
 
+def test_sln_leading_monomials_are_the_root_pairs():
+    """The leading monomials of sln_principal:n's relations are the
+    products E_r*E_s over sln_root_pairs(n), in order: the index set of
+    ml:sln:lhs."""
+    for n in (3, 4):
+        spec = get_model("sln_principal:%d" % n).ring()
+        names = [v.name for v in spec.variables]
+        assert [tuple(names[base] for base, _ in min(rel))
+                for rel in spec.relations] == [
+            ("E%d%d" % r, "E%d%d" % s) for r, s in sln_root_pairs(n)]
+
+
 def test_sln_ring_relation_counts():
     assert len(get_model("sln_principal:3").ring().relations) == 5
     assert len(get_model("sln_principal:4").ring().relations) == 15
@@ -311,7 +323,6 @@ variable x even 2
 relation x(-1)^2
 character rr
 spanning colored
-difference x 1 4
 expect ISO_CONSISTENT
 maxdeg2 12
 """
@@ -378,7 +389,20 @@ expect MISMATCH@3
     ("[models bar]\nvariable x even 2\n", "bad header '[models bar]'"),
     ("[model a]\nexpect ISO_CONSISTENT\n", "no variables"),
     ("[model a]\nvariable x even 2\ncharacter wat:1\n", "unknown formula"),
-    # the spanning field: a rule kind, then a colored rule's conditions
+    # single-valued fields
+    ("[model a]\nvariable x even 2\ndescription one\ndescription two\n",
+     ":4: description given twice"),
+    ("[model a]\nvariable x even 2\ncharacter theta:2\ncharacter rr\n",
+     ":4: character given twice"),
+    ("[model a]\nvariable x even 2\nspanning gh\nspanning colored\n",
+     ":4: spanning given twice"),
+    ("[model a]\ngraph 2 1-2\ngraph 2 1-2\n", ":3: graph given twice"),
+    ("[model a]\nvariable x even 2\nexpect MISMATCH\nexpect MISMATCH\n",
+     ":4: expect given twice"),
+    ("[model a]\nvariable x even 2\nmaxdeg2 10\nmaxdeg2 12\n",
+     ":4: maxdeg2 given twice"),
+    # the spanning field: a rule kind, then a colored rule read off the
+    # relations, which leaves no field for its conditions
     ("[model a]\nvariable x even 2\nspanning wat\n",
      ":3: bad spanning 'wat', want colored, gh or dk1 K"),
     ("[model a]\nvariable x even 2\nspanning dk1 1\n",
@@ -386,17 +410,17 @@ expect MISMATCH@3
     ("[model a]\nvariable x even 2\nspanning dk1 two\n",
      ":3: spanning dk1 K must be an integer, got 'two'"),
     ("[model a]\nvariable x even 2\ndifference x 1 4\n",
-     ": model a: difference and boundary lines need spanning colored"),
+     ":3: unknown field 'difference'"),
     ("[model a]\nvariable x even 2\nspanning gh\nboundary x x\n",
-     ": model a: difference and boundary lines need spanning colored"),
-    ("[model a]\nvariable x even 2\nspanning colored\ndifference x 1 four\n",
-     ":4: difference GAP2 must be an integer, got 'four'"),
-    ("[model a]\nvariable x even 2\nspanning colored\ndifference x 1\n",
-     ":4: bad difference line"),
-    ("[model a]\nvariable x even 2\nspanning colored\ndifference y 1 4\n",
-     ": model a: difference rule for unknown color 'y'"),
+     ":4: unknown field 'boundary'"),
+    ("[model a]\nvariable x even 2\nspanning colored\ndifference x 1 4\n",
+     ":4: unknown field 'difference'"),
     ("[model a]\nvariable x even 2\nspanning colored\nboundary x y\n",
-     ": model a: boundary rule ('x', 'y') for unknown color"),
+     ":4: unknown field 'boundary'"),
+    ("[model a]\nvariable x even 2\nvariable y even 2\nvariable z even 2\n"
+     "relation x(-1)*y(-1)*z(-1)\nspanning colored\n",
+     ": model a: ValueError: leading monomial x(-1)*y(-1)*z(-1) is not "
+     "x^k or x*y"),
     # the graph line: N vertices, then edges I-J on 1..N
     ("[model a]\ngraph\n", ":2: graph N must be an integer, got ''"),
     ("[model a]\ngraph three 1-2\n",
@@ -406,10 +430,9 @@ expect MISMATCH@3
     ("[model a]\ngraph 3 1-4\n", ":2: bad edge '1-4', want I-J on 1..3"),
     ("[model a]\ngraph 3 0-1\n", ":2: bad edge '0-1', want I-J on 1..3"),
 ] + [("[model a]\ngraph 2 1-2\n" + line, ": model a: a graph line takes no "
-      "variable, relation, spanning, difference or boundary line")
+      "variable, relation or spanning line")
      for line in ("variable y even 2\n", "relation x1(-1)^2\n",
-                  "spanning colored\n", "difference x1 1 4\n",
-                  "boundary x1 x2\n")])
+                  "spanning colored\n")])
 def test_load_registry_file_errors(tmp_path, text, fragment):
     path = tmp_path / "models.txt"
     path.write_text(text)
@@ -448,6 +471,18 @@ def test_a_user_graph_line_verifies_against_graphsum(tmp_path, edges, maxdeg2,
     m = load_registry_file(str(path))["user:g"]
     assert m.default_maxdeg2 == 16
     assert verify(m, maxdeg2).verdict == verdict
+
+
+def test_a_graph_spans_alike_however_its_edges_are_written(tmp_path):
+    """An edge I-J and its reverse J-I give one relation, so one leading
+    monomial and one boundary: the spanning column is the same."""
+    path = tmp_path / "models.txt"
+    path.write_text("[model a]\ngraph 3 2-1 2-3\n\n"
+                    "[model b]\ngraph 3 1-2 2-3\n")
+    a, b = load_registry_file(str(path)).values()
+    assert a.spanning.boundaries == b.spanning.boundaries == (
+        ("x1", "x2"), ("x2", "x3"))
+    assert a.spanning_series(12).c == b.spanning_series(12).c
 
 
 def test_graph_lines_expand_to_the_records_they_replaced():
