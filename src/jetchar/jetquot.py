@@ -327,6 +327,8 @@ class _TPowers:
         the parity of the odd atoms ``a > b`` of ``m`` that ``b`` moves past
         in ``m * p``.
         """
+        if not p & self.odd_bits:
+            return 0
         out = 0
         for b, _ in self.digits(p & self.odd_bits):
             out ^= -1 << (self.width * b + 1)
@@ -462,14 +464,19 @@ class _TPowers:
         between ``a`` and ``b``, which it passes, and dies when ``b`` is
         present.
         """
-        nxt, deg, unit = self.next, self.atom_degree2, self.unit
+        nxt, deg, unit, odd = self.next, self.atom_degree2, self.unit, self.odd
+        w, mask = self.width, (1 << self.width) - 1
         out = {}
         for t, c, _ in terms:
             t_odd = t & self.odd_bits
-            for a, k in self.digits(t):
+            p = t
+            while p:  # the digits of t, as :meth:`digits`, no generator
+                a = ((p & -p).bit_length() - 1) // w
+                k = p >> (w * a) & mask
+                p -= k << (w * a)
                 b = nxt[a]
                 f = -deg[a] * k * c
-                if self.odd[a]:
+                if odd[a]:
                     if t & unit[b]:
                         continue
                     # the bits strictly between digit a and digit b
@@ -528,7 +535,8 @@ def ideal_rows(tpowers, degree2):
                 for t, c, flip in terms:
                     k = column(m + t)
                     if k is not None:
-                        row[k] = -c if (m_odd & flip).bit_count() & 1 else c
+                        row[k] = (-c if m_odd and (m_odd & flip).bit_count() & 1
+                                  else c)
                 buckets[len(row)].append(row)
     rows = []
     for bucket in buckets[1:]:

@@ -34,6 +34,12 @@ tuples and ``Fraction`` coefficients.
 
 from fractions import Fraction
 
+# ``^exp`` is stored as ``exp`` atoms, so one record line could exhaust
+# memory in its parse alone.  A polynomial is refused when its terms hold
+# more atoms in all than this bound, the default monomial budget of a
+# degree table.
+MAX_POLY_ATOMS = 200_000
+
 
 class VariableSpec:
     """A generator of the base ring: name, parity, doubled weight."""
@@ -244,11 +250,12 @@ class RingSpec:
 
         Terms are separated by top-level ``+``/``-``; factors by ``*``.  A
         factor is either a rational number or ``name(-subscript)`` with an
-        optional ``^exponent`` of at least 1.  The subscript must match the
+        optional ``^exponent`` of at least 1; the terms hold at most
+        ``MAX_POLY_ATOMS`` atoms in all.  The subscript must match the
         variable's weight grid: ``subscript = weight2/2 + shift`` for integer
         shift >= 0.
         """
-        terms = []
+        terms, size = [], 0
         for sign, chunk in _split_terms(text):
             coeff = Fraction(sign)
             chunk = chunk.strip()
@@ -275,6 +282,9 @@ class RingSpec:
                     exp = int(tail[1:]) if tail[1:].strip().isdecimal() else 0
                     if exp < 1:
                         raise ValueError("bad exponent in factor %r" % factor)
+                    if size + len(atoms) + exp > MAX_POLY_ATOMS:
+                        raise ValueError("exponent too large in factor %r"
+                                         % factor)
                 elif tail:
                     raise ValueError("trailing junk in factor %r" % factor)
                 name = name.strip()
@@ -287,6 +297,7 @@ class RingSpec:
                     raise ValueError("subscript %s is not on the grid of %s" % (sub, name))
                 atoms.extend([(base, int(shift2) // 2)] * exp)
             terms.append((coeff, atoms))
+            size += len(atoms)
         return self.poly(terms)
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from jetchar import cli
+from jetchar import cli, models
 from jetchar.cli import main
 
 
@@ -42,6 +42,38 @@ def test_verify_json_round_trips():
                         "--maxdeg2", "8", "--format", "json")
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) == out.strip()
+
+
+def _assert_indent_2(out):
+    """The JSON text is laid out exactly as ``json.dumps(indent=2)``."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(models.REGISTRY))
+def test_verify_json_is_laid_out_as_indent_2(key):
+    _, out = run_cli("verify", "--model", key, "--format", "json")
+    _assert_indent_2(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--all",),  # a list of reports
+    ("--model", "lattice:3"),  # a MISMATCH report: mismatch_degree2
+    ("--model", "n2_c1:abc", "--maxdeg2", "0"),  # a single row, no character
+    ("--all", "--maxdeg2", "0")])
+def test_verify_json_layouts_are_indent_2(argv):
+    _, out = run_cli("verify", *argv, "--format", "json")
+    _assert_indent_2(out)
+    if "lattice:3" in argv:
+        assert json.loads(out)["mismatch_degree2"] == 8
+
+
+@pytest.mark.parametrize("maxdeg2", ["0", "30"])
+def test_expand_json_is_laid_out_as_indent_2(maxdeg2):
+    for key in models.FORMULA_KEYS:
+        code, out = run_cli("expand", key, "--maxdeg2", maxdeg2,
+                            "--format", "json")
+        assert code == 0
+        _assert_indent_2(out)
 
 
 def test_verify_json_multiple_models_is_array():
@@ -445,6 +477,28 @@ def test_registry_file_end_to_end(tmp_path):
     assert json.loads(out)["verdict"] == "ISO_CONSISTENT"
     code, out = run_cli("list", "--registry", str(path), "--filter", "user")
     assert code == 0 and "user:rr" in out
+
+
+def test_registry_file_json_is_laid_out_as_indent_2(tmp_path):
+    path = tmp_path / "extra.txt"
+    path.write_text(REGISTRY_TEXT)
+    _, out = run_cli("verify", "--registry", str(path), "--model", "user:rr",
+                     "--format", "json")
+    _assert_indent_2(out)
+
+
+def test_registry_file_huge_exponent_is_refused_at_once(tmp_path):
+    """``^exp`` is stored as ``exp`` atoms; an exponent past the bound is a
+    one-line error naming the factor, before any memory is spent on it.
+    This ran until killed."""
+    path = tmp_path / "huge.txt"
+    path.write_text("[model a]\nvariable x even 2\nrelation x(-1)^99999999\n")
+    start = time.perf_counter()
+    proc = _verify_registry(path)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "x(-1)^99999999" in proc.stderr
 
 
 def test_registry_file_parse_failure(tmp_path):

@@ -988,29 +988,68 @@ _ATOM_TERMS = st.lists(
     min_size=1, max_size=4)
 
 
+def _flips_of(tpowers, t):
+    """``flips`` as its docstring states it, over the decoded atoms."""
+    out = 0
+    for atom in tpowers.decode(t):
+        b = tpowers.ids[atom]
+        if tpowers.odd[b]:
+            out ^= -1 << (tpowers.width * b + 1)
+    return out
+
+
+def _check_powers(spec, tpowers, i, poly, count):
+    """The first ``count`` powers of generator ``i`` of ``tpowers`` are
+    ``_int_row`` of ``spec.derive`` applied j times to ``poly``, with the
+    flips of every term; a term with no odd atom flips nothing."""
+    for j in range(count):
+        got = tpowers.get(i, j)
+        want = _int_row({m: m for m in poly}, poly)
+        assert {tpowers.decode(t): c for t, c, _ in got} == want
+        for t, _, flip in got:
+            assert flip == tpowers.flips(t) == _flips_of(tpowers, t)
+            if not t & tpowers.odd_bits:
+                assert flip == 0
+        poly = spec.derive(poly)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_ATOM_TERMS)
-@example([(1, [(2, 0), (0, 0)])])  # f[0] -> f[1] passes g[0]: sign flip
-@example([(1, [(2, 0), (2, 1)])])  # f[0] -> f[1] meets f[1]: the term dies
+@given(_ATOM_TERMS, st.booleans())
+@example([(1, [(2, 0), (0, 0)])], True)  # f[0] -> f[1] passes g[0]: sign flip
+@example([(1, [(2, 0), (2, 1)])], True)  # f[0] -> f[1] meets f[1]: the term dies
 @example([(2, [(1, 0), (1, 0), (1, 0)]),  # h[0]^3: multiplicity 3
-          (-3, [(1, 1), (2, 0), (2, 0)])])  # f[0]^2 = 0
-@example([(1, [(2, 0), (1, 0), (0, 1)]), (1, [(2, 1), (1, 0), (0, 0)])])
-def test_integer_t_matches_fraction_derive(terms):
-    """_TPowers.get(0, j) is _int_row of spec.derive applied j times."""
-    variables = (VariableSpec("g", "odd", 3), VariableSpec("h", "even", 2),
-                 VariableSpec("f", "odd", 1))
+          (-3, [(1, 1), (2, 0), (2, 0)])], True)  # f[0]^2 = 0
+@example([(1, [(2, 0), (1, 0), (0, 1)]), (1, [(2, 1), (1, 0), (0, 0)])],
+         True)
+@example([(1, [(1, 0), (1, 0)]), (1, [(0, 0), (2, 0)])], True)  # h[0]^2: no odd
+@example([(2, [(2, 0), (2, 0), (0, 1)]), (1, [(1, 1), (2, 1)])], False)
+def test_integer_t_matches_fraction_derive(terms, odd):
+    """_TPowers.get(0, j) is _int_row of spec.derive applied j times, on a
+    ring with two odd variables or none."""
+    parity = "odd" if odd else "even"
+    variables = (VariableSpec("g", parity, 3), VariableSpec("h", "even", 2),
+                 VariableSpec("f", parity, 1))
     spec = RingSpec(variables)
     target = spec.mono_degree2(terms[0][1])
     poly = spec.poly([t for t in terms if spec.mono_degree2(t[1]) == target])
     assume(poly)
     spec = RingSpec(variables, extras=(poly,))
-    tpowers = _TPowers(spec, target + 12, DEFAULT_MONOMIAL_LIMIT)
-    for j in range(7):
-        got = tpowers.get(0, j)
-        want = _int_row({m: m for m in poly}, poly)
-        assert {tpowers.decode(t): c for t, c, _ in got} == want
-        assert all(flip == tpowers.flips(t) for t, _, flip in got)
-        poly = spec.derive(poly)
+    _check_powers(spec, _TPowers(spec, target + 12, DEFAULT_MONOMIAL_LIMIT),
+                  0, poly, 7)
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k in models.REGISTRY if k.startswith(("n1_", "n2_c1:", "graph:"))))
+def test_registered_powers_match_fraction_derive(key):
+    """Every power of every generator of the N=1, N=2 and graph models, the
+    odd loop of graph:L1 included, through the default truncation."""
+    model = models.get_model(key)
+    spec, top = model.ring(), model.default_maxdeg2
+    tpowers = _TPowers(spec, top, DEFAULT_MONOMIAL_LIMIT)
+    gens = [g for g in spec.relations + spec.extras
+            if g and spec.degree2(g) <= top]
+    for i, g in enumerate(gens):
+        _check_powers(spec, tpowers, i, g, (top - spec.degree2(g)) // 2 + 1)
 
 
 # --------------------------------------------- width of the packed digits

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetchar import RingSpec, VariableSpec
+from jetchar.superring import MAX_POLY_ATOMS
 
 
 def n2_spec():
@@ -296,6 +297,22 @@ def test_parse_poly_names_a_dangling_operator(text, message):
     with pytest.raises(ValueError) as exc:
         n2_spec().parse_poly(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, factor", [
+    ("h(-1)^200001", "h(-1)^200001"),
+    ("h(-1)^99999999", "h(-1)^99999999"),
+    ("h(-1)^100000 * h(-2)^100001", "h(-2)^100001"),  # the term's atoms
+    ("h(-1)^100000 - 2*h(-2)^100001", "h(-2)^100001"),  # the terms' atoms
+])
+def test_parse_poly_refuses_a_polynomial_of_too_many_atoms(text, factor):
+    """``^exp`` is stored as ``exp`` atoms, so a polynomial is bounded by
+    ``MAX_POLY_ATOMS`` atoms over its terms; the bound itself parses."""
+    with pytest.raises(ValueError) as exc:
+        n2_spec().parse_poly(text)
+    assert str(exc.value) == "exponent too large in factor %r" % factor
+    p = n2_spec().parse_poly("h(-1)^%d" % MAX_POLY_ATOMS)
+    assert [len(m) for m in p] == [MAX_POLY_ATOMS]
 
 
 def test_poly_str_zero_and_constant():
