@@ -209,7 +209,7 @@ def _count_colored(rules, maxdeg2):
             tables[sig] = _color_profiles(*sig[:3], maxdeg2, *sig[3:])
         table = tables[sig]
         entries, never = [], w2 + 2 * maxdeg2  # no part: above every floor
-        for (d, n, m), count in sorted(table.items(), key=lambda kv: kv[0][0]):
+        for (d, n, m), count in table.items():  # ascending d: see the break
             if (i, i) not in bounds or m is None or m >= w2 + 2 * n:
                 entries.append((d, n, never if m is None else m, count,
                                 tuple(n if k == "n" else m for k, _ in own)))

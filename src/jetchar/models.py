@@ -22,7 +22,7 @@ built at its first use.
 import os
 
 from . import combinat, jetquot, qseries
-from .superring import RingSpec, VariableSpec
+from .superring import MAX_POLY_ATOMS, RingSpec, VariableSpec
 
 
 class Model:
@@ -50,15 +50,20 @@ class Model:
         self.default_maxdeg2 = default_maxdeg2
         self._ring = None
 
-    def ring(self):
-        """The RingSpec named ``key``, parsed at first use and then cached."""
+    def ring(self, budget=MAX_POLY_ATOMS):
+        """The RingSpec named ``key``, parsed at first use and then cached.
+
+        Its relations and extras share one atom budget: each is parsed
+        under what the ones before it left (:meth:`RingSpec.parse_poly`).
+        """
         if self._ring is None:
             base = RingSpec(VariableSpec(*v) for v in self.variables)
-            self._ring = RingSpec(
-                base.variables,
-                tuple(base.parse_poly(s) for s in self.relations),
-                tuple(base.parse_poly(s) for s in self.extras),
-                name=self.key)
+            polys = []
+            for text in self.relations + self.extras:
+                polys.append(base.parse_poly(text, budget))
+                budget -= sum(map(len, polys[-1]))
+            self._ring = RingSpec(base.variables, polys[:len(self.relations)],
+                                  polys[len(self.relations):], name=self.key)
         return self._ring
 
     @property
@@ -249,14 +254,19 @@ def load_registry_file(path):
     a relation that does not parse, divides by zero, is not homogeneous or
     has a leading monomial a colored rule cannot read raises ValueError
     naming the file and the model, as does a formula key that does not
-    resolve.
+    resolve.  The rings of the file share one atom budget of
+    ``MAX_POLY_ATOMS``, as the polynomials of one record do, so the first
+    ``^exponent`` past it is refused the same way.
     """
     with open(path) as fh:
         out = _read_models(path, fh)
+    budget = MAX_POLY_ATOMS  # atoms left for the file's rings
     for model in out.values():
         where = "%s: model %s: " % (path, model.key)
         try:
-            model.ring()
+            ring = model.ring(budget)
+            budget -= sum(len(m) for g in ring.relations + ring.extras
+                          for m in g)
             model.spanning  # a colored rule is read off the ring
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(where + "%s: %s" % (type(exc).__name__, exc))

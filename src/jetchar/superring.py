@@ -37,7 +37,8 @@ from fractions import Fraction
 # ``^exp`` is stored as ``exp`` atoms, so one record line could exhaust
 # memory in its parse alone.  A polynomial is refused when its terms hold
 # more atoms in all than this bound, the default monomial budget of a
-# degree table.
+# degree table; a registry record and a registry file share one such
+# budget (``Model.ring`` and ``load_registry_file``).
 MAX_POLY_ATOMS = 200_000
 
 
@@ -245,15 +246,16 @@ class RingSpec:
 
     # -- parsing (registry files use the same grammar) -------------------
 
-    def parse_poly(self, text):
+    def parse_poly(self, text, budget=MAX_POLY_ATOMS):
         """Parse ``3/2 * x(-1)^2 * g(-3/2) - y(-2)`` into a polynomial.
 
         Terms are separated by top-level ``+``/``-``; factors by ``*``.  A
         factor is either a rational number or ``name(-subscript)`` with an
         optional ``^exponent`` of at least 1; the terms hold at most
-        ``MAX_POLY_ATOMS`` atoms in all.  The subscript must match the
-        variable's weight grid: ``subscript = weight2/2 + shift`` for integer
-        shift >= 0.
+        ``budget`` atoms in all (a smaller budget is what the polynomials
+        parsed before this one left, and its refusal says so).  The
+        subscript must match the variable's weight grid: ``subscript =
+        weight2/2 + shift`` for integer shift >= 0.
         """
         terms, size = [], 0
         for sign, chunk in _split_terms(text):
@@ -282,9 +284,12 @@ class RingSpec:
                     exp = int(tail[1:]) if tail[1:].strip().isdecimal() else 0
                     if exp < 1:
                         raise ValueError("bad exponent in factor %r" % factor)
-                    if size + len(atoms) + exp > MAX_POLY_ATOMS:
-                        raise ValueError("exponent too large in factor %r"
-                                         % factor)
+                    if size + len(atoms) + exp > budget:
+                        shared = ("" if budget == MAX_POLY_ATOMS else
+                                  ": more than %d atoms with the polynomials"
+                                  " before it" % MAX_POLY_ATOMS)
+                        raise ValueError("exponent too large in factor %r%s"
+                                         % (factor, shared))
                 elif tail:
                     raise ValueError("trailing junk in factor %r" % factor)
                 name = name.strip()

@@ -11,6 +11,7 @@ import pytest
 
 from jetchar import cli, models
 from jetchar.cli import main
+from jetchar.superring import MAX_POLY_ATOMS
 
 
 def run_cli(*argv):
@@ -499,6 +500,36 @@ def test_registry_file_huge_exponent_is_refused_at_once(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "x(-1)^99999999" in proc.stderr
+
+
+def _refused_for_atoms(path, model):
+    proc = _verify_registry(path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "%s: model %s: " % (path, model) in proc.stderr
+    assert "more than %d atoms" % MAX_POLY_ATOMS in proc.stderr
+
+
+def test_registry_record_shares_one_atom_budget(tmp_path):
+    """Each polynomial is under the bound, but the record's 240,000 atoms
+    in all are not: the record is refused, naming the file and the model.
+    This verified with exit 0."""
+    path = tmp_path / "long.txt"
+    path.write_text("[model a]\nvariable x even 2\nvariable y even 2\n"
+                    "relation x(-1)^80000\nrelation y(-1)^80000\n"
+                    "relation x(-1)^40000*y(-1)^40000\n")
+    _refused_for_atoms(path, "a")
+
+
+def test_registry_file_shares_one_atom_budget(tmp_path):
+    """Two records of 80,000 atoms load; a third one, 240,000 atoms in the
+    file, is refused, naming the file and that model."""
+    record = "[model %s]\nvariable x even 2\nrelation x(-1)^80000\n"
+    path = tmp_path / "many.txt"
+    path.write_text(record % "a" + record % "b")
+    assert _verify_registry(path).returncode == 0
+    path.write_text(record % "a" + record % "b" + record % "c")
+    _refused_for_atoms(path, "c")
 
 
 def test_registry_file_parse_failure(tmp_path):

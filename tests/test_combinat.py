@@ -464,6 +464,31 @@ def test_colored_count_builds_each_color_table_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
+def test_registered_color_profiles_ascend_in_degree(monkeypatch):
+    """_count_colored reads each colour table in its own order and stops
+    at the first degree past the room left, so every table that a
+    registered colored rule builds at its default truncation lists its
+    degrees in nondecreasing order."""
+    tables = []
+    build = combinat._color_profiles
+
+    def recording(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(combinat, "_color_profiles", recording)
+    checked = 0
+    for key in models.model_keys():
+        model = get_model(key)
+        if isinstance(model.spanning, ColoredRules):
+            count_constrained(model.spanning, model.default_maxdeg2)
+            checked += 1
+    assert checked >= 18 and tables
+    for table in tables:
+        degrees = [d for d, _, _ in table]
+        assert degrees == sorted(degrees)
+
+
 def test_odd_color_counts_distinct_parts():
     rules = ColoredRules([("g", 3, True)])
     got = count_constrained(rules, 21)

@@ -904,20 +904,39 @@ def test_learned_cuts_keep_random_series(presentation):
     _learning_check(_random_ring(presentation), 10)
 
 
+def _build_order_rows(tpowers, degree2, columns):
+    """The nonempty product rows of a slice, each built on its own with
+    the Koszul sign of :func:`_flips_of`, in build order (generator, power,
+    factor table), stably sorted by length."""
+    built = []
+    for i, d0 in enumerate(tpowers.base_degree2):
+        for j in range((degree2 - d0) // 2 + 1):
+            terms = tpowers.get(i, j)
+            if len(terms) < 2:
+                continue
+            for m in tpowers.standard(degree2 - d0 - 2 * j):
+                m_odd = m & tpowers.odd_bits
+                row = {columns[m + t]: (-c if (m_odd & _flips_of(tpowers, t))
+                                        .bit_count() % 2 else c)
+                       for t, c, _ in terms if m + t in columns}
+                if row:
+                    built.append(row)
+    return sorted(built, key=len)
+
+
 def _kernel_check(spec, maxdeg2):
-    """In hilbert_series, every slice's rows are nonempty and in
-    nondecreasing ``(len(row), min(row))`` order, and each degree cuts
-    exactly the positions of its echelon's single-entry pivots ``{c: 1}``,
-    ascending: they leave the table, and each prefix length counts the
-    monomials left whose atoms are all at or above its atom."""
+    """In hilbert_series, every slice's rows are exactly its nonempty
+    product rows in build order, stably sorted by length, and each degree
+    cuts exactly the positions of its echelon's single-entry pivots
+    ``{c: 1}``, ascending: they leave the table, and each prefix length
+    counts the monomials left whose atoms are all at or above its atom."""
     pivots, cuts = [], []
     rows_of, basis_of, cut_of = ideal_rows, ideal_basis, _TPowers.cut
 
     def rows(tpowers, degree2):
         columns, built = rows_of(tpowers, degree2)
-        assert all(built), f"an empty row at degree2={degree2}"
-        keys = [(len(row), min(row)) for row in built]
-        assert keys == sorted(keys), f"rows out of order at degree2={degree2}"
+        assert built == _build_order_rows(tpowers, degree2, columns), \
+            f"rows differ from the build order at degree2={degree2}"
         return columns, built
 
     def basis(tpowers, degree2):
